@@ -1,0 +1,7 @@
+(module fold-fun-list
+  (provide [main (-> (listof (-> integer? integer?)) integer? integer?)])
+  (define (compose-all fs x)
+    (if (null? fs) x (compose-all (cdr fs) ((car fs) x))))
+  (define (main fs n)
+    (let ([r (compose-all fs n)])
+      (/ 100 (if (zero? r) 1 r)))))

@@ -1,0 +1,5 @@
+(module hors
+  (provide [main (-> integer? integer?)])
+  (define (twice f x) (f (f x)))
+  (define (check x) (if (>= x 0) x (error "negative")))
+  (define (main n) (twice check (if (< n 0) 0 n))))

@@ -1,0 +1,3 @@
+(module intro2
+  (provide [main (-> integer? integer?)])
+  (define (main n) (/ 100 (+ 1 n))))

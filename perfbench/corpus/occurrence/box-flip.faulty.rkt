@@ -1,0 +1,10 @@
+(module box-flip
+  (provide [flip (-> integer? integer?)])
+  (define st (box 0))
+  (define (flip n)
+    (begin
+      (assert (zero? (unbox st)))
+      (set-box! st n)
+      (assert (= (unbox st) 1))
+      (set-box! st 0)
+      n)))

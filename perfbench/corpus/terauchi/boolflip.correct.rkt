@@ -1,0 +1,4 @@
+(module boolflip
+  (provide [main (-> integer? integer?)])
+  (define (flip b) (if b #f #t))
+  (define (main n) (if (flip (flip (> n 0))) (assert (> n 0)) 0)))

@@ -1,0 +1,4 @@
+(module sum-all
+  (provide [main (-> integer? integer?)])
+  (define (sum n) (if (<= n 0) 0 (+ n (sum (- n 1)))))
+  (define (main n) (begin (assert (>= (sum 0) 0)) 0)))
