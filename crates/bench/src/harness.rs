@@ -8,14 +8,14 @@
 //! program-level grain is where most of the wall-clock saving comes from.
 //! Each program gets one [`SharedVerdictCache`] spanning its correct and
 //! faulty variant runs; the cache's epoch counter makes the cross-variant
-//! verdict reuse measurable ([`ProgramResult::cross_variant_cache_hits`]).
+//! verdict reuse measurable ([`RowCounters::cross_variant_cache_hits`]).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use cpcf::{
     analyze_module, AnalyzeOptions, EvalOptions, ExportAnalysis, Expr, SessionStats,
-    SharedVerdictCache,
+    SharedVerdictCache, Tally,
 };
 use serde::{JsonObject, Serialize};
 
@@ -137,230 +137,40 @@ impl Serialize for Verdict {
     }
 }
 
-/// Prover-session statistics aggregated over an analysis run, in a
-/// JSON-friendly shape.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StatsSummary {
-    /// Total prover queries (tag + numeric + model).
-    pub queries: u64,
-    /// Queries answered from the verdict cache.
-    pub cache_hits: u64,
-    /// The subset of `cache_hits` inherited from a shared cache — verdicts
-    /// computed by another session (a sibling worker or an earlier variant
-    /// run).
-    pub shared_cache_hits: u64,
-    /// The subset of `shared_cache_hits` served by the persistent on-disk
-    /// store (verdicts inherited from an earlier *process*; zero without
-    /// `--store`).
-    pub store_hits: u64,
-    /// Queries that missed both cache tiers while a store was attached.
-    pub store_misses: u64,
-    /// Verdicts newly appended to the persistent store.
-    pub store_writes: u64,
-    /// Whole-heap encodings performed.
-    pub full_encodings: u64,
-    /// Incremental journal-suffix encodings performed.
-    pub delta_encodings: u64,
-    /// Solver-backed queries that reused the live solver state unchanged.
-    pub reused_encodings: u64,
-    /// Non-monotone overwrites absorbed by pop-to-write-point retraction
-    /// instead of a whole-heap re-encode.
-    pub retractions: u64,
-    /// Solver frames popped by retractions.
-    pub frames_popped: u64,
-    /// Formulas re-asserted while replaying journal suffixes after
-    /// retraction pops.
-    pub assertions_replayed: u64,
-    /// Heap snapshots (cheap copy-on-write `Heap::clone`s) taken by the
-    /// evaluator's state splits.
-    pub snapshots: u64,
-    /// Persistent-map nodes structurally copied by writes that hit
-    /// snapshot-shared state — the entire copying cost of the heap's
-    /// copy-on-write representation.
-    pub nodes_copied: u64,
-    /// Journal bytes snapshots shared by reference instead of deep-copying
-    /// (what the old `Vec`-journal representation memcpy'd per split).
-    pub journal_bytes_shared: u64,
-    /// Satisfiability checks issued to the first-order solver.
-    pub solver_checks: u64,
-    /// Conflicts encountered by the CDCL core.
-    pub solver_conflicts: u64,
-    /// Unit propagations performed by the CDCL core.
-    pub solver_propagations: u64,
-    /// Clauses the persistent solver core reused across checks (already in
-    /// the database when a CDCL check started; zero under
-    /// `CPCF_SOLVER_CORE=scratch`).
-    pub clauses_reused: u64,
-    /// Distinct atoms interned into the persistent core's hash-consing
-    /// arena.
-    pub atoms_interned: u64,
-    /// Variables excluded from queries' searches by per-query cone slicing.
-    pub cone_vars_pruned: u64,
-    /// Clauses learnt by first-UIP conflict analysis in the CDCL core.
-    pub learnt_clauses: u64,
-    /// Learnt clauses discarded by clause-database reduction.
-    pub clauses_deleted: u64,
-    /// Luby-sequence restarts performed by the CDCL core.
-    pub restarts_luby: u64,
-    /// Theory lemmas published into the cross-worker lemma pool (zero under
-    /// `CPCF_LEMMA_SHARING=off`).
-    pub lemmas_published: u64,
-    /// Sibling theory lemmas imported from the cross-worker lemma pool
-    /// (zero under `CPCF_LEMMA_SHARING=off`).
-    pub lemmas_imported: u64,
-    /// Conjunction checks the difference-logic module ran (zero under
-    /// `CPCF_THEORY_DL=off`).
-    pub dl_checks: u64,
-    /// Negative constraint cycles refuted by the difference-logic module.
-    pub dl_conflicts: u64,
-    /// Potential-repair edge relaxations in the difference-logic module.
-    pub dl_propagations: u64,
-    /// Theory dispatches routed to the difference-logic module.
-    pub theory_dispatch_dl: u64,
-    /// Theory dispatches routed to the general LIA engine.
-    pub theory_dispatch_lia: u64,
-    /// Lazy SMT loops that ran out of their iteration budget and answered
-    /// `Unknown`.
-    pub theory_iterations_exhausted: u64,
-    /// LIA interval-propagation fixpoints cut off by the round ceiling —
-    /// the difference-cycle divergence symptom; should be zero when the
-    /// difference-logic module is enabled.
-    pub propagation_ceiling_hits: u64,
-    /// Satisfiable LIA verdicts demoted to `Unknown` because the model
-    /// could not be reconstructed after presolve elimination.
-    pub model_reconstruction_failures: u64,
-    /// Wall-clock milliseconds spent inside the first-order solver.
-    pub solver_ms: u128,
-}
-
-impl StatsSummary {
-    /// Flattens a session's counters into the summary shape.
-    pub fn from_session(stats: &SessionStats) -> Self {
-        StatsSummary {
-            queries: stats.queries,
-            cache_hits: stats.cache_hits,
-            shared_cache_hits: stats.shared_cache_hits,
-            store_hits: stats.store_hits,
-            store_misses: stats.store_misses,
-            store_writes: stats.store_writes,
-            full_encodings: stats.full_encodings,
-            delta_encodings: stats.delta_encodings,
-            reused_encodings: stats.reused_encodings,
-            retractions: stats.retractions,
-            frames_popped: stats.frames_popped,
-            assertions_replayed: stats.assertions_replayed,
-            snapshots: stats.snapshots,
-            nodes_copied: stats.nodes_copied,
-            journal_bytes_shared: stats.journal_bytes_shared,
-            solver_checks: stats.solver.checks,
-            solver_conflicts: stats.solver.conflicts,
-            solver_propagations: stats.solver.propagations,
-            clauses_reused: stats.solver.clauses_reused,
-            atoms_interned: stats.solver.atoms_interned,
-            cone_vars_pruned: stats.solver.cone_vars_pruned,
-            learnt_clauses: stats.solver.learnt_clauses,
-            clauses_deleted: stats.solver.clauses_deleted,
-            restarts_luby: stats.solver.restarts_luby,
-            lemmas_published: stats.solver.lemmas_published,
-            lemmas_imported: stats.solver.lemmas_imported,
-            dl_checks: stats.solver.dl_checks,
-            dl_conflicts: stats.solver.dl_conflicts,
-            dl_propagations: stats.solver.dl_propagations,
-            theory_dispatch_dl: stats.solver.theory_dispatch_dl,
-            theory_dispatch_lia: stats.solver.theory_dispatch_lia,
-            theory_iterations_exhausted: stats.solver.theory_iterations_exhausted,
-            propagation_ceiling_hits: stats.solver.propagation_ceiling_hits,
-            model_reconstruction_failures: stats.solver.model_reconstruction_failures,
-            solver_ms: stats.solver.time.as_millis(),
-        }
-    }
-
-    /// Accumulates another summary into this one.
-    pub fn merge(&mut self, other: &StatsSummary) {
-        self.queries += other.queries;
-        self.cache_hits += other.cache_hits;
-        self.shared_cache_hits += other.shared_cache_hits;
-        self.store_hits += other.store_hits;
-        self.store_misses += other.store_misses;
-        self.store_writes += other.store_writes;
-        self.full_encodings += other.full_encodings;
-        self.delta_encodings += other.delta_encodings;
-        self.reused_encodings += other.reused_encodings;
-        self.retractions += other.retractions;
-        self.frames_popped += other.frames_popped;
-        self.assertions_replayed += other.assertions_replayed;
-        self.snapshots += other.snapshots;
-        self.nodes_copied += other.nodes_copied;
-        self.journal_bytes_shared += other.journal_bytes_shared;
-        self.solver_checks += other.solver_checks;
-        self.solver_conflicts += other.solver_conflicts;
-        self.solver_propagations += other.solver_propagations;
-        self.clauses_reused += other.clauses_reused;
-        self.atoms_interned += other.atoms_interned;
-        self.cone_vars_pruned += other.cone_vars_pruned;
-        self.learnt_clauses += other.learnt_clauses;
-        self.clauses_deleted += other.clauses_deleted;
-        self.restarts_luby += other.restarts_luby;
-        self.lemmas_published += other.lemmas_published;
-        self.lemmas_imported += other.lemmas_imported;
-        self.dl_checks += other.dl_checks;
-        self.dl_conflicts += other.dl_conflicts;
-        self.dl_propagations += other.dl_propagations;
-        self.theory_dispatch_dl += other.theory_dispatch_dl;
-        self.theory_dispatch_lia += other.theory_dispatch_lia;
-        self.theory_iterations_exhausted += other.theory_iterations_exhausted;
-        self.propagation_ceiling_hits += other.propagation_ceiling_hits;
-        self.model_reconstruction_failures += other.model_reconstruction_failures;
-        self.solver_ms += other.solver_ms;
+cpcf::counters! {
+    /// The counters a corpus row reports beside its [`SessionStats`]: the
+    /// per-program cache, lemma-pool and store effects that no single
+    /// analysis session sees.
+    pub struct RowCounters {
+        /// Shared-cache hits during the faulty variant run on verdicts
+        /// computed during the correct variant run (both variants share one
+        /// cache whose epoch is advanced between them). Zero when the cache
+        /// is disabled (fresh-per-query mode).
+        cross_variant_cache_hits,
+        /// Stored theory lemmas re-published into the program's lemma pool
+        /// before analysis (zero without `--store`, and on the cold run).
+        lemmas_warm_started,
+        /// Exports answered straight from the store because their
+        /// dependency-cone hash was unchanged (zero without `--incremental`).
+        exports_skipped,
     }
 }
 
-impl Serialize for StatsSummary {
-    fn to_json(&self) -> String {
-        JsonObject::new()
-            .field("queries", &self.queries)
-            .field("cache_hits", &self.cache_hits)
-            .field("shared_cache_hits", &self.shared_cache_hits)
-            .field("store_hits", &self.store_hits)
-            .field("store_misses", &self.store_misses)
-            .field("store_writes", &self.store_writes)
-            .field("full_encodings", &self.full_encodings)
-            .field("delta_encodings", &self.delta_encodings)
-            .field("reused_encodings", &self.reused_encodings)
-            .field("retractions", &self.retractions)
-            .field("frames_popped", &self.frames_popped)
-            .field("assertions_replayed", &self.assertions_replayed)
-            .field("snapshots", &self.snapshots)
-            .field("nodes_copied", &self.nodes_copied)
-            .field("journal_bytes_shared", &self.journal_bytes_shared)
-            .field("solver_checks", &self.solver_checks)
-            .field("solver_conflicts", &self.solver_conflicts)
-            .field("solver_propagations", &self.solver_propagations)
-            .field("clauses_reused", &self.clauses_reused)
-            .field("atoms_interned", &self.atoms_interned)
-            .field("cone_vars_pruned", &self.cone_vars_pruned)
-            .field("learnt_clauses", &self.learnt_clauses)
-            .field("clauses_deleted", &self.clauses_deleted)
-            .field("restarts_luby", &self.restarts_luby)
-            .field("lemmas_published", &self.lemmas_published)
-            .field("lemmas_imported", &self.lemmas_imported)
-            .field("dl_checks", &self.dl_checks)
-            .field("dl_conflicts", &self.dl_conflicts)
-            .field("dl_propagations", &self.dl_propagations)
-            .field("theory_dispatch_dl", &self.theory_dispatch_dl)
-            .field("theory_dispatch_lia", &self.theory_dispatch_lia)
-            .field(
-                "theory_iterations_exhausted",
-                &self.theory_iterations_exhausted,
-            )
-            .field("propagation_ceiling_hits", &self.propagation_ceiling_hits)
-            .field(
-                "model_reconstruction_failures",
-                &self.model_reconstruction_failures,
-            )
-            .field("solver_ms", &self.solver_ms)
-            .finish()
-    }
+/// Appends one JSON field per reported counter of a registry, in
+/// declaration order (nested registries flattened).
+pub(crate) fn counter_fields(object: JsonObject, counters: &impl Tally) -> JsonObject {
+    let mut fields = Vec::new();
+    counters.visit("", &mut |key, value| fields.push((key, value)));
+    fields
+        .iter()
+        .fold(object, |object, (key, value)| object.field(key, value))
+}
+
+/// Renders session statistics as a flat JSON object with one entry per
+/// reported counter of the [`SessionStats`] registry (nested solver
+/// counters included), in declaration order.
+pub fn stats_json(stats: &SessionStats) -> String {
+    counter_fields(JsonObject::new(), stats).finish()
 }
 
 /// The Table 1 row produced for one corpus program.
@@ -386,26 +196,17 @@ pub struct ProgramResult {
     /// True for rows the paper itself reports as unsolved ("others-w").
     pub expected_unsolved: bool,
     /// Prover-session statistics summed over both variants.
-    pub stats: StatsSummary,
-    /// Shared-cache hits during the faulty variant run on verdicts computed
-    /// during the correct variant run (both variants share one cache whose
-    /// epoch is advanced between them). Zero when the cache is disabled
-    /// (fresh-per-query mode).
-    pub cross_variant_cache_hits: u64,
+    pub stats: SessionStats,
     /// Per-analysis-worker statistics, summed across both variants by
     /// worker index (a single entry when the analysis ran sequentially).
-    pub worker_summaries: Vec<StatsSummary>,
-    /// Stored theory lemmas re-published into this program's lemma pool
-    /// before analysis (zero without `--store`, and on the cold run).
-    pub lemmas_warm_started: u64,
-    /// Exports answered straight from the store because their
-    /// dependency-cone hash was unchanged (zero without `--incremental`).
-    pub exports_skipped: u64,
+    pub worker_summaries: Vec<SessionStats>,
+    /// The row-level counters, over both variants.
+    pub counters: RowCounters,
 }
 
 impl Serialize for ProgramResult {
     fn to_json(&self) -> String {
-        JsonObject::new()
+        let object = JsonObject::new()
             .field("name", &self.name)
             .field("group", &self.group)
             .field("lines", &self.lines)
@@ -415,12 +216,19 @@ impl Serialize for ProgramResult {
             .field("faulty_verdict", &self.faulty_verdict)
             .field("faulty_ms", &self.faulty_ms)
             .field("expected_unsolved", &self.expected_unsolved)
-            .field("stats", &self.stats)
-            .field("cross_variant_cache_hits", &self.cross_variant_cache_hits)
-            .field("per_worker", &self.worker_summaries)
-            .field("lemmas_warm_started", &self.lemmas_warm_started)
-            .field("exports_skipped", &self.exports_skipped)
-            .finish()
+            .raw_field("stats", stats_json(&self.stats))
+            .raw_field(
+                "per_worker",
+                format!(
+                    "[{}]",
+                    self.worker_summaries
+                        .iter()
+                        .map(stats_json)
+                        .collect::<Vec<_>>()
+                        .join(",")
+                ),
+            );
+        counter_fields(object, &self.counters).finish()
     }
 }
 
@@ -463,17 +271,10 @@ pub fn contract_order(contract: &Expr) -> u32 {
 fn analyze_variant(
     source: &str,
     options: &BenchOptions,
-) -> (Verdict, u128, u32, StatsSummary, Vec<StatsSummary>, u64) {
+) -> (Verdict, u128, u32, SessionStats, Vec<SessionStats>, u64) {
     let start = Instant::now();
     let Ok((program, _)) = cpcf::parse_program(source) else {
-        return (
-            Verdict::ParseError,
-            0,
-            0,
-            StatsSummary::default(),
-            Vec::new(),
-            0,
-        );
+        return (Verdict::ParseError, 0, 0, SessionStats::ZERO, Vec::new(), 0);
     };
     let module_name = program
         .modules
@@ -512,35 +313,17 @@ fn analyze_variant(
         verdict,
         elapsed,
         order,
-        StatsSummary::from_session(&report.stats),
-        report
-            .worker_stats
-            .iter()
-            .map(StatsSummary::from_session)
-            .collect(),
+        report.stats,
+        report.worker_stats,
         report.skipped.len() as u64,
     )
-}
-
-/// Sums two per-worker summary lists by worker index.
-fn merge_worker_summaries(
-    mut left: Vec<StatsSummary>,
-    right: &[StatsSummary],
-) -> Vec<StatsSummary> {
-    if left.len() < right.len() {
-        left.resize(right.len(), StatsSummary::default());
-    }
-    for (slot, summary) in left.iter_mut().zip(right) {
-        slot.merge(summary);
-    }
-    left
 }
 
 /// Runs both variants of a corpus program. The two runs share one
 /// [`SharedVerdictCache`] with an epoch boundary between them, so the faulty
 /// run reuses every verdict the correct run computed on their (large) shared
 /// evaluation prefix — and the reuse is reported as
-/// [`ProgramResult::cross_variant_cache_hits`]. When lemma sharing is on
+/// [`RowCounters::cross_variant_cache_hits`]. When lemma sharing is on
 /// (`CPCF_LEMMA_SHARING`, see [`cpcf::default_lemma_sharing`]) the variants
 /// likewise share one [`cpcf::SharedLemmaPool`]: theory lemmas derived while
 /// analysing the correct variant prune the faulty variant's searches.
@@ -565,7 +348,7 @@ pub fn run_program(program: &BenchProgram, options: &BenchOptions) -> ProgramRes
     if let (Some(store), Some(pool)) = (&options.analyze.store, &options.analyze.shared_lemmas) {
         lemmas_warm_started = store.warm_start_lemmas(pool);
     }
-    let (correct_verdict, correct_ms, order, correct_stats, correct_workers, correct_skipped) =
+    let (correct_verdict, correct_ms, order, mut stats, mut worker_summaries, correct_skipped) =
         analyze_variant(program.correct, &options);
     cache.advance_epoch();
     let (faulty_verdict, faulty_ms, faulty_order, faulty_stats, faulty_workers, faulty_skipped) =
@@ -574,8 +357,14 @@ pub fn run_program(program: &BenchProgram, options: &BenchOptions) -> ProgramRes
         "[table1]   {}: correct {:?} in {} ms, faulty {:?} in {} ms",
         program.name, correct_verdict, correct_ms, faulty_verdict, faulty_ms
     );
-    let mut stats = correct_stats;
     stats.merge(&faulty_stats);
+    // Per-worker stats are summed across the variants by worker index.
+    if worker_summaries.len() < faulty_workers.len() {
+        worker_summaries.resize(faulty_workers.len(), SessionStats::ZERO);
+    }
+    for (slot, worker) in worker_summaries.iter_mut().zip(&faulty_workers) {
+        slot.merge(worker);
+    }
     ProgramResult {
         name: program.name.to_string(),
         group: program.group.title().to_string(),
@@ -587,10 +376,12 @@ pub fn run_program(program: &BenchProgram, options: &BenchOptions) -> ProgramRes
         faulty_ms,
         expected_unsolved: program.expected_unsolved,
         stats,
-        cross_variant_cache_hits: cache.cross_epoch_hits(),
-        worker_summaries: merge_worker_summaries(correct_workers, &faulty_workers),
-        lemmas_warm_started,
-        exports_skipped: correct_skipped + faulty_skipped,
+        worker_summaries,
+        counters: RowCounters {
+            cross_variant_cache_hits: cache.cross_epoch_hits(),
+            lemmas_warm_started,
+            exports_skipped: correct_skipped + faulty_skipped,
+        },
     }
 }
 
@@ -617,17 +408,20 @@ pub fn run_all(programs: &[BenchProgram], options: &BenchOptions) -> Vec<Program
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
-                scope.spawn(|| {
-                    let mut rows = Vec::new();
-                    loop {
-                        let index = next.fetch_add(1, Ordering::SeqCst);
-                        let Some(program) = programs.get(index) else {
-                            break;
-                        };
-                        rows.push((index, run_program(program, options)));
-                    }
-                    rows
-                })
+                std::thread::Builder::new()
+                    .stack_size(cpcf::WORKER_STACK_BYTES)
+                    .spawn_scoped(scope, || {
+                        let mut rows = Vec::new();
+                        loop {
+                            let index = next.fetch_add(1, Ordering::SeqCst);
+                            let Some(program) = programs.get(index) else {
+                                break;
+                            };
+                            rows.push((index, run_program(program, options)));
+                        }
+                        rows
+                    })
+                    .expect("spawn bench worker")
             })
             .collect();
         for handle in handles {
@@ -733,7 +527,7 @@ mod tests {
             .into_iter()
             .take(2)
             .collect();
-        let mut incremental_total = StatsSummary::default();
+        let mut incremental_total = SessionStats::ZERO;
         for program in &programs {
             let differential = run_program_differential(program, &options);
             assert!(
@@ -773,18 +567,20 @@ mod tests {
             faulty_verdict: Verdict::Counterexample,
             faulty_ms: 7,
             expected_unsolved: false,
-            stats: StatsSummary {
+            stats: SessionStats {
                 queries: 10,
                 cache_hits: 3,
-                ..StatsSummary::default()
+                ..SessionStats::ZERO
             },
-            cross_variant_cache_hits: 2,
-            worker_summaries: vec![StatsSummary {
+            worker_summaries: vec![SessionStats {
                 queries: 10,
-                ..StatsSummary::default()
+                ..SessionStats::ZERO
             }],
-            lemmas_warm_started: 4,
-            exports_skipped: 1,
+            counters: RowCounters {
+                cross_variant_cache_hits: 2,
+                lemmas_warm_started: 4,
+                exports_skipped: 1,
+            },
         };
         let json = result.to_json();
         assert!(json.contains("\"name\":\"a\""));
@@ -804,11 +600,11 @@ mod tests {
             .expect("intro1 exists");
         let result = run_program(&program, &BenchOptions::quick());
         assert!(
-            result.cross_variant_cache_hits > 0,
+            result.counters.cross_variant_cache_hits > 0,
             "the faulty variant must reuse verdicts from the correct run: {result:?}"
         );
         assert!(
-            result.stats.shared_cache_hits >= result.cross_variant_cache_hits,
+            result.stats.shared_cache_hits >= result.counters.cross_variant_cache_hits,
             "shared hits include the cross-variant ones: {:?}",
             result.stats
         );
@@ -850,12 +646,12 @@ mod tests {
             .expect("fold-div exists");
         let result = run_program(&program, &BenchOptions::quick());
         assert!(
-            result.stats.solver_propagations > 0,
+            result.stats.solver.propagations > 0,
             "no CDCL propagations surfaced: {:?}",
             result.stats
         );
         assert!(
-            result.stats.solver_conflicts > 0,
+            result.stats.solver.conflicts > 0,
             "no CDCL conflicts surfaced: {:?}",
             result.stats
         );

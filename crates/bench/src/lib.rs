@@ -23,6 +23,6 @@ pub mod report;
 pub use corpus::{all_programs, BenchProgram, Group};
 pub use harness::{
     run_program, run_program_differential, BenchOptions, DifferentialResult, ProgramResult,
-    StatsSummary, Verdict,
+    RowCounters, Verdict,
 };
 pub use report::{render_table, summarize, summarize_stats, to_json, total_stats};

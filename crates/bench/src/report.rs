@@ -3,9 +3,10 @@
 
 use std::fmt::Write as _;
 
+use cpcf::{SessionStats, Tally};
 use serde::{JsonObject, Serialize};
 
-use crate::harness::{ProgramResult, StatsSummary, Verdict};
+use crate::harness::{counter_fields, stats_json, ProgramResult, RowCounters, Verdict};
 
 /// Renders results as a text table with the same columns as Table 1:
 /// program, lines, order, time to analyse the correct variant, time to
@@ -65,85 +66,35 @@ pub fn summarize(results: &[ProgramResult]) -> String {
 }
 
 /// Sums the prover-session statistics over all rows.
-pub fn total_stats(results: &[ProgramResult]) -> StatsSummary {
-    let mut total = StatsSummary::default();
+pub fn total_stats(results: &[ProgramResult]) -> SessionStats {
+    let mut total = SessionStats::ZERO;
     for result in results {
         total.merge(&result.stats);
     }
     total
 }
 
-/// Sums the cross-variant cache hits over all rows.
-pub fn total_cross_variant_hits(results: &[ProgramResult]) -> u64 {
-    results.iter().map(|r| r.cross_variant_cache_hits).sum()
+/// Sums the row-level counters over all rows (each row's lemma pool is
+/// warm-started independently from the store).
+pub fn total_row_counters(results: &[ProgramResult]) -> RowCounters {
+    let mut total = RowCounters::ZERO;
+    for result in results {
+        total.merge(&result.counters);
+    }
+    total
 }
 
-/// Sums the warm-started lemmas over all rows (each row's per-program pool
-/// is warm-started independently from the store).
-pub fn total_lemmas_warm_started(results: &[ProgramResult]) -> u64 {
-    results.iter().map(|r| r.lemmas_warm_started).sum()
-}
-
-/// Sums the incrementally skipped exports over all rows.
-pub fn total_exports_skipped(results: &[ProgramResult]) -> u64 {
-    results.iter().map(|r| r.exports_skipped).sum()
-}
-
-/// A one-line rendering of the aggregated solver statistics: how much work
-/// the incremental prover session and the shared verdict cache saved.
+/// A one-line rendering of the aggregated statistics: every reported
+/// counter of the summed [`SessionStats`] and [`RowCounters`] as
+/// `key=value`.
 pub fn summarize_stats(results: &[ProgramResult]) -> String {
-    let total = total_stats(results);
-    format!(
-        "solver stats: {} prover queries, {} cache hits ({} shared, {} cross-variant), \
-         {} full + {} delta heap encodings ({} reused), {} retractions \
-         ({} frames popped, {} assertions replayed), {} heap snapshots \
-         ({} map nodes copied, {} journal bytes shared), {} solver checks \
-         ({} conflicts, {} propagations, {} clauses reused, {} atoms interned, \
-         {} cone vars pruned, {} clauses learnt, {} deleted, {} luby restarts, \
-         {} lemmas published, {} imported), {} dl checks \
-         ({} conflicts, {} relaxations, {} dl + {} lia dispatches, \
-         {} iteration exhaustions, {} ceiling hits, {} reconstruction failures), \
-         store: {} hits, {} misses, {} writes, {} lemmas warm-started, \
-         {} exports skipped, in {} ms",
-        total.queries,
-        total.cache_hits,
-        total.shared_cache_hits,
-        total_cross_variant_hits(results),
-        total.full_encodings,
-        total.delta_encodings,
-        total.reused_encodings,
-        total.retractions,
-        total.frames_popped,
-        total.assertions_replayed,
-        total.snapshots,
-        total.nodes_copied,
-        total.journal_bytes_shared,
-        total.solver_checks,
-        total.solver_conflicts,
-        total.solver_propagations,
-        total.clauses_reused,
-        total.atoms_interned,
-        total.cone_vars_pruned,
-        total.learnt_clauses,
-        total.clauses_deleted,
-        total.restarts_luby,
-        total.lemmas_published,
-        total.lemmas_imported,
-        total.dl_checks,
-        total.dl_conflicts,
-        total.dl_propagations,
-        total.theory_dispatch_dl,
-        total.theory_dispatch_lia,
-        total.theory_iterations_exhausted,
-        total.propagation_ceiling_hits,
-        total.model_reconstruction_failures,
-        total.store_hits,
-        total.store_misses,
-        total.store_writes,
-        total_lemmas_warm_started(results),
-        total_exports_skipped(results),
-        total.solver_ms,
-    )
+    let mut line = String::from("solver stats:");
+    let mut push = |key: &str, value: u64| {
+        let _ = write!(line, " {key}={value}");
+    };
+    total_stats(results).visit("", &mut push);
+    total_row_counters(results).visit("", &mut push);
+    line
 }
 
 /// Per-row and aggregate wall-clock timing (the `--timing` view): analysis
@@ -189,15 +140,10 @@ pub fn total_analysis_ms(results: &[ProgramResult]) -> u128 {
 /// downstream tooling. `wall_ms` is the harness's end-to-end run time as
 /// measured by a monotonic clock ([`std::time::Instant`]).
 pub fn to_json(results: &[ProgramResult], wall_ms: u128) -> String {
-    JsonObject::new()
+    let object = JsonObject::new()
         .raw_field("rows", results.to_json())
-        .field("stats", &total_stats(results))
-        .field(
-            "cross_variant_cache_hits",
-            &total_cross_variant_hits(results),
-        )
-        .field("lemmas_warm_started", &total_lemmas_warm_started(results))
-        .field("exports_skipped", &total_exports_skipped(results))
+        .raw_field("stats", stats_json(&total_stats(results)));
+    counter_fields(object, &total_row_counters(results))
         .field("analysis_ms", &total_analysis_ms(results))
         .field("wall_ms", &wall_ms)
         .finish()
@@ -205,7 +151,21 @@ pub fn to_json(results: &[ProgramResult], wall_ms: u128) -> String {
 
 #[cfg(test)]
 mod tests {
+    use std::time::Duration;
+
     use super::*;
+
+    /// Session stats with every declared counter set to a distinct nonzero
+    /// value.
+    fn counted_stats() -> SessionStats {
+        let mut stats = SessionStats::ZERO;
+        let mut next = 0;
+        stats.fill(&mut || {
+            next += 1;
+            next
+        });
+        stats
+    }
 
     fn sample(name: &str, verdict: Verdict) -> ProgramResult {
         ProgramResult {
@@ -218,50 +178,13 @@ mod tests {
             faulty_verdict: verdict,
             faulty_ms: 7,
             expected_unsolved: false,
-            stats: StatsSummary {
-                queries: 20,
-                cache_hits: 4,
-                shared_cache_hits: 2,
-                store_hits: 1,
-                store_misses: 3,
-                store_writes: 2,
-                full_encodings: 2,
-                delta_encodings: 5,
-                reused_encodings: 3,
-                retractions: 2,
-                frames_popped: 3,
-                assertions_replayed: 4,
-                snapshots: 9,
-                nodes_copied: 11,
-                journal_bytes_shared: 13,
-                solver_checks: 11,
-                solver_conflicts: 6,
-                solver_propagations: 40,
-                clauses_reused: 15,
-                atoms_interned: 17,
-                cone_vars_pruned: 19,
-                learnt_clauses: 21,
-                clauses_deleted: 8,
-                restarts_luby: 3,
-                lemmas_published: 5,
-                lemmas_imported: 2,
-                dl_checks: 7,
-                dl_conflicts: 4,
-                dl_propagations: 23,
-                theory_dispatch_dl: 7,
-                theory_dispatch_lia: 4,
-                theory_iterations_exhausted: 1,
-                propagation_ceiling_hits: 0,
-                model_reconstruction_failures: 0,
-                solver_ms: 1,
+            stats: counted_stats(),
+            worker_summaries: vec![counted_stats()],
+            counters: RowCounters {
+                cross_variant_cache_hits: 1,
+                lemmas_warm_started: 2,
+                exports_skipped: 1,
             },
-            cross_variant_cache_hits: 1,
-            worker_summaries: vec![StatsSummary {
-                queries: 20,
-                ..StatsSummary::default()
-            }],
-            lemmas_warm_started: 2,
-            exports_skipped: 1,
         }
     }
 
@@ -287,18 +210,64 @@ mod tests {
         assert!(summary.starts_with("1/2"));
     }
 
+    /// Rows sum into the aggregate, and every reported counter of the
+    /// registry appears exactly once, with its summed value, in the JSON
+    /// `stats` object and in the text summary.
     #[test]
     fn stats_summary_aggregates_rows() {
         let rows = vec![
             sample("a", Verdict::Counterexample),
             sample("b", Verdict::Verified),
         ];
-        let total = total_stats(&rows);
-        assert_eq!(total.queries, 40);
-        assert_eq!(total.cache_hits, 8);
+        let mut expected = rows[0].stats;
+        expected.merge(&rows[1].stats);
+        assert_eq!(total_stats(&rows), expected);
+
+        let json = to_json(&rows, 123);
+        let start = json.rfind("\"stats\":{").expect("aggregate stats") + "\"stats\":".len();
+        let aggregate = &json[start..];
+        let aggregate = &aggregate[..=aggregate.find('}').expect("closed")];
         let line = summarize_stats(&rows);
-        assert!(line.contains("40 prover queries"));
-        assert!(line.contains("8 cache hits"));
+        let mut keys = 0;
+        expected.for_each(|key, value| {
+            keys += 1;
+            assert_eq!(
+                aggregate.matches(&format!("\"{key}\":")).count(),
+                1,
+                "{key}"
+            );
+            assert!(aggregate.contains(&format!("\"{key}\":{value}")), "{key}");
+            assert_eq!(line.matches(&format!(" {key}=")).count(), 1, "{key}");
+            assert!(line.contains(&format!(" {key}={value}")), "{key}");
+        });
+        assert_eq!(aggregate.matches(':').count(), keys, "{aggregate}");
+        // The row counters follow the aggregate stats object at the top level.
+        let top_level = &json[start + aggregate.len()..];
+        let rows_total = total_row_counters(&rows);
+        assert_eq!(rows_total.exports_skipped, 2);
+        rows_total.for_each(|key, value| {
+            keys += 1;
+            assert_eq!(top_level.matches(&format!("\"{key}\":")).count(), 1);
+            assert!(top_level.contains(&format!("\"{key}\":{value}")), "{key}");
+            assert_eq!(line.matches(&format!(" {key}=")).count(), 1, "{key}");
+            assert!(line.contains(&format!(" {key}={value}")), "{key}");
+        });
+        assert_eq!(line.matches('=').count(), keys, "{line}");
+        // Counters declared `=> _` stay out of both reports.
+        for hidden in ["tag_queries", "decisions", "\"sat\""] {
+            assert!(!json.contains(hidden), "{hidden}");
+            assert!(!line.contains(hidden), "{hidden}");
+        }
+    }
+
+    #[test]
+    fn solver_time_is_rounded_once_after_summing() {
+        let mut row = sample("a", Verdict::Counterexample);
+        row.stats = SessionStats::ZERO;
+        row.stats.solver.time = Duration::from_micros(600);
+        let rows = vec![row.clone(), row];
+        assert!(to_json(&rows, 0).contains("\"solver_ms\":1"));
+        assert!(summarize_stats(&rows).contains(" solver_ms=1"));
     }
 
     #[test]
@@ -307,18 +276,8 @@ mod tests {
         let json = to_json(&rows, 123);
         assert!(json.starts_with('{'));
         assert!(json.contains("\"rows\":[{"));
-        assert!(json.contains("\"stats\":{\"queries\":20"));
-        assert!(json.contains("\"snapshots\":9"));
-        assert!(json.contains("\"nodes_copied\":11"));
-        assert!(json.contains("\"journal_bytes_shared\":13"));
-        assert!(json.contains("\"dl_checks\":7"));
-        assert!(json.contains("\"dl_conflicts\":4"));
-        assert!(json.contains("\"theory_dispatch_dl\":7"));
-        assert!(json.contains("\"propagation_ceiling_hits\":0"));
-        assert!(json.contains("\"model_reconstruction_failures\":0"));
-        assert!(json.contains("\"store_hits\":1"));
-        assert!(json.contains("\"store_misses\":3"));
-        assert!(json.contains("\"store_writes\":2"));
+        assert!(json.contains("\"stats\":{\"queries\":1,"));
+        assert!(json.contains("\"per_worker\":[{\"queries\":1,"));
         assert!(json.contains("\"lemmas_warm_started\":2"));
         assert!(json.contains("\"exports_skipped\":1"));
         assert!(json.contains("\"analysis_ms\":12"), "5 + 7 ms of analysis");

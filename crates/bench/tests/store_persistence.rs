@@ -102,7 +102,7 @@ fn warm_corpus_rerun_is_bit_identical_and_reproves_less() {
     // (summed per program, so the total is at least the store's count when
     // any lemmas were derived at all).
     if warm_store.lemma_count() > 0 {
-        let warm_started: u64 = warm.iter().map(|r| r.lemmas_warm_started).sum();
+        let warm_started: u64 = warm.iter().map(|r| r.counters.lemmas_warm_started).sum();
         assert!(
             warm_started >= warm_store.lemma_count() as u64,
             "stored lemmas ({}) warm-start the warm run ({})",

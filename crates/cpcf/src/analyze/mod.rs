@@ -91,6 +91,12 @@ pub fn default_workers() -> usize {
         .map_or(1, |n| if n == 0 { 0 } else { n.clamp(1, 64) })
 }
 
+/// Stack size of analysis worker threads. The symbolic evaluator recurses
+/// natively, so workers get the 8 MiB a main thread has rather than the
+/// 2 MiB spawned-thread default: sharding an analysis must not overflow
+/// where the sequential run would not.
+pub const WORKER_STACK_BYTES: usize = 8 << 20;
+
 /// Resolves a requested worker count to an actual one: `0` ("auto") becomes
 /// the machine's available parallelism (1 when that cannot be determined),
 /// any other value is taken as-is.

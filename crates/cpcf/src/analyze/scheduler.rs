@@ -123,7 +123,14 @@ pub(super) fn run_exports(
         // `Sync`, so scoped threads borrow them directly.
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..worker_count)
-                .map(|_| scope.spawn(|| worker_loop(program, module, options, pending, &next)))
+                .map(|_| {
+                    std::thread::Builder::new()
+                        .stack_size(super::WORKER_STACK_BYTES)
+                        .spawn_scoped(scope, || {
+                            worker_loop(program, module, options, pending, &next)
+                        })
+                        .expect("spawn analysis worker")
+                })
                 .collect();
             for handle in handles {
                 let outcome = handle.join().expect("analysis worker panicked");
@@ -185,13 +192,14 @@ fn worker_loop(
             break;
         };
         let provide = &module.provides[index];
-        // Heaps are thread-local (Rc-based environments), so the per-thread
-        // sharing counters attribute this export's snapshot/copy-on-write
-        // work exactly; the delta rides along in the export's SessionStats.
-        let sharing_before = crate::pmap::sharing_totals();
+        // Heaps and evaluations are thread-local (Rc-based environments),
+        // so the per-thread counters attribute this export's snapshot,
+        // copy-on-write and truncation events exactly; the delta rides
+        // along in the export's SessionStats.
+        let thread_before = crate::prove::thread_totals();
         let (verdict, mut export_stats, reusable) =
             analyze_export(program, module, provide, options, session);
-        export_stats.add_sharing(&crate::pmap::sharing_totals().since(&sharing_before));
+        export_stats.merge(&crate::prove::thread_totals().since(&thread_before));
         session = reusable;
         stats.merge(&export_stats);
         results.push((index, provide.name.clone(), verdict));

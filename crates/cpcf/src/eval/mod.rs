@@ -173,6 +173,12 @@ impl Ctx {
     }
 }
 
+/// Counts one cut of an outcome list to `max_branches`.
+#[cold]
+fn note_truncation() {
+    crate::prove::bump_thread(|c| c.branch_truncations += 1);
+}
+
 /// All outcomes of evaluating `expr`.
 pub fn eval(
     ctx: &mut Ctx,
@@ -187,6 +193,7 @@ pub fn eval(
     let mut results = eval_inner(ctx, env, owner, expr, heap);
     if results.len() > ctx.options.max_branches {
         results.truncate(ctx.options.max_branches);
+        note_truncation();
     }
     results
 }
@@ -383,6 +390,7 @@ where
     let mut out = Vec::new();
     for (outcome, branch_heap) in eval(ctx, env, owner, expr, heap) {
         if out.len() >= ctx.options.max_branches {
+            note_truncation();
             break;
         }
         match outcome {
@@ -424,6 +432,7 @@ where
                 let mut out = Vec::new();
                 for (outcome, branch_heap) in eval(ctx, env, owner, first, &heap) {
                     if out.len() >= ctx.options.max_branches {
+                        note_truncation();
                         break;
                     }
                     match outcome {

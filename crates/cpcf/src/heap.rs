@@ -32,7 +32,7 @@
 //! by `randtest`'s shadow-heap differential), so incremental prover
 //! sessions, retraction and the fingerprint-keyed verdict caches are
 //! unaffected consumers. Sharing is observable through the thread-local
-//! counters in [`crate::pmap::sharing_totals`]: snapshots taken, map nodes
+//! counters in [`crate::prove::thread_totals`]: snapshots taken, map nodes
 //! copied by shared-path writes, and journal bytes shared instead of
 //! copied.
 
@@ -566,7 +566,7 @@ pub struct Heap {
 impl Clone for Heap {
     /// Takes an O(1) snapshot: pointer copies into every persistent
     /// component, no journal or entry copying. Also feeds the thread-local
-    /// sharing counters ([`crate::pmap::sharing_totals`]) so harnesses can
+    /// sharing counters ([`crate::prove::thread_totals`]) so harnesses can
     /// report how many snapshots were taken and how many journal bytes the
     /// sharing avoided copying.
     fn clone(&self) -> Self {

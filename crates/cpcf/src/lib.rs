@@ -36,9 +36,10 @@
 //!   evaluator's pervasive state splits share structure instead of deep
 //!   copying.
 //! * [`pmap`] — the persistent map (path-copying AVL over `Arc` nodes)
-//!   backing the heap, plus the thread-local sharing counters
-//!   ([`sharing_totals`]) that make the copy-on-write machinery's work
-//!   observable in [`SessionStats`] and the bench reports.
+//!   backing the heap, which counts its copy-on-write work (snapshots,
+//!   copied nodes, shared journal bytes) into the thread-local
+//!   [`thread_totals`] so it is observable in [`SessionStats`] and the
+//!   bench reports.
 //! * [`prove`] — the prover. [`ProverSession`] is a *stateful, incremental*
 //!   query engine: it keeps one live `folic` solver whose assertion stack
 //!   mirrors a journal prefix, asserts only unseen journal suffixes
@@ -117,15 +118,17 @@ pub mod syntax;
 
 pub use analyze::{
     analyze, analyze_module, analyze_source, analyze_source_with, default_workers, resolve_workers,
-    AnalyzeOptions, ExportAnalysis, ModuleReport,
+    AnalyzeOptions, ExportAnalysis, ModuleReport, WORKER_STACK_BYTES,
 };
 pub use cex::Counterexample;
 pub use eval::{Ctx, EvalOptions, Outcome};
-pub use folic::{default_lemma_sharing, SharedLemmaPool};
+pub use folic::{counters, default_lemma_sharing, SharedLemmaPool, Tally};
 pub use heap::{CRefinement, ContractVal, Env, Heap, Loc, SVal, Tag};
 pub use numeric::Number;
 pub use parse::{parse_expr, parse_program, ParseError, Parser};
-pub use pmap::{sharing_totals, PMap, SharingStats};
-pub use prove::{default_prove_mode, ProveConfig, ProverSession, SessionStats, SharedVerdictCache};
+pub use pmap::PMap;
+pub use prove::{
+    default_prove_mode, thread_totals, ProveConfig, ProverSession, SessionStats, SharedVerdictCache,
+};
 pub use store::{AnalysisStore, EngineFingerprint, StoreCounters};
 pub use syntax::{CBlame, Definition, Expr, Label, Module, Prim, Program, Provide, StructDef};

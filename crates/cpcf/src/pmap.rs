@@ -20,14 +20,13 @@
 //! replaced; [`Heap::iter`](crate::heap::Heap::iter) and the solver
 //! translation depend on that order being deterministic.
 //!
-//! The module also hosts the thread-local **sharing counters**
-//! ([`SharingStats`]): snapshots taken, nodes copied by shared-path writes,
-//! and journal bytes shared instead of deep-copied. Heaps are thread-local
-//! (their environments are `Rc`-based), so plain `Cell` counters are exact;
-//! the analysis scheduler reads deltas around each export run and reports
-//! them through `SessionStats` up to `table1 --json`.
+//! The module also bumps the **sharing counters** of
+//! [`SessionStats`](crate::SessionStats): snapshots taken, nodes copied by
+//! shared-path writes, and journal bytes shared instead of deep-copied.
+//! Heaps are thread-local (their environments are `Rc`-based), so the
+//! thread-local [`thread_totals`](crate::prove::thread_totals) are exact;
+//! the analysis scheduler attributes their delta to each export run.
 
-use std::cell::Cell;
 use std::fmt;
 use std::sync::Arc;
 
@@ -375,59 +374,15 @@ impl<K: Ord + Clone, V: Clone + PartialEq> PartialEq for PMap<K, V> {
 // Sharing counters
 // ---------------------------------------------------------------------------
 
-thread_local! {
-    static SNAPSHOTS: Cell<u64> = const { Cell::new(0) };
-    static NODES_COPIED: Cell<u64> = const { Cell::new(0) };
-    static JOURNAL_BYTES_SHARED: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Thread-local totals of the copy-on-write machinery's work: how often heap
-/// state was snapshotted, how many map nodes shared-path writes had to copy,
-/// and how many journal bytes snapshots shared instead of deep-copying.
-/// Heaps never cross threads, so per-thread counters are exact; consumers
-/// subtract two [`sharing_totals`] readings to attribute work to a region.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SharingStats {
-    /// Heap snapshots taken ([`Heap::clone`](crate::heap::Heap::clone)).
-    pub snapshots: u64,
-    /// Map nodes structurally copied because a write hit a node still
-    /// shared with another snapshot.
-    pub nodes_copied: u64,
-    /// Journal bytes a snapshot shared by bumping a reference count where
-    /// the old representation memcpy'd the whole journal vector.
-    pub journal_bytes_shared: u64,
-}
-
-impl SharingStats {
-    /// The counter-wise difference `self - earlier` (saturating, so a
-    /// mismatched pair of readings cannot underflow).
-    pub fn since(&self, earlier: &SharingStats) -> SharingStats {
-        SharingStats {
-            snapshots: self.snapshots.saturating_sub(earlier.snapshots),
-            nodes_copied: self.nodes_copied.saturating_sub(earlier.nodes_copied),
-            journal_bytes_shared: self
-                .journal_bytes_shared
-                .saturating_sub(earlier.journal_bytes_shared),
-        }
-    }
-}
-
-/// Reads this thread's sharing counters.
-pub fn sharing_totals() -> SharingStats {
-    SharingStats {
-        snapshots: SNAPSHOTS.with(Cell::get),
-        nodes_copied: NODES_COPIED.with(Cell::get),
-        journal_bytes_shared: JOURNAL_BYTES_SHARED.with(Cell::get),
-    }
-}
-
 pub(crate) fn note_nodes_copied(count: u64) {
-    NODES_COPIED.with(|cell| cell.set(cell.get() + count));
+    crate::prove::bump_thread(|c| c.nodes_copied += count);
 }
 
 pub(crate) fn note_snapshot(journal_bytes: u64) {
-    SNAPSHOTS.with(|cell| cell.set(cell.get() + 1));
-    JOURNAL_BYTES_SHARED.with(|cell| cell.set(cell.get() + journal_bytes));
+    crate::prove::bump_thread(|c| {
+        c.snapshots += 1;
+        c.journal_bytes_shared += journal_bytes;
+    });
 }
 
 #[cfg(test)]
@@ -529,9 +484,9 @@ mod tests {
             map.insert(k, k);
         }
         let snapshot = map.clone();
-        let before = sharing_totals().nodes_copied;
+        let before = crate::prove::thread_totals().nodes_copied;
         *map.get_mut(&17).expect("present") = 1700;
-        let copied = sharing_totals().nodes_copied - before;
+        let copied = crate::prove::thread_totals().nodes_copied - before;
         assert!(copied >= 1, "a shared write must copy at least the target");
         assert!(
             copied <= 8,
@@ -541,10 +496,10 @@ mod tests {
         assert_eq!(map.get(&17), Some(&1700));
         // A second write to the same (now exclusively owned) path copies
         // nothing further.
-        let before = sharing_totals().nodes_copied;
+        let before = crate::prove::thread_totals().nodes_copied;
         *map.get_mut(&17).expect("present") = 1701;
         assert_eq!(
-            sharing_totals().nodes_copied - before,
+            crate::prove::thread_totals().nodes_copied - before,
             0,
             "unshared writes mutate in place"
         );
@@ -557,11 +512,11 @@ mod tests {
             map.insert(k, k);
         }
         let snapshot = map.clone();
-        let before = sharing_totals().nodes_copied;
+        let before = crate::prove::thread_totals().nodes_copied;
         assert_eq!(map.get_mut(&999), None);
         assert_eq!(map.remove(&999), None);
         assert_eq!(
-            sharing_totals().nodes_copied - before,
+            crate::prove::thread_totals().nodes_copied - before,
             0,
             "a miss must not copy-on-write the search path"
         );

@@ -49,7 +49,19 @@
 //! retractions, and a whole-session rebase ([`Solver::clear_assertions`])
 //! keeps the interned atoms, Tseitin encodings and learned theory lemmas
 //! alive instead of discarding the solver.
+//!
+//! ## Counters
+//!
+//! [`SessionStats`] is declared once with [`folic::counters!`] and nests
+//! the solver's own registry, [`SolverStats`]; merging, deltas and the
+//! `table1` reports are all generated from the two declarations. Sessions
+//! bump their fields directly. Events raised where no session is in scope
+//! — heap snapshots and copies in [`crate::pmap`], branch truncations in
+//! the evaluator — bump the thread-local [`thread_totals`], whose delta
+//! around each export the analysis scheduler merges into that export's
+//! stats.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -127,103 +139,90 @@ impl Default for ProveConfig {
     }
 }
 
-/// Counters describing the work one [`ProverSession`] has done.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SessionStats {
-    /// Total queries answered (tag, numeric and model queries).
-    pub queries: u64,
-    /// Tag queries (answered from refinements, never via the solver).
-    pub tag_queries: u64,
-    /// Numeric queries (solver-backed).
-    pub num_queries: u64,
-    /// Heap-model requests (solver-backed).
-    pub model_queries: u64,
-    /// Queries answered from the verdict cache.
-    pub cache_hits: u64,
-    /// The subset of `cache_hits` served by a [`SharedVerdictCache`] — i.e.
-    /// verdicts this session did not compute itself but inherited from
-    /// another session (a sibling worker, or an earlier analysis run sharing
-    /// the cache).
-    pub shared_cache_hits: u64,
-    /// Whole-heap encodings (fresh solver + full translation).
-    pub full_encodings: u64,
-    /// Incremental encodings of a journal suffix only.
-    pub delta_encodings: u64,
-    /// Solver-backed queries for which the live solver already matched the
-    /// heap exactly — no encoding work at all.
-    pub reused_encodings: u64,
-    /// Non-monotone overwrites absorbed by pop-to-write-point retraction
-    /// instead of a whole-heap re-encode.
-    pub retractions: u64,
-    /// Solver frames popped by retractions (branch-switch pops, the normal
-    /// sibling-heap navigation, are not counted here).
-    pub frames_popped: u64,
-    /// Formulas re-asserted while replaying the surviving journal suffix
-    /// after a retraction pop.
-    pub assertions_replayed: u64,
-    /// Heap snapshots ([`Heap::clone`]) taken while this session's work ran.
-    /// Sessions do not snapshot heaps themselves; the analysis scheduler
-    /// fills this from the thread-local sharing counters
-    /// ([`crate::pmap::sharing_totals`]) around each export run, so the
-    /// counter attributes the evaluator's branch splits to the session that
-    /// answered their queries.
-    pub snapshots: u64,
-    /// Persistent-map nodes structurally copied because a heap write hit a
-    /// node still shared with another snapshot (the entire per-write cost of
-    /// copy-on-write, in place of the old whole-map deep clones). Filled by
-    /// the scheduler like `snapshots`.
-    pub nodes_copied: u64,
-    /// Journal bytes snapshots shared by reference instead of deep-copying —
-    /// exactly the bytes the old `Vec`-journal representation memcpy'd at
-    /// every branch split. Filled by the scheduler like `snapshots`.
-    pub journal_bytes_shared: u64,
-    /// The subset of `shared_cache_hits` served by the *persistent* tier
-    /// ([`crate::AnalysisStore`]) rather than the in-memory shards — i.e.
-    /// verdicts inherited from an earlier process.
-    pub store_hits: u64,
-    /// Queries that missed both cache tiers while a persistent store was
-    /// attached (the store's reach: `store_hits / (store_hits +
-    /// store_misses)` is the warm-start hit rate).
-    pub store_misses: u64,
-    /// Verdicts this session newly appended to the persistent store.
-    pub store_writes: u64,
-    /// Aggregated statistics of the underlying first-order solver(s).
-    pub solver: SolverStats,
+folic::counters! {
+    /// Counters describing the work one [`ProverSession`] has done — the
+    /// counter registry of this crate, with the first-order solver's
+    /// registry nested as `solver`. Reports (`table1 --json` and its text
+    /// summary) are generated from this declaration: each counter below is
+    /// reported under its field name unless marked otherwise.
+    pub struct SessionStats {
+        /// Total queries answered (tag, numeric and model queries).
+        queries,
+        /// Tag queries (answered from refinements, never via the solver).
+        tag_queries => _,
+        /// Numeric queries (solver-backed).
+        num_queries => _,
+        /// Heap-model requests (solver-backed).
+        model_queries => _,
+        /// Queries answered from the verdict cache.
+        cache_hits,
+        /// The subset of `cache_hits` served by a [`SharedVerdictCache`] — i.e.
+        /// verdicts this session did not compute itself but inherited from
+        /// another session (a sibling worker, or an earlier analysis run sharing
+        /// the cache).
+        shared_cache_hits,
+        /// The subset of `shared_cache_hits` served by the *persistent* tier
+        /// ([`crate::AnalysisStore`]) rather than the in-memory shards — i.e.
+        /// verdicts inherited from an earlier process.
+        store_hits,
+        /// Queries that missed both cache tiers while a persistent store was
+        /// attached (the store's reach: `store_hits / (store_hits +
+        /// store_misses)` is the warm-start hit rate).
+        store_misses,
+        /// Verdicts this session newly appended to the persistent store.
+        store_writes,
+        /// Whole-heap encodings (fresh solver + full translation).
+        full_encodings,
+        /// Incremental encodings of a journal suffix only.
+        delta_encodings,
+        /// Solver-backed queries for which the live solver already matched the
+        /// heap exactly — no encoding work at all.
+        reused_encodings,
+        /// Non-monotone overwrites absorbed by pop-to-write-point retraction
+        /// instead of a whole-heap re-encode.
+        retractions,
+        /// Solver frames popped by retractions (branch-switch pops, the normal
+        /// sibling-heap navigation, are not counted here).
+        frames_popped,
+        /// Formulas re-asserted while replaying the surviving journal suffix
+        /// after a retraction pop.
+        assertions_replayed,
+        /// Heap snapshots ([`Heap::clone`]) taken while this session's work
+        /// ran. Counted in the thread-local [`thread_totals`] like the other
+        /// evaluator-side counters below, and attributed to the session by
+        /// the analysis scheduler around each export run.
+        snapshots,
+        /// Persistent-map nodes structurally copied because a heap write hit a
+        /// node still shared with another snapshot (the entire per-write cost of
+        /// copy-on-write, in place of the old whole-map deep clones).
+        nodes_copied,
+        /// Journal bytes snapshots shared by reference instead of deep-copying —
+        /// exactly the bytes the old `Vec`-journal representation memcpy'd at
+        /// every branch split.
+        journal_bytes_shared,
+        /// Evaluation steps whose outcomes exceeded `EvalOptions::max_branches`
+        /// and were cut to that many, silently dropping the rest.
+        branch_truncations,
+        /// The first-order solver(s) this session drove.
+        solver: SolverStats,
+    }
 }
 
-impl SessionStats {
-    /// Accumulates another session's counters into this one.
-    pub fn merge(&mut self, other: &SessionStats) {
-        self.queries += other.queries;
-        self.tag_queries += other.tag_queries;
-        self.num_queries += other.num_queries;
-        self.model_queries += other.model_queries;
-        self.cache_hits += other.cache_hits;
-        self.shared_cache_hits += other.shared_cache_hits;
-        self.full_encodings += other.full_encodings;
-        self.delta_encodings += other.delta_encodings;
-        self.reused_encodings += other.reused_encodings;
-        self.retractions += other.retractions;
-        self.frames_popped += other.frames_popped;
-        self.assertions_replayed += other.assertions_replayed;
-        self.snapshots += other.snapshots;
-        self.nodes_copied += other.nodes_copied;
-        self.journal_bytes_shared += other.journal_bytes_shared;
-        self.store_hits += other.store_hits;
-        self.store_misses += other.store_misses;
-        self.store_writes += other.store_writes;
-        self.solver.merge(&other.solver);
-    }
+thread_local! {
+    static THREAD_COUNTERS: RefCell<SessionStats> = const { RefCell::new(SessionStats::ZERO) };
+}
 
-    /// Adds a reading of the heap-sharing counters (snapshots taken, map
-    /// nodes copied, journal bytes shared) to this session's stats. Called
-    /// by the analysis scheduler with the per-export delta of
-    /// [`crate::pmap::sharing_totals`].
-    pub fn add_sharing(&mut self, sharing: &crate::pmap::SharingStats) {
-        self.snapshots += sharing.snapshots;
-        self.nodes_copied += sharing.nodes_copied;
-        self.journal_bytes_shared += sharing.journal_bytes_shared;
-    }
+/// The current thread's cumulative counts of events raised where no session
+/// is in scope (heap snapshots and copies, branch truncations). Heaps and
+/// evaluations never cross threads, so the counts are exact; subtract two
+/// readings with [`SessionStats::since`] to attribute a region's events.
+pub fn thread_totals() -> SessionStats {
+    THREAD_COUNTERS.with_borrow(|counters| *counters)
+}
+
+/// Applies one mutation to the current thread's counters.
+pub(crate) fn bump_thread(f: impl FnOnce(&mut SessionStats)) {
+    THREAD_COUNTERS.with_borrow_mut(f);
 }
 
 /// A memoizable query. Crate-visible so [`crate::store`] can serialize
@@ -468,9 +467,9 @@ impl ProverSession {
             frames: Vec::new(),
             cache: HashMap::new(),
             shared: None,
-            stats: SessionStats::default(),
+            stats: SessionStats::ZERO,
             lemma_pool: None,
-            retired_solver_stats: SolverStats::default(),
+            retired_solver_stats: SolverStats::ZERO,
             aux_next: SESSION_AUX_BASE,
         }
     }

@@ -67,7 +67,6 @@ use std::collections::{HashMap, HashSet};
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 use folic::{Arena, Atom, CmpOp, Proof, SharedLemmaPool, Term, Var};
@@ -883,17 +882,18 @@ impl EngineFingerprint {
 // The store
 // ---------------------------------------------------------------------------
 
-/// A snapshot of the store's activity counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StoreCounters {
-    /// Verdict lookups served from the persistent tier.
-    pub store_hits: u64,
-    /// Verdict lookups that fell through the persistent tier.
-    pub store_misses: u64,
-    /// New verdicts appended to the file.
-    pub store_writes: u64,
-    /// Stored lemmas re-published into a pool by warm starts.
-    pub lemmas_warm_started: u64,
+folic::counters! {
+    /// A snapshot of the store's activity counters.
+    pub struct StoreCounters {
+        /// Verdict lookups served from the persistent tier.
+        store_hits,
+        /// Verdict lookups that fell through the persistent tier.
+        store_misses,
+        /// New verdicts appended to the file.
+        store_writes,
+        /// Stored lemmas re-published into a pool by warm starts.
+        lemmas_warm_started,
+    }
 }
 
 #[derive(Debug)]
@@ -913,10 +913,7 @@ struct StoreInner {
     cones: RwLock<HashMap<(String, String, u64), ExportAnalysis>>,
     /// Append-only writer, positioned after the last valid record.
     writer: Mutex<BufWriter<File>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    writes: AtomicU64,
-    warm_started: AtomicU64,
+    counters: Mutex<StoreCounters>,
 }
 
 /// A handle to one on-disk analysis store. Clones share the same store;
@@ -1010,10 +1007,7 @@ impl AnalysisStore {
                 lemma_seen: Mutex::new(lemma_seen),
                 cones: RwLock::new(cones),
                 writer: Mutex::new(BufWriter::new(file)),
-                hits: AtomicU64::new(0),
-                misses: AtomicU64::new(0),
-                writes: AtomicU64::new(0),
-                warm_started: AtomicU64::new(0),
+                counters: Mutex::new(StoreCounters::ZERO),
             }),
         })
     }
@@ -1045,12 +1039,11 @@ impl AnalysisStore {
 
     /// A snapshot of the activity counters.
     pub fn counters(&self) -> StoreCounters {
-        StoreCounters {
-            store_hits: self.inner.hits.load(Ordering::Relaxed),
-            store_misses: self.inner.misses.load(Ordering::Relaxed),
-            store_writes: self.inner.writes.load(Ordering::Relaxed),
-            lemmas_warm_started: self.inner.warm_started.load(Ordering::Relaxed),
-        }
+        *self.inner.counters.lock().expect("store poisoned")
+    }
+
+    fn count(&self, f: impl FnOnce(&mut StoreCounters)) {
+        f(&mut self.inner.counters.lock().expect("store poisoned"));
     }
 
     /// Appends one framed record; write errors are swallowed (the store
@@ -1086,11 +1079,11 @@ impl AnalysisStore {
             .copied();
         match proof {
             Some(proof) => {
-                self.inner.hits.fetch_add(1, Ordering::Relaxed);
+                self.count(|c| c.store_hits += 1);
                 Some(proof)
             }
             None => {
-                self.inner.misses.fetch_add(1, Ordering::Relaxed);
+                self.count(|c| c.store_misses += 1);
                 None
             }
         }
@@ -1114,7 +1107,7 @@ impl AnalysisStore {
         let mut payload = enc.into_bytes();
         payload.extend_from_slice(&key);
         self.append(&payload);
-        self.inner.writes.fetch_add(1, Ordering::Relaxed);
+        self.count(|c| c.store_writes += 1);
         true
     }
 
@@ -1136,9 +1129,7 @@ impl AnalysisStore {
                 published += 1;
             }
         }
-        self.inner
-            .warm_started
-            .fetch_add(published, Ordering::Relaxed);
+        self.count(|c| c.lemmas_warm_started += published);
         published
     }
 
@@ -1278,7 +1269,7 @@ fn apply_record(
 mod tests {
     use super::*;
     use crate::heap::Loc;
-    use std::sync::atomic::AtomicU32;
+    use std::sync::atomic::{AtomicU32, Ordering};
 
     fn temp_store_dir(tag: &str) -> PathBuf {
         static NEXT: AtomicU32 = AtomicU32::new(0);

@@ -63,7 +63,8 @@ use crate::lemmas::{SharedLemma, SharedLemmaPool};
 use crate::lia::LiaResult;
 use crate::model::Model;
 use crate::probes;
-use crate::sat::{BVar, Lit, SatResult as PropResult, SatSolver, SatStats};
+use crate::sat::{BVar, Lit, SatResult as PropResult, SatSolver};
+use crate::solver::SolverStats;
 use crate::term::Var;
 use crate::theory::{
     check_conjunction_counted, collect_atoms, dispatch_check, SmtResult, TheoryConfig,
@@ -73,30 +74,6 @@ use crate::theory::{
 /// cleared wholesale when they outgrow it (correctness never depends on a
 /// cache hit).
 const CACHE_BOUND: usize = 1 << 20;
-
-/// Counters describing the work the persistent core has saved, surfaced
-/// through [`crate::solver::SolverStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CoreStats {
-    /// Distinct atoms interned into the arena (since the last reset).
-    pub atoms_interned: u64,
-    /// Clauses already in the persistent database at the start of a CDCL
-    /// check — encoding, theory lemmas and learned clauses the scratch
-    /// engine would have had to rebuild or re-derive.
-    pub clauses_reused: u64,
-    /// Variables excluded from a query's search because they lay outside
-    /// the dependency cone of its assumptions.
-    pub cone_vars_pruned: u64,
-    /// Checks the persistent pipeline handed to the scratch engine because
-    /// it could not decide them itself.
-    pub scratch_fallbacks: u64,
-    /// Theory lemmas this core published into the shared pool that the pool
-    /// had not seen before.
-    pub lemmas_published: u64,
-    /// Sibling lemmas imported from the shared pool as clauses of this
-    /// core's persistent SAT instance.
-    pub lemmas_imported: u64,
-}
 
 /// Everything the core ever needs to know about one distinct formula,
 /// computed once and shared by every assertion of that formula (`Rc`).
@@ -143,9 +120,13 @@ pub struct TheoryCore {
     component_cache: HashMap<Vec<u64>, SmtResult>,
     /// Arena size at the last stats reset (`atoms_interned` is a delta).
     atoms_at_reset: usize,
-    clauses_reused: u64,
-    cone_vars_pruned: u64,
-    scratch_fallbacks: u64,
+    /// The work this core did since the last reset: its own counters
+    /// (clauses reused, cone pruning, scratch fallbacks, lemma traffic)
+    /// and those of every SAT search it ran.
+    counts: SolverStats,
+    /// [`TheoryCore::stats`] as of the end of the last check, so each check
+    /// reports only its delta.
+    reported: SolverStats,
     /// The cross-worker lemma exchange, when the session opted in.
     lemma_pool: Option<SharedLemmaPool>,
     /// Position in the pool's publication order up to which this core has
@@ -157,8 +138,6 @@ pub struct TheoryCore {
     /// Lemmas this core already holds as clauses (own derivations and
     /// completed imports), so a round trip through the pool is not re-added.
     known_lemmas: HashSet<SharedLemma>,
-    lemmas_published: u64,
-    lemmas_imported: u64,
 }
 
 impl TheoryCore {
@@ -178,15 +157,12 @@ impl TheoryCore {
             formulas: Vec::new(),
             component_cache: HashMap::new(),
             atoms_at_reset: 0,
-            clauses_reused: 0,
-            cone_vars_pruned: 0,
-            scratch_fallbacks: 0,
+            counts: SolverStats::ZERO,
+            reported: SolverStats::ZERO,
             lemma_pool: None,
             lemma_cursor: 0,
             deferred_lemmas: Vec::new(),
             known_lemmas: HashSet::new(),
-            lemmas_published: 0,
-            lemmas_imported: 0,
         }
     }
 
@@ -200,26 +176,20 @@ impl TheoryCore {
         self.deferred_lemmas.clear();
     }
 
-    /// The core's cumulative counters.
-    pub fn stats(&self) -> CoreStats {
-        CoreStats {
+    /// The core's cumulative counters since the last reset, including the
+    /// atoms interned by assertions.
+    pub fn stats(&self) -> SolverStats {
+        SolverStats {
             atoms_interned: (self.arena.atom_count() - self.atoms_at_reset) as u64,
-            clauses_reused: self.clauses_reused,
-            cone_vars_pruned: self.cone_vars_pruned,
-            scratch_fallbacks: self.scratch_fallbacks,
-            lemmas_published: self.lemmas_published,
-            lemmas_imported: self.lemmas_imported,
+            ..self.counts
         }
     }
 
     /// Resets the counters; interned state and clauses are untouched.
     pub fn reset_stats(&mut self) {
         self.atoms_at_reset = self.arena.atom_count();
-        self.clauses_reused = 0;
-        self.cone_vars_pruned = 0;
-        self.scratch_fallbacks = 0;
-        self.lemmas_published = 0;
-        self.lemmas_imported = 0;
+        self.counts = SolverStats::ZERO;
+        self.reported = SolverStats::ZERO;
     }
 
     /// Number of live assertions (must mirror the owning solver's).
@@ -314,23 +284,26 @@ impl TheoryCore {
     }
 
     /// Checks satisfiability of the live assertions together with
-    /// `assumptions`, returning the verdict and the CDCL statistics
-    /// accumulated across the check.
-    pub fn check(&mut self, assumptions: &[Formula]) -> (SmtResult, SatStats) {
+    /// `assumptions`, returning the verdict and the counters accumulated
+    /// since the previous check (so atoms interned by the assertions in
+    /// between are reported too).
+    pub fn check(&mut self, assumptions: &[Formula]) -> (SmtResult, SolverStats) {
         let assumed: Vec<Rc<FormulaInfo>> = assumptions.iter().map(|f| self.analyze(f)).collect();
         let active: Vec<Rc<FormulaInfo>> = self.formulas.clone();
-        let mut sat_stats = SatStats::default();
         let result = if assumed.is_empty() {
             // Nothing to slice against: the whole assertion set is the cone.
-            let result = self.check_set(&active, &[], &mut sat_stats);
+            let result = self.check_set(&active, &[]);
             match result {
-                SmtResult::Unknown => self.fallback(&active, &[], &mut sat_stats),
+                SmtResult::Unknown => self.fallback(&active, &[]),
                 decided => decided,
             }
         } else {
-            self.check_sliced(&active, &assumed, &mut sat_stats)
+            self.check_sliced(&active, &assumed)
         };
-        (result, sat_stats)
+        let now = self.stats();
+        let delta = now.since(&self.reported);
+        self.reported = now;
+        (result, delta)
     }
 
     /// The sliced check: solve the assumptions' dependency cone, and touch
@@ -339,32 +312,31 @@ impl TheoryCore {
         &mut self,
         active: &[Rc<FormulaInfo>],
         assumed: &[Rc<FormulaInfo>],
-        sat_stats: &mut SatStats,
     ) -> SmtResult {
         let slicing = slice(active, assumed);
         if !slicing.rest.is_empty() {
-            self.cone_vars_pruned += slicing.pruned_vars as u64;
+            self.counts.cone_vars_pruned += slicing.pruned_vars as u64;
         }
-        match self.check_set(&slicing.cone, assumed, sat_stats) {
+        match self.check_set(&slicing.cone, assumed) {
             // The cone is a subset of the live assertions, so its
             // inconsistency is the whole set's inconsistency.
             SmtResult::Unsat => SmtResult::Unsat,
-            SmtResult::Unknown => self.fallback(active, assumed, sat_stats),
+            SmtResult::Unknown => self.fallback(active, assumed),
             SmtResult::Sat(mut model) => {
                 // A model must also cover the out-of-cone components; their
                 // verdicts are memoized because they do not depend on the
                 // query. Components are variable-disjoint, so the models
                 // merge without conflicts.
                 for component in &slicing.rest {
-                    match self.check_component(component, sat_stats) {
+                    match self.check_component(component) {
                         SmtResult::Sat(part) => model.extend(part.iter()),
                         SmtResult::Unsat => return SmtResult::Unsat,
-                        SmtResult::Unknown => return self.fallback(active, assumed, sat_stats),
+                        SmtResult::Unknown => return self.fallback(active, assumed),
                     }
                 }
                 match self.finish_model(model, active, assumed) {
                     SmtResult::Sat(model) => SmtResult::Sat(model),
-                    _ => self.fallback(active, assumed, sat_stats),
+                    _ => self.fallback(active, assumed),
                 }
             }
         }
@@ -373,18 +345,14 @@ impl TheoryCore {
     /// Checks one out-of-cone component, memoizing its verdict by content
     /// (the sorted distinct formula ids — an exact key, since an aliased
     /// `Unsat` would flow into a verdict without any witness check).
-    fn check_component(
-        &mut self,
-        component: &[Rc<FormulaInfo>],
-        sat_stats: &mut SatStats,
-    ) -> SmtResult {
+    fn check_component(&mut self, component: &[Rc<FormulaInfo>]) -> SmtResult {
         let mut ids: Vec<u64> = component.iter().map(|info| info.id).collect();
         ids.sort_unstable();
         ids.dedup();
         if let Some(cached) = self.component_cache.get(&ids) {
             return cached.clone();
         }
-        let result = self.check_set(component, &[], sat_stats);
+        let result = self.check_set(component, &[]);
         if self.component_cache.len() >= CACHE_BOUND {
             self.component_cache.clear();
         }
@@ -394,32 +362,22 @@ impl TheoryCore {
 
     /// The authoritative answer when the persistent pipeline is stuck: run
     /// the scratch engine over the full live formula set.
-    fn fallback(
-        &mut self,
-        active: &[Rc<FormulaInfo>],
-        assumed: &[Rc<FormulaInfo>],
-        sat_stats: &mut SatStats,
-    ) -> SmtResult {
-        self.scratch_fallbacks += 1;
+    fn fallback(&mut self, active: &[Rc<FormulaInfo>], assumed: &[Rc<FormulaInfo>]) -> SmtResult {
+        self.counts.scratch_fallbacks += 1;
         let formulas: Vec<Formula> = active
             .iter()
             .chain(assumed)
             .map(|info| info.formula.clone())
             .collect();
         let (result, scratch_stats) = check_conjunction_counted(&formulas, &self.config);
-        sat_stats.merge(&scratch_stats);
+        self.counts.merge(&scratch_stats);
         result
     }
 
     /// Decides the conjunction of `active ∪ assumed`: a pure atom
     /// conjunction goes straight to the theory; anything with boolean
     /// structure runs the lazy SMT loop on the persistent CDCL state.
-    fn check_set(
-        &mut self,
-        active: &[Rc<FormulaInfo>],
-        assumed: &[Rc<FormulaInfo>],
-        sat_stats: &mut SatStats,
-    ) -> SmtResult {
+    fn check_set(&mut self, active: &[Rc<FormulaInfo>], assumed: &[Rc<FormulaInfo>]) -> SmtResult {
         let conjunctive = active
             .iter()
             .chain(assumed)
@@ -468,7 +426,7 @@ impl TheoryCore {
                 LiaResult::Unknown => SmtResult::Unknown,
             };
         }
-        self.check_cdcl(active, assumed, sat_stats)
+        self.check_cdcl(active, assumed)
     }
 
     /// Completes a theory model over the formulas' variables and gates it
@@ -498,17 +456,12 @@ impl TheoryCore {
     }
 
     /// The lazy SMT loop over the persistent SAT instance.
-    fn check_cdcl(
-        &mut self,
-        active: &[Rc<FormulaInfo>],
-        assumed: &[Rc<FormulaInfo>],
-        sat_stats: &mut SatStats,
-    ) -> SmtResult {
+    fn check_cdcl(&mut self, active: &[Rc<FormulaInfo>], assumed: &[Rc<FormulaInfo>]) -> SmtResult {
         // Everything already in the database was paid for by earlier checks
         // and is reused wholesale here: Tseitin encodings the scratch
         // engine would rebuild, and theory/learned clauses it would have to
         // re-derive conflict by conflict.
-        self.clauses_reused += self.sat.num_clauses() as u64;
+        self.counts.clauses_reused += self.sat.num_clauses() as u64;
 
         // Activation literals of the formulas under check, encoding on
         // first use; their SAT variables are this check's branching set.
@@ -535,7 +488,7 @@ impl TheoryCore {
         let mut saw_unknown = false;
         for _iteration in 0..self.config.max_iterations {
             let propositional = self.sat.solve_under(&assumption_lits, Some(&decision_vars));
-            sat_stats.merge(&self.sat.stats());
+            self.counts.merge(&self.sat.stats());
             match propositional {
                 PropResult::Unsat => {
                     return if saw_unknown {
@@ -655,7 +608,7 @@ impl TheoryCore {
         }
         let lemma: SharedLemma = sorted.into();
         if pool.publish(&lemma) {
-            self.lemmas_published += 1;
+            self.counts.lemmas_published += 1;
         }
         // Either way this core now holds the lemma locally; a pool round
         // trip must not re-import it.
@@ -680,7 +633,7 @@ impl TheoryCore {
             match self.lemma_clause(&lemma) {
                 Some(clause) => {
                     self.sat.add_clause(clause);
-                    self.lemmas_imported += 1;
+                    self.counts.lemmas_imported += 1;
                     self.known_lemmas.insert(lemma);
                 }
                 None => self.deferred_lemmas.push(lemma),
@@ -902,7 +855,15 @@ mod tests {
         core.assert(&Formula::ge(x(0), Term::int(5)));
         let (result, stats) = core.check(&[Formula::lt(x(0), Term::int(5))]);
         assert!(result.is_unsat());
-        assert_eq!(stats, SatStats::default(), "no CDCL work on conjunctions");
+        // Interning the two atoms is the only work the fast path counts.
+        assert_eq!(
+            stats,
+            SolverStats {
+                atoms_interned: stats.atoms_interned,
+                ..SolverStats::ZERO
+            },
+            "no CDCL work on conjunctions: {stats:?}"
+        );
     }
 
     #[test]

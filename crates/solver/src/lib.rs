@@ -38,10 +38,13 @@
 //!   dispatched theory, rebuilt from nothing per check (the *scratch*
 //!   engine, kept as the `CPCF_SOLVER_CORE=scratch` ablation and as the
 //!   persistent core's fallback oracle).
-//! * [`probes`] — thread-local counters for theory-layer events raised in
-//!   code with no statistics handle (dispatch decisions, propagation-ceiling
-//!   hits, model-reconstruction failures), drained per check into
-//!   [`SolverStats`].
+//! * [`counters`](mod@counters) — the [`counters!`] macro that declares a counter
+//!   registry once and generates its merge, delta and report visitor;
+//!   [`SolverStats`] is this crate's registry.
+//! * [`probes`] — a thread-local [`SolverStats`] for theory-layer events
+//!   raised in code with no statistics handle (dispatch decisions,
+//!   propagation-ceiling hits, model-reconstruction failures), whose delta
+//!   across each check is merged into the checking solver's stats.
 //! * [`core`] — the *persistent* incremental core (the default engine): one
 //!   long-lived CDCL instance per solver whose Tseitin encodings, interned
 //!   atoms and theory lemmas survive across checks, with assertion frames
@@ -89,6 +92,7 @@
 pub mod arena;
 pub mod cnf;
 pub mod core;
+pub mod counters;
 pub mod dl;
 pub mod formula;
 pub mod lemmas;
@@ -102,6 +106,7 @@ pub mod term;
 pub mod theory;
 
 pub use arena::{global_atom, Arena, AtomId};
+pub use counters::Tally;
 pub use dl::{default_theory_dl, DlSolver};
 pub use formula::{Atom, CmpOp, Formula};
 pub use lemmas::{default_lemma_sharing, SharedLemma, SharedLemmaPool};

@@ -11,5 +11,5 @@
 mod solver;
 mod types;
 
-pub use solver::{SatSolver, SatStats};
+pub use solver::SatSolver;
 pub use types::{BVar, Lit, SatResult};

@@ -10,38 +10,7 @@
 //! heap with lazy removal instead of a linear scan.
 
 use super::types::{BVar, Lit, SatResult};
-
-/// Statistics gathered during a solver run, useful for tests and benches.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SatStats {
-    /// Number of decisions made.
-    pub decisions: u64,
-    /// Number of literals propagated.
-    pub propagations: u64,
-    /// Number of conflicts encountered.
-    pub conflicts: u64,
-    /// Number of restarts performed.
-    pub restarts: u64,
-    /// Number of learned clauses.
-    pub learned: u64,
-    /// Number of learnt clauses deleted by clause-database reduction.
-    pub clauses_deleted: u64,
-    /// Number of restarts driven by the Luby sequence.
-    pub restarts_luby: u64,
-}
-
-impl SatStats {
-    /// Accumulates another run's counters into this one.
-    pub fn merge(&mut self, other: &SatStats) {
-        self.decisions += other.decisions;
-        self.propagations += other.propagations;
-        self.conflicts += other.conflicts;
-        self.restarts += other.restarts;
-        self.learned += other.learned;
-        self.clauses_deleted += other.clauses_deleted;
-        self.restarts_luby += other.restarts_luby;
-    }
-}
+use crate::solver::SolverStats;
 
 const UNASSIGNED: u8 = 2;
 
@@ -288,7 +257,9 @@ pub struct SatSolver {
     trivially_unsat: bool,
     /// Unit clauses queued before solving (asserted at level 0).
     pending_units: Vec<Lit>,
-    stats: SatStats,
+    /// The search counters of the most recent solve (decisions,
+    /// propagations, conflicts, learnt and deleted clauses, restarts).
+    stats: SolverStats,
 }
 
 impl Default for SatSolver {
@@ -321,12 +292,12 @@ impl SatSolver {
             reduce_limit: REDUCE_FIRST,
             trivially_unsat: false,
             pending_units: Vec::new(),
-            stats: SatStats::default(),
+            stats: SolverStats::ZERO,
         }
     }
 
     /// Statistics for the most recent [`SatSolver::solve`] call.
-    pub fn stats(&self) -> SatStats {
+    pub fn stats(&self) -> SolverStats {
         self.stats
     }
 
@@ -778,7 +749,7 @@ impl SatSolver {
     /// must therefore validate candidate models against whatever the
     /// unrestricted variables encode (the lazy SMT loop does exactly that).
     pub fn solve_under(&mut self, assumptions: &[Lit], decisions: Option<&[BVar]>) -> SatResult {
-        self.stats = SatStats::default();
+        self.stats = SolverStats::ZERO;
         if self.trivially_unsat {
             return SatResult::Unsat;
         }
@@ -858,7 +829,7 @@ impl SatSolver {
                     // are unwound.
                     let lbd = self.compute_lbd(&learned);
                     self.backtrack_to(backtrack_level);
-                    self.stats.learned += 1;
+                    self.stats.learnt_clauses += 1;
                     let asserting = learned[0];
                     if learned.len() == 1 {
                         if !self.enqueue(asserting, None) {
@@ -878,7 +849,6 @@ impl SatSolver {
                         conflicts_since_restart = 0;
                         completed_restarts += 1;
                         conflicts_until_restart = RESTART_BASE * luby(completed_restarts);
-                        self.stats.restarts += 1;
                         self.stats.restarts_luby += 1;
                         self.backtrack_to(0);
                         if self.learnts.len() >= self.reduce_limit {

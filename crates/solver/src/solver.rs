@@ -57,105 +57,84 @@ pub fn default_core_mode() -> CoreMode {
     }
 }
 
-/// Cumulative statistics for one [`Solver`] instance.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SolverStats {
-    /// Satisfiability checks issued (a validity query issues one or two).
-    pub checks: u64,
-    /// Checks that came back satisfiable.
-    pub sat: u64,
-    /// Checks that came back unsatisfiable.
-    pub unsat: u64,
-    /// Checks the theory could not decide.
-    pub unknown: u64,
-    /// Formulas asserted over the solver's lifetime (pops do not subtract).
-    pub assertions: u64,
-    /// Conflicts encountered by the CDCL core across all checks (zero for
-    /// checks decided by the atom-conjunction fast path, which bypasses the
-    /// propositional search entirely).
-    pub conflicts: u64,
-    /// Unit propagations performed by the CDCL core across all checks.
-    pub propagations: u64,
-    /// Clauses already present in the persistent core's database at the
-    /// start of a CDCL check — work the scratch engine would redo (zero
-    /// under [`CoreMode::Scratch`] and on the atom-conjunction fast path).
-    pub clauses_reused: u64,
-    /// Distinct atoms interned into the persistent core's hash-consing
-    /// arena (zero under [`CoreMode::Scratch`]).
-    pub atoms_interned: u64,
-    /// Variables excluded from queries' searches by cone slicing (zero
-    /// under [`CoreMode::Scratch`]).
-    pub cone_vars_pruned: u64,
-    /// Learnt clauses produced by first-UIP conflict analysis across all
-    /// CDCL checks.
-    pub learnt_clauses: u64,
-    /// Learnt clauses discarded by clause-database reduction.
-    pub clauses_deleted: u64,
-    /// Luby-sequence restarts performed by the CDCL search.
-    pub restarts_luby: u64,
-    /// Theory lemmas this solver published into a shared lemma pool (zero
-    /// without a pool; see [`Solver::set_lemma_pool`]).
-    pub lemmas_published: u64,
-    /// Sibling theory lemmas imported from a shared lemma pool (zero
-    /// without a pool).
-    pub lemmas_imported: u64,
-    /// Atom conjunctions the theory dispatcher routed to the
-    /// difference-logic module (zero under `CPCF_THEORY_DL=off`).
-    pub dl_checks: u64,
-    /// Difference-logic refutations: negative constraint cycles whose
-    /// explanations became blocking clauses and shared lemmas.
-    pub dl_conflicts: u64,
-    /// Potential-repair edge relaxations performed by the difference-logic
-    /// module.
-    pub dl_propagations: u64,
-    /// Dispatcher routings to the difference-logic module.
-    pub theory_dispatch_dl: u64,
-    /// Dispatcher routings to the general LIA module (conjunctions outside
-    /// the difference fragment, or everything when the DL gate is off).
-    pub theory_dispatch_lia: u64,
-    /// Lazy-SMT loops that exhausted `TheoryConfig::max_iterations` and
-    /// degraded their verdict to `Unknown`.
-    pub theory_iterations_exhausted: u64,
-    /// Interval-propagation fixpoint loops cut off by the LIA engine's
-    /// round ceiling — the difference-cycle divergence symptom. Zero for
-    /// difference cycles when the DL module handles the fragment;
-    /// out-of-fragment divergences (e.g. division intervals) can still
-    /// ride the ceiling under either gate setting.
-    pub propagation_ceiling_hits: u64,
-    /// LIA models that failed re-verification after eliminated variables
-    /// were reconstructed (each conservatively degraded to `Unknown`).
-    pub model_reconstruction_failures: u64,
-    /// Total wall-clock time spent inside satisfiability checks.
-    pub time: Duration,
-}
-
-impl SolverStats {
-    /// Accumulates another stats record into this one.
-    pub fn merge(&mut self, other: &SolverStats) {
-        self.checks += other.checks;
-        self.sat += other.sat;
-        self.unsat += other.unsat;
-        self.unknown += other.unknown;
-        self.assertions += other.assertions;
-        self.conflicts += other.conflicts;
-        self.propagations += other.propagations;
-        self.clauses_reused += other.clauses_reused;
-        self.atoms_interned += other.atoms_interned;
-        self.cone_vars_pruned += other.cone_vars_pruned;
-        self.learnt_clauses += other.learnt_clauses;
-        self.clauses_deleted += other.clauses_deleted;
-        self.restarts_luby += other.restarts_luby;
-        self.lemmas_published += other.lemmas_published;
-        self.lemmas_imported += other.lemmas_imported;
-        self.dl_checks += other.dl_checks;
-        self.dl_conflicts += other.dl_conflicts;
-        self.dl_propagations += other.dl_propagations;
-        self.theory_dispatch_dl += other.theory_dispatch_dl;
-        self.theory_dispatch_lia += other.theory_dispatch_lia;
-        self.theory_iterations_exhausted += other.theory_iterations_exhausted;
-        self.propagation_ceiling_hits += other.propagation_ceiling_hits;
-        self.model_reconstruction_failures += other.model_reconstruction_failures;
-        self.time += other.time;
+crate::counters! {
+    /// Cumulative statistics for one [`Solver`] instance — the counter
+    /// registry of this crate. The layers beneath the solver count into
+    /// values of this type too (the CDCL search, the persistent core, the
+    /// thread-local [`crate::probes`]), and each check merges their deltas
+    /// into the checking solver's stats.
+    pub struct SolverStats {
+        /// Satisfiability checks issued (a validity query issues one or two).
+        checks => "solver_checks",
+        /// Checks that came back satisfiable.
+        sat => _,
+        /// Checks that came back unsatisfiable.
+        unsat => _,
+        /// Checks the theory could not decide.
+        unknown => _,
+        /// Formulas asserted over the solver's lifetime (pops do not subtract).
+        assertions => _,
+        /// Branching decisions made by the CDCL search.
+        decisions => _,
+        /// Conflicts encountered by the CDCL core across all checks (zero for
+        /// checks decided by the atom-conjunction fast path, which bypasses the
+        /// propositional search entirely).
+        conflicts => "solver_conflicts",
+        /// Unit propagations performed by the CDCL core across all checks.
+        propagations => "solver_propagations",
+        /// Clauses already present in the persistent core's database at the
+        /// start of a CDCL check — work the scratch engine would redo (zero
+        /// under [`CoreMode::Scratch`] and on the atom-conjunction fast path).
+        clauses_reused,
+        /// Distinct atoms interned into the persistent core's hash-consing
+        /// arena (zero under [`CoreMode::Scratch`]).
+        atoms_interned,
+        /// Variables excluded from queries' searches by cone slicing (zero
+        /// under [`CoreMode::Scratch`]).
+        cone_vars_pruned,
+        /// Learnt clauses produced by first-UIP conflict analysis across all
+        /// CDCL checks.
+        learnt_clauses,
+        /// Learnt clauses discarded by clause-database reduction.
+        clauses_deleted,
+        /// Luby-sequence restarts performed by the CDCL search.
+        restarts_luby,
+        /// Theory lemmas this solver published into a shared lemma pool that
+        /// the pool had not seen before (zero without a pool; see
+        /// [`Solver::set_lemma_pool`]).
+        lemmas_published,
+        /// Sibling theory lemmas imported from a shared lemma pool as clauses
+        /// of the persistent SAT instance (zero without a pool).
+        lemmas_imported,
+        /// Atom conjunctions the theory dispatcher routed to the
+        /// difference-logic module (zero under `CPCF_THEORY_DL=off`).
+        dl_checks,
+        /// Difference-logic refutations: negative constraint cycles whose
+        /// explanations became blocking clauses and shared lemmas.
+        dl_conflicts,
+        /// Potential-repair edge relaxations performed by the difference-logic
+        /// module.
+        dl_propagations,
+        /// Dispatcher routings to the general LIA module (conjunctions outside
+        /// the difference fragment, or everything when the DL gate is off).
+        theory_dispatch_lia,
+        /// Lazy-SMT loops that exhausted `TheoryConfig::max_iterations` and
+        /// degraded their verdict to `Unknown`.
+        theory_iterations_exhausted,
+        /// Interval-propagation fixpoint loops cut off by the LIA engine's
+        /// round ceiling — the difference-cycle divergence symptom. Zero for
+        /// difference cycles when the DL module handles the fragment;
+        /// out-of-fragment divergences (e.g. division intervals) can still
+        /// ride the ceiling under either gate setting.
+        propagation_ceiling_hits,
+        /// LIA models that failed re-verification after eliminated variables
+        /// were reconstructed (each conservatively degraded to `Unknown`).
+        model_reconstruction_failures,
+        /// Checks the persistent core could not decide itself and handed to
+        /// the scratch engine over the full formula set.
+        scratch_fallbacks,
+        /// Total wall-clock time spent inside satisfiability checks.
+        time: Duration => "solver_ms",
     }
 }
 
@@ -400,21 +379,15 @@ impl Solver {
         // are counted in thread-local probes by code with no stats handle;
         // snapshot around the check to attribute this check's delta here.
         let probes_before = crate::probes::totals();
-        let result = match self.config.core {
+        let (result, engine_stats) = match self.config.core {
             CoreMode::Scratch => {
-                let (result, sat_stats) = if assumptions.is_empty() {
+                if assumptions.is_empty() {
                     check_conjunction_counted(&self.assertions, &self.config.theory)
                 } else {
                     let mut combined = self.assertions.clone();
                     combined.extend_from_slice(assumptions);
                     check_conjunction_counted(&combined, &self.config.theory)
-                };
-                stats.conflicts += sat_stats.conflicts;
-                stats.propagations += sat_stats.propagations;
-                stats.learnt_clauses += sat_stats.learned;
-                stats.clauses_deleted += sat_stats.clauses_deleted;
-                stats.restarts_luby += sat_stats.restarts_luby;
-                result
+                }
             }
             CoreMode::Persistent => {
                 let mut core = self.core.borrow_mut();
@@ -423,32 +396,11 @@ impl Solver {
                     self.assertions.len(),
                     "core assertions out of sync with the solver's"
                 );
-                let (result, sat_stats) = core.check(assumptions);
-                stats.conflicts += sat_stats.conflicts;
-                stats.propagations += sat_stats.propagations;
-                stats.learnt_clauses += sat_stats.learned;
-                stats.clauses_deleted += sat_stats.clauses_deleted;
-                stats.restarts_luby += sat_stats.restarts_luby;
-                // The core's counters are cumulative since the last reset;
-                // mirror them instead of re-adding per check.
-                let core_stats = core.stats();
-                stats.clauses_reused = core_stats.clauses_reused;
-                stats.atoms_interned = core_stats.atoms_interned;
-                stats.cone_vars_pruned = core_stats.cone_vars_pruned;
-                stats.lemmas_published = core_stats.lemmas_published;
-                stats.lemmas_imported = core_stats.lemmas_imported;
-                result
+                core.check(assumptions)
             }
         };
-        let probe_delta = crate::probes::totals().delta_since(&probes_before);
-        stats.dl_checks += probe_delta.dl_checks;
-        stats.dl_conflicts += probe_delta.dl_conflicts;
-        stats.dl_propagations += probe_delta.dl_propagations;
-        stats.theory_dispatch_dl += probe_delta.theory_dispatch_dl;
-        stats.theory_dispatch_lia += probe_delta.theory_dispatch_lia;
-        stats.theory_iterations_exhausted += probe_delta.theory_iterations_exhausted;
-        stats.propagation_ceiling_hits += probe_delta.propagation_ceiling_hits;
-        stats.model_reconstruction_failures += probe_delta.model_reconstruction_failures;
+        stats.merge(&engine_stats);
+        stats.merge(&crate::probes::totals().since(&probes_before));
         stats.checks += 1;
         stats.time += start.elapsed();
         match &result {
@@ -661,7 +613,6 @@ mod tests {
         assert!(!verdict.is_sat(), "the old engine must never claim sat");
         let stats = without_dl.stats();
         assert_eq!(stats.dl_checks, 0, "gated off: {stats:?}");
-        assert_eq!(stats.theory_dispatch_dl, 0);
         assert!(
             stats.propagation_ceiling_hits >= 1,
             "the old engine diverges into the ceiling: {stats:?}"

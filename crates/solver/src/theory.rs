@@ -12,12 +12,13 @@ use crate::formula::{Atom, Formula};
 use crate::lia::{check_atom_refs, LiaConfig, LiaResult};
 use crate::model::Model;
 use crate::probes;
-use crate::sat::{Lit, SatResult as PropResult, SatSolver, SatStats};
+use crate::sat::{Lit, SatResult as PropResult, SatSolver};
+use crate::solver::SolverStats;
 use crate::term::Var;
 
-/// Per-module statistics of one theory engine, surfaced per process
-/// through [`crate::probes`] and per solver through
-/// [`crate::solver::SolverStats`].
+/// Per-module statistics of one theory engine (the dispatcher's counts of
+/// the same events reach [`crate::solver::SolverStats`] through
+/// [`crate::probes`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TheoryModuleStats {
     /// Conjunction checks answered by this module.
@@ -103,10 +104,7 @@ pub(crate) fn dispatch_check(atoms: &[&Atom], config: &TheoryConfig) -> Dispatch
     if config.theory_dl {
         let mut dl = DlSolver::new();
         if dl.can_decide(atoms) {
-            probes::bump(|p| {
-                p.theory_dispatch_dl += 1;
-                p.dl_checks += 1;
-            });
+            probes::bump(|p| p.dl_checks += 1);
             match run_module(&mut dl, atoms) {
                 TheoryVerdict::Sat(values) => {
                     return Dispatched {
@@ -199,16 +197,16 @@ pub fn check_conjunction(formulas: &[Formula], config: &TheoryConfig) -> SmtResu
     check_conjunction_counted(formulas, config).0
 }
 
-/// [`check_conjunction`] together with the CDCL search statistics of the
-/// underlying propositional solver. The counters are all zero when the
+/// [`check_conjunction`] together with the CDCL search counters of the
+/// underlying propositional solver. They are all zero when the
 /// atom-conjunction fast path decided the query without any SAT solving.
 pub fn check_conjunction_counted(
     formulas: &[Formula],
     config: &TheoryConfig,
-) -> (SmtResult, SatStats) {
+) -> (SmtResult, SolverStats) {
     // Fast path: a pure conjunction of atoms needs no SAT solving at all.
     if let Some(atoms) = as_atom_conjunction(formulas) {
-        return (lia_to_smt(&atoms, formulas, config), SatStats::default());
+        return (lia_to_smt(&atoms, formulas, config), SolverStats::ZERO);
     }
 
     let mut sat = SatSolver::new();
@@ -222,7 +220,7 @@ pub fn check_conjunction_counted(
 
     // `SatSolver::solve` resets its counters per call, so accumulate across
     // the SMT loop's iterations.
-    let mut sat_stats = SatStats::default();
+    let mut sat_stats = SolverStats::ZERO;
     let mut saw_unknown = false;
     for _iteration in 0..config.max_iterations {
         let propositional = sat.solve();
@@ -517,8 +515,7 @@ mod tests {
         };
         let before = probes::totals();
         assert_eq!(check_conjunction(&formulas, &config), SmtResult::Unsat);
-        let delta = probes::totals().delta_since(&before);
-        assert_eq!(delta.theory_dispatch_dl, 1);
+        let delta = probes::totals().since(&before);
         assert_eq!(delta.dl_checks, 1);
         assert_eq!(delta.dl_conflicts, 1);
         assert_eq!(delta.theory_dispatch_lia, 0);
@@ -527,8 +524,8 @@ mod tests {
         config.theory_dl = false;
         let before = probes::totals();
         assert_eq!(check_conjunction(&formulas, &config), SmtResult::Unknown);
-        let delta = probes::totals().delta_since(&before);
-        assert_eq!(delta.theory_dispatch_dl, 0);
+        let delta = probes::totals().since(&before);
+        assert_eq!(delta.dl_checks, 0);
         assert!(delta.theory_dispatch_lia >= 1);
         assert!(
             delta.propagation_ceiling_hits >= 1,
@@ -551,8 +548,8 @@ mod tests {
         };
         let before = probes::totals();
         assert_eq!(check_conjunction(&formulas, &config), SmtResult::Unsat);
-        let delta = probes::totals().delta_since(&before);
-        assert_eq!(delta.theory_dispatch_dl, 0);
+        let delta = probes::totals().since(&before);
+        assert_eq!(delta.dl_checks, 0);
         assert!(delta.theory_dispatch_lia >= 1);
     }
 }
