@@ -8,19 +8,13 @@
 //! ```text
 //! cargo run --release -p bench --bin table1 \
 //!     [--group kobayashi|terauchi|occurrence|games|others] \
-//!     [--workers N] [--fresh-per-query] [--rebase] [--differential] \
-//!     [--store DIR] [--incremental] [--timing] [--json]
+//!     [--workers N] [--store DIR] [--incremental] [--timing] [--json]
 //! ```
 //!
 //! `--workers N` shards the run over `N` threads (programs across threads,
 //! and a module's exports across threads inside the analyzer; `0` means one
 //! worker per hardware thread; default: the `ANALYZE_WORKERS` environment
-//! variable, or 1); `--fresh-per-query` runs the original solver-per-query
-//! engine instead of the incremental prover session; `--rebase` keeps the
-//! incremental session but disables pop-to-write-point retraction (every
-//! non-monotone overwrite re-encodes the heap, the pre-retraction engine);
-//! `--differential` runs both the incremental and fresh engines and checks
-//! the verdicts agree; `--store DIR` attaches the persistent analysis store
+//! variable, or 1); `--store DIR` attaches the persistent analysis store
 //! in `DIR` (verdicts and theory lemmas survive the process: the first run
 //! populates it, later runs warm-start from it — see the store section of
 //! this crate's README); `--incremental` additionally skips exports whose
@@ -30,11 +24,15 @@
 //! aggregate stats — including retraction, heap snapshot/sharing,
 //! per-worker, cross-variant cache-hit and store counters — plus
 //! `analysis_ms`/`wall_ms` timing) on stdout.
+//!
+//! There is one prover engine. Its verdicts are checked query by query
+//! against the whole-heap reference oracle (`cpcf::prove::reference_*`) by
+//! the seeded differentials in `tests/solver_properties.rs`.
 
 use std::time::Instant;
 
 use scv_bench::corpus::{all_programs, group_programs, Group};
-use scv_bench::harness::{run_all, run_program_differential, BenchOptions};
+use scv_bench::harness::{run_all, BenchOptions};
 use scv_bench::report::{render_table, summarize, summarize_stats, timing_table, to_json};
 
 fn main() {
@@ -56,9 +54,6 @@ fn main() {
         });
     let json = args.iter().any(|a| a == "--json");
     let timing = args.iter().any(|a| a == "--timing");
-    let differential = args.iter().any(|a| a == "--differential");
-    let fresh = args.iter().any(|a| a == "--fresh-per-query");
-    let rebase = args.iter().any(|a| a == "--rebase");
     let workers = args.iter().position(|a| a == "--workers").map(|i| {
         let Some(value) = args.get(i + 1) else {
             eprintln!("--workers requires a count");
@@ -86,19 +81,11 @@ fn main() {
         Some(group) => group_programs(group),
         None => all_programs(),
     };
-    let mut options = if fresh {
-        BenchOptions::default().fresh_per_query()
-    } else if rebase {
-        BenchOptions::default().rebase()
-    } else {
-        BenchOptions::default()
-    };
+    let mut options = BenchOptions::default();
     if let Some(workers) = workers {
         options = options.with_workers(workers);
     }
     if let Some(dir) = &store_dir {
-        // The engine fingerprint is computed after every engine-shaping flag
-        // has been applied, so each ablation leg gets its own store file.
         let fingerprint = cpcf::EngineFingerprint::for_analyze(&options.analyze);
         match cpcf::AnalysisStore::open(dir, fingerprint) {
             Ok(store) => {
@@ -117,43 +104,6 @@ fn main() {
                 std::process::exit(2);
             }
         }
-    }
-
-    if differential {
-        let mut mismatches = 0usize;
-        let mut incremental_rows = Vec::new();
-        let mut fresh_rows = Vec::new();
-        for program in &programs {
-            let result = run_program_differential(program, &options);
-            if !result.verdicts_match() {
-                eprintln!(
-                    "[differential] MISMATCH on {}: incremental {:?}/{:?} vs fresh {:?}/{:?}",
-                    program.name,
-                    result.incremental.correct_verdict,
-                    result.incremental.faulty_verdict,
-                    result.fresh.correct_verdict,
-                    result.fresh.faulty_verdict,
-                );
-                mismatches += 1;
-            }
-            incremental_rows.push(result.incremental);
-            fresh_rows.push(result.fresh);
-        }
-        println!("{}", render_table(&incremental_rows));
-        println!("{}", summarize(&incremental_rows));
-        println!("incremental {}", summarize_stats(&incremental_rows));
-        println!("fresh       {}", summarize_stats(&fresh_rows));
-        if mismatches == 0 {
-            println!(
-                "differential check: all {} programs agree between the incremental \
-                 session and the fresh-per-query baseline",
-                programs.len()
-            );
-        } else {
-            println!("differential check: {mismatches} verdict mismatches");
-            std::process::exit(1);
-        }
-        return;
     }
 
     let start = Instant::now();

@@ -67,32 +67,6 @@ impl BenchOptions {
         }
     }
 
-    /// The same budget with the incremental prover session replaced by the
-    /// original fresh-solver-per-query engine (the ablation baseline).
-    pub fn fresh_per_query(mut self) -> Self {
-        self.analyze.eval.prove.fresh_per_query = true;
-        self
-    }
-
-    /// The same budget with pop-to-write-point retraction disabled: every
-    /// non-monotone overwrite discards the live solver and re-encodes the
-    /// heap (the pre-retraction engine, the second ablation baseline).
-    /// Pins the incremental session explicitly so the comparison against the
-    /// default engine holds even under `CPCF_PROVE_MODE=fresh`.
-    pub fn rebase(mut self) -> Self {
-        self.analyze.eval.prove.fresh_per_query = false;
-        self.analyze.eval.prove.retraction = false;
-        self
-    }
-
-    /// The same budget with pop-to-write-point retraction explicitly on
-    /// (the default engine), regardless of `CPCF_PROVE_MODE`.
-    pub fn retraction(mut self) -> Self {
-        self.analyze.eval.prove.fresh_per_query = false;
-        self.analyze.eval.prove.retraction = true;
-        self
-    }
-
     /// The same budget sharded over `workers` threads (both the per-export
     /// and the program-level grain). `0` means "auto": one worker per
     /// hardware thread.
@@ -144,8 +118,7 @@ cpcf::counters! {
     pub struct RowCounters {
         /// Shared-cache hits during the faulty variant run on verdicts
         /// computed during the correct variant run (both variants share one
-        /// cache whose epoch is advanced between them). Zero when the cache
-        /// is disabled (fresh-per-query mode).
+        /// cache whose epoch is advanced between them).
         cross_variant_cache_hits,
         /// Stored theory lemmas re-published into the program's lemma pool
         /// before analysis (zero without `--store`, and on the cold run).
@@ -441,40 +414,6 @@ pub fn run_group(group: Group, options: &BenchOptions) -> Vec<ProgramResult> {
     run_all(&crate::corpus::group_programs(group), options)
 }
 
-/// The result of running one program under both prover engines.
-#[derive(Debug, Clone)]
-pub struct DifferentialResult {
-    /// The row produced with the incremental prover session (the default).
-    pub incremental: ProgramResult,
-    /// The row produced with the `fresh_per_query` ablation (the original
-    /// solver-per-query engine).
-    pub fresh: ProgramResult,
-}
-
-impl DifferentialResult {
-    /// True if both engines agreed on both variants' verdicts.
-    pub fn verdicts_match(&self) -> bool {
-        self.incremental.correct_verdict == self.fresh.correct_verdict
-            && self.incremental.faulty_verdict == self.fresh.faulty_verdict
-    }
-}
-
-/// Runs a program with the incremental session and with the
-/// `fresh_per_query` ablation, for differential comparison. The incremental
-/// leg pins `fresh_per_query = false` (keeping the caller's retraction
-/// setting), so the two legs genuinely run different engines even when
-/// `CPCF_PROVE_MODE=fresh` has flipped the configuration default.
-pub fn run_program_differential(
-    program: &BenchProgram,
-    options: &BenchOptions,
-) -> DifferentialResult {
-    let mut incremental_options = options.clone();
-    incremental_options.analyze.eval.prove.fresh_per_query = false;
-    let incremental = run_program(program, &incremental_options);
-    let fresh = run_program(program, &options.clone().fresh_per_query());
-    DifferentialResult { incremental, fresh }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -518,10 +457,11 @@ mod tests {
 
     #[test]
     fn occurrence_incremental_matches_fresh_and_caches() {
-        // The acceptance check for the incremental prover session: on the
-        // occurrence group, verdicts are identical between the incremental
-        // and fresh-per-query engines, the cache is exercised, and far fewer
-        // full-heap encodings than queries are needed.
+        // The acceptance check for the incremental prover session on the
+        // occurrence group: the cache is exercised, and far fewer full-heap
+        // encodings than queries are needed. Verdict equality with the
+        // whole-heap reference is checked query by query in
+        // `tests/solver_properties.rs`.
         let options = BenchOptions::quick();
         let programs: Vec<_> = group_programs(crate::corpus::Group::Occurrence)
             .into_iter()
@@ -529,20 +469,7 @@ mod tests {
             .collect();
         let mut incremental_total = SessionStats::ZERO;
         for program in &programs {
-            let differential = run_program_differential(program, &options);
-            assert!(
-                differential.verdicts_match(),
-                "{}: incremental ({:?}/{:?}) and fresh ({:?}/{:?}) engines disagree",
-                program.name,
-                differential.incremental.correct_verdict,
-                differential.incremental.faulty_verdict,
-                differential.fresh.correct_verdict,
-                differential.fresh.faulty_verdict,
-            );
-            incremental_total.merge(&differential.incremental.stats);
-            // The ablation re-encodes the heap for every solver-backed query.
-            let fresh = &differential.fresh.stats;
-            assert_eq!(fresh.cache_hits, 0, "fresh mode must not use the cache");
+            incremental_total.merge(&run_program(program, &options).stats);
         }
         assert!(
             incremental_total.cache_hits >= 1,

@@ -21,8 +21,5 @@ pub mod harness;
 pub mod report;
 
 pub use corpus::{all_programs, BenchProgram, Group};
-pub use harness::{
-    run_program, run_program_differential, BenchOptions, DifferentialResult, ProgramResult,
-    RowCounters, Verdict,
-};
+pub use harness::{run_program, BenchOptions, ProgramResult, RowCounters, Verdict};
 pub use report::{render_table, summarize, summarize_stats, to_json, total_stats};

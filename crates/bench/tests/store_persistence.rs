@@ -8,9 +8,10 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 use cpcf::{
-    AnalysisStore, AnalyzeOptions, EngineFingerprint, ProveConfig, ProverSession, SharedLemmaPool,
+    AnalysisStore, AnalyzeOptions, EngineFingerprint, ProverSession, SharedLemmaPool,
     SharedVerdictCache,
 };
+use folic::SolverConfig;
 use randtest::heaptrace::{HeapTrace, TraceConfig};
 use scv_bench::corpus::all_programs;
 use scv_bench::harness::{run_all, BenchOptions, ProgramResult};
@@ -137,7 +138,7 @@ fn replay_traces(
             Some(store) => SharedVerdictCache::with_store(store.clone()),
             None => SharedVerdictCache::new(),
         };
-        let mut session = ProverSession::with_config_and_cache(ProveConfig::default(), cache);
+        let mut session = ProverSession::with_config_and_cache(SolverConfig::default(), cache);
         if let Some(pool) = pool {
             session.set_lemma_pool(pool.clone());
         }

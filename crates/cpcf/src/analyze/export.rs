@@ -18,10 +18,8 @@ use super::{AnalyzeOptions, ExportAnalysis, CONTEXT_PARTY};
 /// attached to the run's theory-lemma pool when one is present.
 pub(super) fn new_session(options: &AnalyzeOptions) -> ProverSession {
     let session = match &options.shared_cache {
-        Some(cache) => {
-            ProverSession::with_config_and_cache(options.eval.prove.clone(), cache.clone())
-        }
-        None => ProverSession::with_config(options.eval.prove.clone()),
+        Some(cache) => ProverSession::with_config_and_cache(options.eval.solver, cache.clone()),
+        None => ProverSession::with_config(options.eval.solver),
     };
     match &options.shared_lemmas {
         Some(pool) => session.with_lemma_pool(pool.clone()),

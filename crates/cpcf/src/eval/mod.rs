@@ -52,7 +52,7 @@ pub use contracts::monitor;
 pub use prims::apply_prim;
 
 use crate::heap::{ContractVal, Tag};
-use crate::prove::ProveConfig;
+use folic::SolverConfig;
 
 /// A single outcome of evaluation.
 #[derive(Debug, Clone, PartialEq)]
@@ -96,9 +96,8 @@ pub struct EvalOptions {
     pub havoc_depth: u32,
     /// Unrolling bound for `listof` contracts on opaque values.
     pub listof_depth: u32,
-    /// Prover-session configuration (incremental vs. fresh-per-query,
-    /// verdict caching).
-    pub prove: ProveConfig,
+    /// Configuration of the prover session's solver.
+    pub solver: SolverConfig,
 }
 
 impl Default for EvalOptions {
@@ -109,7 +108,7 @@ impl Default for EvalOptions {
             use_case_maps: true,
             havoc_depth: 3,
             listof_depth: 3,
-            prove: ProveConfig::default(),
+            solver: SolverConfig::default(),
         }
     }
 }
@@ -136,7 +135,7 @@ pub struct Ctx {
 impl Ctx {
     /// Creates a context with the given options.
     pub fn new(options: EvalOptions) -> Self {
-        let prover = ProverSession::with_config(options.prove.clone());
+        let prover = ProverSession::with_config(options.solver);
         Ctx::with_prover(options, prover)
     }
 

@@ -44,10 +44,11 @@
 //!   query engine: it keeps one live `folic` solver whose assertion stack
 //!   mirrors a journal prefix, asserts only unseen journal suffixes
 //!   (bracketing branch-local state in `push`/`pop` scopes), and memoizes
-//!   `(heap fingerprint, query) → Proof` verdicts. The
-//!   [`ProveConfig::fresh_per_query`] ablation restores the original
-//!   solver-per-query engine for differential testing, and
-//!   [`SessionStats`] makes the saving measurable.
+//!   `(heap fingerprint, query) → Proof` verdicts. [`SessionStats`] makes
+//!   the saving measurable. The stateless [`prove::reference_prove_num`]
+//!   and [`prove::reference_heap_model`] answer the same queries the
+//!   original solver-per-query way and serve as the differential tests'
+//!   oracle.
 //! * [`eval`] — the symbolic evaluator, split by concern: `eval` (the
 //!   dispatcher and continuation plumbing), `eval::branch` (truthiness, tag
 //!   predicates, structural refinement), `eval::apply` (application and the
@@ -127,8 +128,6 @@ pub use heap::{CRefinement, ContractVal, Env, Heap, Loc, SVal, Tag};
 pub use numeric::Number;
 pub use parse::{parse_expr, parse_program, ParseError, Parser};
 pub use pmap::PMap;
-pub use prove::{
-    default_prove_mode, thread_totals, ProveConfig, ProverSession, SessionStats, SharedVerdictCache,
-};
+pub use prove::{thread_totals, ProverSession, SessionStats, SharedVerdictCache};
 pub use store::{AnalysisStore, EngineFingerprint, StoreCounters};
 pub use syntax::{CBlame, Definition, Expr, Label, Module, Prim, Program, Provide, StructDef};

@@ -30,25 +30,25 @@
 //!   base (scope-0) encoding does the old cost model return — a full
 //!   re-encode from scratch.
 //!
-//! [`ProveConfig::retraction`] (off: every rebase discards the whole solver
-//! state, the engine of the pre-retraction implementation) and
-//! [`ProveConfig::fresh_per_query`] (the original solver-per-query engine,
-//! cache disabled) are ablation switches so the three engines can be
-//! compared differentially; [`SessionStats`] counts queries, cache hits,
-//! encodings, retractions and replayed assertions so the savings are
-//! measurable. The `CPCF_PROVE_MODE` environment variable (`incremental`,
-//! `rebase` or `fresh`) selects the default engine, so CI can run the whole
-//! suite under each.
+//! [`SessionStats`] counts queries, cache hits, encodings, retractions and
+//! replayed assertions so the savings are measurable.
 //!
-//! Beneath the session sits the solver-core axis (`CPCF_SOLVER_CORE`,
-//! [`folic::default_core_mode`]): by default every [`Solver`] a session
-//! drives is backed by `folic`'s persistent incremental core (hash-consed
-//! atoms, a CDCL clause database that survives across queries with frames
-//! retracting by activation literals, per-query cone slicing), so the
-//! session's `push`/`pop`/`pop_to` frames map directly onto core
-//! retractions, and a whole-session rebase ([`Solver::clear_assertions`])
-//! keeps the interned atoms, Tseitin encodings and learned theory lemmas
-//! alive instead of discarding the solver.
+//! The session drives one [`Solver`] built from the [`SolverConfig`] it was
+//! given. By default that is `folic`'s persistent incremental core
+//! (hash-consed atoms, a CDCL clause database that survives across queries
+//! with frames retracting by activation literals, per-query cone slicing),
+//! so the session's `push`/`pop`/`pop_to` frames map directly onto core
+//! retractions, and a whole-session re-encode
+//! ([`Solver::clear_assertions`]) keeps the interned atoms, Tseitin
+//! encodings and learned theory lemmas alive instead of discarding the
+//! solver.
+//!
+//! ## The reference oracle
+//!
+//! [`reference_prove_num`] and [`reference_heap_model`] answer the same
+//! questions the original way: translate the whole heap ([`translate_heap`])
+//! into a fresh solver and run one query. They keep no state, so the
+//! differential tests compare every session verdict against them.
 //!
 //! ## Counters
 //!
@@ -80,64 +80,6 @@ use crate::numeric::Number;
 /// allocations can never collide with an auxiliary introduced by an earlier
 /// query.
 const SESSION_AUX_BASE: u32 = 1 << 30;
-
-/// Configuration for solver queries.
-#[derive(Debug, Clone)]
-pub struct ProveConfig {
-    /// Underlying solver configuration.
-    pub solver: SolverConfig,
-    /// Ablation switch: rebuild a fresh solver and re-encode the whole heap
-    /// on every query (the original engine), and bypass the verdict cache.
-    /// Used for differential testing of the incremental session.
-    pub fresh_per_query: bool,
-    /// Memoize `(heap fingerprint, query) → Proof` verdicts. Ignored (off)
-    /// when `fresh_per_query` is set.
-    pub cache: bool,
-    /// Handle non-monotone overwrites by pop-to-write-point retraction
-    /// (pop only the solver frames covering the overwritten location's
-    /// write-point, replay the surviving suffix as deltas). When off, every
-    /// [`JournalEvent::Rebase`] in an unseen journal suffix discards the
-    /// whole live solver and re-encodes the heap from scratch — the
-    /// pre-retraction engine, kept as an ablation for differential testing.
-    pub retraction: bool,
-}
-
-/// The default prover engine, taken from the `CPCF_PROVE_MODE` environment
-/// variable: `incremental` (retraction on; the default when unset), `rebase`
-/// (incremental sessions, but every non-monotone overwrite re-encodes from
-/// scratch), or `fresh` (the original solver-per-query engine). An
-/// unrecognised value falls back to `incremental` with a once-per-process
-/// warning, so a typo in a CI matrix cannot silently test the wrong engine.
-/// Returned as `(fresh_per_query, retraction)`.
-pub fn default_prove_mode() -> (bool, bool) {
-    match std::env::var("CPCF_PROVE_MODE").ok().as_deref() {
-        Some("rebase") => (false, false),
-        Some("fresh") => (true, false),
-        Some("incremental") | None => (false, true),
-        Some(other) => {
-            static WARNED: std::sync::Once = std::sync::Once::new();
-            WARNED.call_once(|| {
-                eprintln!(
-                    "warning: unrecognised CPCF_PROVE_MODE `{other}` \
-                     (expected incremental|rebase|fresh); using incremental"
-                );
-            });
-            (false, true)
-        }
-    }
-}
-
-impl Default for ProveConfig {
-    fn default() -> Self {
-        let (fresh_per_query, retraction) = default_prove_mode();
-        ProveConfig {
-            solver: SolverConfig::default(),
-            fresh_per_query,
-            cache: true,
-            retraction,
-        }
-    }
-}
 
 folic::counters! {
     /// Counters describing the work one [`ProverSession`] has done — the
@@ -171,7 +113,7 @@ folic::counters! {
         store_misses,
         /// Verdicts this session newly appended to the persistent store.
         store_writes,
-        /// Whole-heap encodings (fresh solver + full translation).
+        /// Whole-heap encodings (assertions cleared, whole heap translated).
         full_encodings,
         /// Incremental encodings of a journal suffix only.
         delta_encodings,
@@ -421,8 +363,6 @@ fn extends(heap: &Heap, frame: &Frame) -> bool {
 /// be threaded mutably through the evaluator (it lives in `eval::Ctx`).
 #[derive(Debug)]
 pub struct ProverSession {
-    /// Query configuration.
-    config: ProveConfig,
     /// The live solver; its scopes parallel `frames[1..]`.
     solver: Solver,
     /// Synchronized journal prefixes, outermost first. Empty until the first
@@ -436,12 +376,6 @@ pub struct ProverSession {
     shared: Option<SharedVerdictCache>,
     /// Work counters.
     stats: SessionStats,
-    /// Optional cross-worker theory-lemma pool, handed to every solver this
-    /// session creates (the live solver and fresh-mode solvers alike).
-    lemma_pool: Option<SharedLemmaPool>,
-    /// Statistics of solvers that have been retired (fresh-mode solvers and
-    /// live solvers discarded by a full re-encode).
-    retired_solver_stats: SolverStats,
     /// Next auxiliary variable for division/modulo witnesses.
     aux_next: u32,
 }
@@ -453,23 +387,19 @@ impl Default for ProverSession {
 }
 
 impl ProverSession {
-    /// Creates a session with the default configuration.
+    /// Creates a session with the default solver configuration.
     pub fn new() -> Self {
-        ProverSession::with_config(ProveConfig::default())
+        ProverSession::with_config(SolverConfig::default())
     }
 
-    /// Creates a session with an explicit configuration.
-    pub fn with_config(config: ProveConfig) -> Self {
-        let solver = Solver::with_config(config.solver);
+    /// Creates a session whose live solver uses `config`.
+    pub fn with_config(config: SolverConfig) -> Self {
         ProverSession {
-            config,
-            solver,
+            solver: Solver::with_config(config),
             frames: Vec::new(),
             cache: HashMap::new(),
             shared: None,
             stats: SessionStats::ZERO,
-            lemma_pool: None,
-            retired_solver_stats: SolverStats::ZERO,
             aux_next: SESSION_AUX_BASE,
         }
     }
@@ -478,7 +408,7 @@ impl ProverSession {
     /// its private cache. Sessions sharing a cache exchange verdicts keyed
     /// by heap fingerprint, which is safe across threads and runs because
     /// the fingerprint identifies constraint content, not session state.
-    pub fn with_config_and_cache(config: ProveConfig, shared: SharedVerdictCache) -> Self {
+    pub fn with_config_and_cache(config: SolverConfig, shared: SharedVerdictCache) -> Self {
         let mut session = ProverSession::with_config(config);
         session.shared = Some(shared);
         session
@@ -490,15 +420,13 @@ impl ProverSession {
     }
 
     /// Connects this session to a cross-worker theory-lemma pool
-    /// ([`folic::SharedLemmaPool`]): the live solver — and every fresh
-    /// solver the session later builds — publishes the theory lemmas it
-    /// derives and imports the siblings' at check boundaries. Lemmas are
-    /// universally valid facts over globally-interned atoms, so sharing
-    /// them never changes which verdicts are sound, only how fast the
-    /// searches converge.
+    /// ([`folic::SharedLemmaPool`]): the live solver publishes the theory
+    /// lemmas it derives and imports the siblings' at check boundaries.
+    /// Lemmas are universally valid facts over globally-interned atoms, so
+    /// sharing them never changes which verdicts are sound, only how fast
+    /// the searches converge.
     pub fn set_lemma_pool(&mut self, pool: SharedLemmaPool) {
-        self.solver.set_lemma_pool(pool.clone());
-        self.lemma_pool = Some(pool);
+        self.solver.set_lemma_pool(pool);
     }
 
     /// Builder form of [`ProverSession::set_lemma_pool`].
@@ -507,35 +435,21 @@ impl ProverSession {
         self
     }
 
-    /// The session's configuration.
-    pub fn config(&self) -> &ProveConfig {
-        &self.config
-    }
-
-    /// A snapshot of the session's counters, including the aggregated
-    /// statistics of every underlying solver it has used.
+    /// A snapshot of the session's counters, including the live solver's.
     pub fn stats(&self) -> SessionStats {
-        let mut stats = self.stats;
-        stats.solver = self.retired_solver_stats;
-        stats.solver.merge(&self.solver.stats());
-        stats
+        SessionStats {
+            solver: self.solver.stats(),
+            ..self.stats
+        }
     }
 
     /// Resets all counters (solver state and cache are untouched).
     pub fn reset_stats(&mut self) {
         self.stats = SessionStats::default();
-        self.retired_solver_stats = SolverStats::default();
         self.solver.reset_stats();
     }
 
-    fn cache_enabled(&self) -> bool {
-        self.config.cache && !self.config.fresh_per_query
-    }
-
     fn cache_lookup(&mut self, heap: &Heap, query: &Query) -> Option<Proof> {
-        if !self.cache_enabled() {
-            return None;
-        }
         let key = (heap.fingerprint(), heap.generation(), query.clone());
         if let Some(proof) = self.cache.get(&key).copied() {
             self.stats.cache_hits += 1;
@@ -559,9 +473,6 @@ impl ProverSession {
     }
 
     fn cache_store(&mut self, heap: &Heap, query: Query, proof: Proof) {
-        if !self.cache_enabled() {
-            return;
-        }
         // A crude bound so pathological runs cannot grow without limit.
         if self.cache.len() >= 1 << 20 {
             self.cache.clear();
@@ -597,31 +508,14 @@ impl ProverSession {
         if let Some(proof) = self.cache_lookup(heap, &query) {
             return proof;
         }
-        let proof = if self.config.fresh_per_query {
-            self.prove_num_fresh(heap, loc, op, rhs)
-        } else {
-            self.prove_num_incremental(heap, loc, op, rhs)
-        };
+        let proof = self.prove_num_live(heap, loc, op, rhs);
         self.cache_store(heap, query, proof);
         proof
     }
 
-    /// The original engine: fresh solver, whole-heap translation.
-    fn prove_num_fresh(&mut self, heap: &Heap, loc: Loc, op: CmpOp, rhs: &CSymExpr) -> Proof {
-        self.stats.full_encodings += 1;
-        let mut translation = translate_heap(heap);
-        let lhs = Term::var(loc.solver_var());
-        let rhs_term = translate_sym_expr(rhs, &mut translation);
-        let goal = Formula::atom(lhs, op, rhs_term);
-        let solver = self.fresh_solver(&translation);
-        let proof = solver.prove(&goal);
-        self.retired_solver_stats.merge(&solver.stats());
-        proof
-    }
-
-    /// The incremental engine: sync the live solver to the heap's journal,
-    /// then query inside a scope.
-    fn prove_num_incremental(&mut self, heap: &Heap, loc: Loc, op: CmpOp, rhs: &CSymExpr) -> Proof {
+    /// Syncs the live solver to the heap's journal, then queries inside a
+    /// scope.
+    fn prove_num_live(&mut self, heap: &Heap, loc: Loc, op: CmpOp, rhs: &CSymExpr) -> Proof {
         self.sync(heap);
         let mut translation = Translation::with_next_aux(self.aux_next);
         let lhs = Term::var(loc.solver_var());
@@ -647,33 +541,11 @@ impl ProverSession {
     pub fn heap_model(&mut self, heap: &Heap) -> Option<Model> {
         self.stats.queries += 1;
         self.stats.model_queries += 1;
-        if self.config.fresh_per_query {
-            self.stats.full_encodings += 1;
-            let translation = translate_heap(heap);
-            let solver = self.fresh_solver(&translation);
-            let result = solver.check();
-            self.retired_solver_stats.merge(&solver.stats());
-            return match result {
-                SmtResult::Sat(model) => Some(model),
-                _ => None,
-            };
-        }
         self.sync(heap);
         match self.solver.check() {
             SmtResult::Sat(model) => Some(model),
             _ => None,
         }
-    }
-
-    fn fresh_solver(&self, translation: &Translation) -> Solver {
-        let mut solver = Solver::with_config(self.config.solver);
-        if let Some(pool) = &self.lemma_pool {
-            solver.set_lemma_pool(pool.clone());
-        }
-        for formula in &translation.formulas {
-            solver.assert(formula.clone());
-        }
-        solver
     }
 
     /// Brings the live solver's assertion stack in sync with `heap`:
@@ -713,10 +585,6 @@ impl ProverSession {
         // new suffix events) and are counted as such.
         let replay_boundary = frame.len;
         if let Some(retract_to) = retract_to {
-            if !self.config.retraction {
-                // Ablation: the pre-retraction engine starts over.
-                return self.full_sync(heap);
-            }
             // The deepest frame whose journal coverage stops before the
             // write-point survives; everything above it is popped. Frame
             // lengths increase strictly with depth, and frame index i sits
@@ -797,8 +665,8 @@ impl ProverSession {
     /// the new base. Under the persistent solver core the solver object
     /// itself survives — its interned atoms, Tseitin encodings and theory
     /// lemmas carry over, so the re-encode pays hash lookups where the old
-    /// engine paid fresh allocations (under `CPCF_SOLVER_CORE=scratch` the
-    /// retraction is equivalent to the historical solver swap).
+    /// engine paid fresh allocations (under [`folic::CoreMode::Scratch`]
+    /// the retraction is equivalent to the historical solver swap).
     fn full_sync(&mut self, heap: &Heap) {
         self.solver.clear_assertions();
         self.aux_next = SESSION_AUX_BASE;
@@ -900,9 +768,6 @@ fn number_tag(n: Number) -> Tag {
 fn concrete_tag(actual: &Tag, asked: &Tag) -> Proof {
     if subtag(actual, asked) {
         Proof::Proved
-    } else if *actual == Tag::Number && matches!(asked, Tag::Real | Tag::Integer) {
-        // A complex number is a number but not real/integer.
-        Proof::Refuted
     } else {
         Proof::Refuted
     }
@@ -939,13 +804,47 @@ impl Translation {
 
 /// Translates the numeric portion of the whole heap into formulas, with
 /// auxiliary variables allocated above the heap's own locations. This is the
-/// encoding the `fresh_per_query` ablation performs on every query.
+/// encoding the reference oracle performs on every query.
 pub fn translate_heap(heap: &Heap) -> Translation {
     let mut translation = Translation::with_next_aux(heap.next_index());
     for (loc, _) in heap.iter() {
         translate_loc(heap, loc, &mut translation);
     }
     translation
+}
+
+/// The reference oracle for [`ProverSession::prove_num`]: translates the
+/// whole heap and the goal into a fresh solver built from `config` and asks
+/// one query. It shares no state with any session, which is what makes it
+/// the baseline the differential tests compare sessions against.
+pub fn reference_prove_num(
+    heap: &Heap,
+    loc: Loc,
+    op: CmpOp,
+    rhs: &CSymExpr,
+    config: SolverConfig,
+) -> Proof {
+    let mut translation = translate_heap(heap);
+    let rhs_term = translate_sym_expr(rhs, &mut translation);
+    let goal = Formula::atom(Term::var(loc.solver_var()), op, rhs_term);
+    reference_solver(translation, config).prove(&goal)
+}
+
+/// The reference oracle for [`ProverSession::heap_model`]: a model of the
+/// whole heap's translation, from a fresh solver built from `config`.
+pub fn reference_heap_model(heap: &Heap, config: SolverConfig) -> Option<Model> {
+    match reference_solver(translate_heap(heap), config).check() {
+        SmtResult::Sat(model) => Some(model),
+        _ => None,
+    }
+}
+
+fn reference_solver(translation: Translation, config: SolverConfig) -> Solver {
+    let mut solver = Solver::with_config(config);
+    for formula in translation.formulas {
+        solver.assert(formula);
+    }
+    solver
 }
 
 /// Emits the formulas contributed by a single location: a defining equality
@@ -1227,9 +1126,10 @@ mod tests {
         let l = heap.alloc_fresh_opaque();
         heap.refine(l, CRefinement::NumCmp(CmpOp::Ge, CSymExpr::int(5)));
         let cache = SharedVerdictCache::new();
-        let mut first = ProverSession::with_config_and_cache(ProveConfig::default(), cache.clone());
+        let mut first =
+            ProverSession::with_config_and_cache(SolverConfig::default(), cache.clone());
         let mut second =
-            ProverSession::with_config_and_cache(ProveConfig::default(), cache.clone());
+            ProverSession::with_config_and_cache(SolverConfig::default(), cache.clone());
         let a = first.prove_num(&heap, l, CmpOp::Gt, &CSymExpr::int(0));
         let b = second.prove_num(&heap, l, CmpOp::Gt, &CSymExpr::int(0));
         assert_eq!(a, b);
@@ -1253,40 +1153,25 @@ mod tests {
         let l = heap.alloc_fresh_opaque();
         heap.refine(l, CRefinement::NumCmp(CmpOp::Ge, CSymExpr::int(5)));
         let cache = SharedVerdictCache::new();
-        let mut first = ProverSession::with_config_and_cache(ProveConfig::default(), cache.clone());
+        let mut first =
+            ProverSession::with_config_and_cache(SolverConfig::default(), cache.clone());
         first.prove_num(&heap, l, CmpOp::Gt, &CSymExpr::int(0));
         cache.advance_epoch();
         // A later run (new session, same heap content) hits the entry
         // planted before the epoch boundary.
         let mut second =
-            ProverSession::with_config_and_cache(ProveConfig::default(), cache.clone());
+            ProverSession::with_config_and_cache(SolverConfig::default(), cache.clone());
         second.prove_num(&heap, l, CmpOp::Gt, &CSymExpr::int(0));
         assert_eq!(cache.cross_epoch_hits(), 1);
         // Same-epoch hits do not count as cross-epoch.
-        let mut third = ProverSession::with_config_and_cache(ProveConfig::default(), cache.clone());
+        let mut third =
+            ProverSession::with_config_and_cache(SolverConfig::default(), cache.clone());
         third.prove_num(&heap, l, CmpOp::Le, &CSymExpr::int(4));
         let mut fourth =
-            ProverSession::with_config_and_cache(ProveConfig::default(), cache.clone());
+            ProverSession::with_config_and_cache(SolverConfig::default(), cache.clone());
         fourth.prove_num(&heap, l, CmpOp::Le, &CSymExpr::int(4));
         assert_eq!(cache.cross_epoch_hits(), 1, "same-epoch hit not counted");
         assert!(cache.hits() >= 2);
-    }
-
-    #[test]
-    fn shared_cache_is_bypassed_in_fresh_mode() {
-        let mut heap = Heap::new();
-        let l = heap.alloc_fresh_opaque();
-        heap.refine(l, CRefinement::NumCmp(CmpOp::Ge, CSymExpr::int(5)));
-        let cache = SharedVerdictCache::new();
-        let config = ProveConfig {
-            fresh_per_query: true,
-            ..ProveConfig::default()
-        };
-        let mut session = ProverSession::with_config_and_cache(config, cache.clone());
-        session.prove_num(&heap, l, CmpOp::Gt, &CSymExpr::int(0));
-        session.prove_num(&heap, l, CmpOp::Gt, &CSymExpr::int(0));
-        assert!(cache.is_empty(), "fresh mode must not populate the cache");
-        assert_eq!(session.stats().cache_hits, 0);
     }
 
     #[test]
@@ -1392,16 +1277,21 @@ mod tests {
             },
         );
         let mut incremental = ProverSession::new();
-        let mut fresh = ProverSession::with_config(ProveConfig {
-            fresh_per_query: true,
-            ..ProveConfig::default()
-        });
-        // Both engines derive a ≠ b while the entries are base-valued; this
-        // also plants the functionality implication on the live solver.
+        let reference = |heap: &Heap| {
+            reference_prove_num(
+                heap,
+                a,
+                CmpOp::Ne,
+                &CSymExpr::loc(b),
+                SolverConfig::default(),
+            )
+        };
+        // Session and reference derive a ≠ b while the entries are
+        // base-valued; this also plants the functionality implication on the
+        // live solver.
         let before_incremental = incremental.prove_num(&heap, a, CmpOp::Ne, &CSymExpr::loc(b));
-        let before_fresh = fresh.prove_num(&heap, a, CmpOp::Ne, &CSymExpr::loc(b));
         assert_eq!(before_incremental, Proof::Proved);
-        assert_eq!(before_incremental, before_fresh);
+        assert_eq!(before_incremental, reference(&heap));
         // Structural refinement: `a` becomes a pair (non-base).
         let car = heap.alloc_fresh_opaque();
         let cdr = heap.alloc_fresh_opaque();
@@ -1414,9 +1304,9 @@ mod tests {
             "a non-base overwrite of a memo-referenced location must rebase"
         );
         let after_incremental = incremental.prove_num(&heap, a, CmpOp::Ne, &CSymExpr::loc(b));
-        let after_fresh = fresh.prove_num(&heap, a, CmpOp::Ne, &CSymExpr::loc(b));
         assert_eq!(
-            after_incremental, after_fresh,
+            after_incremental,
+            reference(&heap),
             "stale functionality constraints must not survive the overwrite"
         );
     }
@@ -1446,17 +1336,6 @@ mod tests {
             stats.solver.assertions, 3,
             "1 base formula + 2 delta formulas, no duplicates: {stats:?}"
         );
-    }
-
-    /// An explicit engine configuration, independent of the
-    /// `CPCF_PROVE_MODE` environment variable CI uses to flip the default.
-    fn engine(fresh_per_query: bool, retraction: bool) -> ProveConfig {
-        ProveConfig {
-            solver: folic::SolverConfig::default(),
-            fresh_per_query,
-            cache: true,
-            retraction,
-        }
     }
 
     /// Builds the scenario where retraction pays: constraints entering the
@@ -1498,7 +1377,7 @@ mod tests {
 
     #[test]
     fn retraction_pops_to_the_write_point_instead_of_reencoding() {
-        let mut session = ProverSession::with_config(engine(false, true));
+        let mut session = ProverSession::new();
         let (heap, l0, l1, l2) = overwrite_above_base(&mut session);
         // The surviving constraints are replayed, the stale one is gone.
         assert_eq!(
@@ -1530,36 +1409,14 @@ mod tests {
     }
 
     #[test]
-    fn rebase_ablation_reencodes_where_retraction_pops() {
-        let mut session = ProverSession::with_config(engine(false, false));
-        let (heap, _, l1, l2) = overwrite_above_base(&mut session);
-        assert_eq!(
-            session.prove_num(&heap, l2, CmpOp::Le, &CSymExpr::int(2)),
-            Proof::Proved
-        );
-        assert_eq!(
-            session.prove_num(&heap, l1, CmpOp::Ge, &CSymExpr::int(5)),
-            Proof::Ambiguous
-        );
-        let stats = session.stats();
-        assert_eq!(
-            stats.full_encodings, 2,
-            "the ablation starts over on the rebase: {stats:?}"
-        );
-        assert_eq!(stats.retractions, 0, "{stats:?}");
-        assert_eq!(stats.frames_popped, 0, "{stats:?}");
-        assert_eq!(stats.assertions_replayed, 0, "{stats:?}");
-    }
-
-    #[test]
     fn retraction_falls_back_to_reencoding_below_the_base_frame() {
         // When the overwritten location's constraints are part of the base
-        // (scope-0) encoding there is nothing to pop to, and the retraction
-        // engine degrades to exactly the rebase engine's behaviour.
+        // (scope-0) encoding there is nothing to pop to, and the session
+        // re-encodes the whole heap.
         let mut heap = Heap::new();
         let l = heap.alloc_fresh_opaque();
         heap.refine(l, CRefinement::NumCmp(CmpOp::Ge, CSymExpr::int(5)));
-        let mut session = ProverSession::with_config(engine(false, true));
+        let mut session = ProverSession::new();
         assert_eq!(
             session.prove_num(&heap, l, CmpOp::Gt, &CSymExpr::int(0)),
             Proof::Proved
@@ -1582,18 +1439,15 @@ mod tests {
         // The memo-table variant of the retraction scenario: functionality
         // constraints enter the stream in a delta frame, the overwrite of a
         // memo-referenced location retracts them, and verdicts match the
-        // fresh baseline before and after.
-        let mut retraction = ProverSession::with_config(engine(false, true));
-        let mut fresh = ProverSession::with_config(engine(true, false));
+        // reference oracle before and after.
+        let mut retraction = ProverSession::new();
         let mut heap = Heap::new();
         let anchor = heap.alloc_fresh_opaque();
         heap.refine(anchor, CRefinement::NumCmp(CmpOp::Ge, CSymExpr::int(0)));
-        for session in [&mut retraction, &mut fresh] {
-            assert_eq!(
-                session.prove_num(&heap, anchor, CmpOp::Ge, &CSymExpr::int(0)),
-                Proof::Proved
-            );
-        }
+        assert_eq!(
+            retraction.prove_num(&heap, anchor, CmpOp::Ge, &CSymExpr::int(0)),
+            Proof::Proved
+        );
         let f = heap.alloc_fresh_opaque();
         let a = heap.alloc_fresh_opaque();
         let b = heap.alloc_fresh_opaque();
@@ -1609,20 +1463,22 @@ mod tests {
             },
         );
         // Functionality entails a != b while both entries are base-valued.
-        let query = |session: &mut ProverSession, heap: &Heap| {
-            session.prove_num(heap, a, CmpOp::Ne, &CSymExpr::loc(b))
-        };
-        assert_eq!(query(&mut retraction, &heap), Proof::Proved);
-        assert_eq!(query(&mut fresh, &heap), Proof::Proved);
+        let rhs = CSymExpr::loc(b);
+        let reference =
+            |heap: &Heap| reference_prove_num(heap, a, CmpOp::Ne, &rhs, SolverConfig::default());
+        assert_eq!(
+            retraction.prove_num(&heap, a, CmpOp::Ne, &rhs),
+            Proof::Proved
+        );
+        assert_eq!(reference(&heap), Proof::Proved);
         // Overwriting `a` with a non-base value retracts the implication.
         let car = heap.alloc_fresh_opaque();
         let cdr = heap.alloc_fresh_opaque();
         heap.set(a, SVal::Pair(car, cdr));
-        let after_retraction = query(&mut retraction, &heap);
         assert_eq!(
-            after_retraction,
-            query(&mut fresh, &heap),
-            "retraction and fresh baselines disagree after the overwrite"
+            retraction.prove_num(&heap, a, CmpOp::Ne, &rhs),
+            reference(&heap),
+            "retraction and the reference disagree after the overwrite"
         );
         let stats = retraction.stats();
         assert_eq!(
@@ -1633,7 +1489,7 @@ mod tests {
     }
 
     #[test]
-    fn fresh_per_query_matches_incremental_verdicts() {
+    fn reference_oracle_matches_incremental_verdicts() {
         let mut heap = Heap::new();
         let l = heap.alloc_fresh_opaque();
         heap.refine(l, CRefinement::NumCmp(CmpOp::Ge, CSymExpr::int(5)));
@@ -1645,18 +1501,17 @@ mod tests {
             (CmpOp::Le, CSymExpr::int(9)),
         ];
         let mut incremental = ProverSession::new();
-        let mut fresh = ProverSession::with_config(ProveConfig {
-            fresh_per_query: true,
-            ..ProveConfig::default()
-        });
         for (op, rhs) in &queries {
             assert_eq!(
                 incremental.prove_num(&heap, l, *op, rhs),
-                fresh.prove_num(&heap, l, *op, rhs),
+                reference_prove_num(&heap, l, *op, rhs, SolverConfig::default()),
                 "verdicts diverge on {op:?} {rhs:?}"
             );
         }
         assert!(incremental.stats().full_encodings < incremental.stats().queries);
-        assert_eq!(fresh.stats().full_encodings, fresh.stats().num_queries);
+        assert_eq!(
+            incremental.heap_model(&heap).is_some(),
+            reference_heap_model(&heap, SolverConfig::default()).is_some()
+        );
     }
 }

@@ -49,10 +49,11 @@
 //!   resolved through [`folic::global_atom`] on the way out and re-interned
 //!   through a fresh [`folic::Arena`] on the way in.
 //! * **Engine configuration** is fingerprinted ([`EngineFingerprint`]) over
-//!   every gate and budget that can change a verdict (`CPCF_*` environment
-//!   gates, prover/eval budgets, context depth). The fingerprint names the
-//!   store file *and* sits in the header, so ablation legs never read each
-//!   other's verdicts — a mismatch is a cold start, unit-tested below.
+//!   every setting and budget that can change a verdict (the solver
+//!   configuration, the `CPCF_LEMMA_SHARING` gate, eval budgets, context
+//!   depth). The fingerprint names the store file *and* sits in the header,
+//!   so runs under different configurations never read each other's
+//!   verdicts — a mismatch is a cold start, unit-tested below.
 //!
 //! ## Incremental re-verification
 //!
@@ -827,10 +828,10 @@ fn decode_export_analysis(dec: &mut Dec) -> Option<ExportAnalysis> {
 /// A 64-bit fingerprint of every engine setting that can change a verdict.
 ///
 /// Two runs share stored verdicts only when their fingerprints match: the
-/// fingerprint names the store file and sits in its header, so the CI
-/// ablation matrix (`CPCF_PROVE_MODE`, `CPCF_SOLVER_CORE`,
-/// `CPCF_LEMMA_SHARING`, `CPCF_THEORY_DL`, worker counts aside) can point
-/// every leg at the same `--store` directory without cross-contamination.
+/// fingerprint names the store file and sits in its header, so runs under
+/// different solver configurations or `CPCF_LEMMA_SHARING` settings (worker
+/// counts aside) can share one `--store` directory without
+/// cross-contamination.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EngineFingerprint(pub u64);
 
@@ -850,21 +851,16 @@ impl EngineFingerprint {
         EngineFingerprint(fnv1a(&bytes))
     }
 
-    /// The fingerprint of an analysis configuration: prover engine and
-    /// solver configuration (which carries the `CPCF_PROVE_MODE` /
-    /// `CPCF_SOLVER_CORE` resolved defaults), evaluator budgets, context
-    /// depth, validation, and the `CPCF_LEMMA_SHARING` / `CPCF_THEORY_DL`
-    /// gates. Worker counts are deliberately excluded — verdicts are
-    /// scheduling-independent by construction.
+    /// The fingerprint of an analysis configuration: the solver
+    /// configuration (core and theory settings), evaluator budgets, context
+    /// depth, validation, and the `CPCF_LEMMA_SHARING` gate. Worker counts
+    /// are deliberately excluded — verdicts are scheduling-independent by
+    /// construction.
     pub fn for_analyze(options: &crate::analyze::AnalyzeOptions) -> Self {
         let eval = &options.eval;
-        let prove = &eval.prove;
         EngineFingerprint::from_tokens([
             format!("schema={SCHEMA_VERSION}"),
-            format!("solver={:?}", prove.solver),
-            format!("fresh_per_query={}", prove.fresh_per_query),
-            format!("cache={}", prove.cache),
-            format!("retraction={}", prove.retraction),
+            format!("solver={:?}", eval.solver),
             format!("fuel={}", eval.fuel),
             format!("max_branches={}", eval.max_branches),
             format!("use_case_maps={}", eval.use_case_maps),
@@ -873,7 +869,6 @@ impl EngineFingerprint {
             format!("validate={}", options.validate),
             format!("context_depth={}", options.context_depth),
             format!("lemma_sharing={}", folic::default_lemma_sharing()),
-            format!("theory_dl={}", folic::default_theory_dl()),
         ])
     }
 }

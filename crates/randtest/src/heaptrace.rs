@@ -6,10 +6,11 @@
 //! chains and cycles targeting the difference-logic theory module.
 //!
 //! The generator is the random-input half of the differential oracle for the
-//! prover engines: replaying one trace through the pop-to-write-point
-//! retraction engine, the whole-journal rebase ablation and the
-//! fresh-solver-per-query baseline must produce identical verdict sequences
-//! (`tests/solver_properties.rs` asserts this over hundreds of seeds). It
+//! prover: replaying one trace through an incremental session (with its
+//! pop-to-write-point retraction) and through the stateless whole-heap
+//! reference ([`cpcf::prove::reference_prove_num`]) must produce identical
+//! verdict sequences (`tests/solver_properties.rs` asserts this over
+//! hundreds of seeds). It
 //! plays the same methodological role as the QuickCheck baseline in the
 //! paper's §5.2: randomized inputs probing a claimed equivalence — here the
 //! engine-independence of verdicts that the relative-completeness argument
@@ -17,7 +18,7 @@
 
 use cpcf::heap::{CRefinement, CSymExpr, Heap, JournalEvent, SVal, Tag};
 use cpcf::{Loc, Number, ProverSession};
-use folic::{CmpOp, Proof};
+use folic::{CmpOp, Proof, SolverConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -197,6 +198,18 @@ impl HeapTrace {
         self.steps
             .iter()
             .map(|step| session.prove_num(&step.heap, step.loc, step.op, &step.rhs))
+            .collect()
+    }
+
+    /// Answers every step's query with the reference oracle on a solver
+    /// built from `config` — the baseline [`HeapTrace::replay`] is compared
+    /// against.
+    pub fn replay_reference(&self, config: SolverConfig) -> Vec<Proof> {
+        self.steps
+            .iter()
+            .map(|step| {
+                cpcf::prove::reference_prove_num(&step.heap, step.loc, step.op, &step.rhs, config)
+            })
             .collect()
     }
 }

@@ -14,9 +14,9 @@
 //!
 //! The [`heaptrace`] module applies the same methodology one level down: a
 //! seeded generator of random symbolic-heap mutation/query traces, used as
-//! the differential oracle proving the prover engines (pop-to-write-point
-//! retraction, whole-journal rebase, fresh-solver-per-query) observationally
-//! equivalent.
+//! the differential oracle showing the incremental prover session (with
+//! pop-to-write-point retraction) observationally equivalent to the
+//! whole-heap reference oracle.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -12,7 +12,7 @@
 //!
 //! * **semantic**: replaying any mutation sequence on both heaps must
 //!   produce bit-identical journals, fingerprints and write-points (the
-//!   entire interface the incremental prover engines consume) — fuzzed by
+//!   entire interface the incremental prover session consumes) — fuzzed by
 //!   [`crate::heaptrace::HeapTrace::generate_checked`] over hundreds of
 //!   seeds;
 //! * **performance**: the shadow's `Clone` is the old cost model, so the
@@ -258,7 +258,7 @@ impl ShadowHeap {
 }
 
 /// Asserts that a [`cpcf::Heap`] and a [`ShadowHeap`] that replayed the same
-/// mutation sequence agree on every observable the prover engines consume:
+/// mutation sequence agree on every observable the prover session consumes:
 /// allocation counter, value store (content and iteration order), journal
 /// (events *and* fingerprint chain), final fingerprint, and the write-point
 /// of every allocated location.

@@ -31,13 +31,15 @@
 //!   atoms all normalise to `x − y ≤ c` are decided *exactly* by
 //!   negative-cycle detection over the constraint graph, with
 //!   potential-function reuse across incremental asserts and negative-cycle
-//!   explanations as conflict clauses. Gated by `CPCF_THEORY_DL=on|off`.
+//!   explanations as conflict clauses. On by default;
+//!   [`TheoryConfig::theory_dl`] switches it off for the LIA-only reference
+//!   the differential tests compare against.
 //! * [`theory`] — the theory layer: the [`theory::TheorySolver`] module
 //!   trait, the dispatcher routing each atom conjunction to the cheapest
 //!   complete module, and the lazy SMT loop combining the SAT core with the
 //!   dispatched theory, rebuilt from nothing per check (the *scratch*
-//!   engine, kept as the `CPCF_SOLVER_CORE=scratch` ablation and as the
-//!   persistent core's fallback oracle).
+//!   engine: the persistent core's fallback on `Unknown`, and, as
+//!   [`CoreMode::Scratch`], the reference the differential tests pin).
 //! * [`counters`](mod@counters) — the [`counters!`] macro that declares a counter
 //!   registry once and generates its merge, delta and report visitor;
 //!   [`SolverStats`] is this crate's registry.
@@ -45,11 +47,12 @@
 //!   raised in code with no statistics handle (dispatch decisions,
 //!   propagation-ceiling hits, model-reconstruction failures), whose delta
 //!   across each check is merged into the checking solver's stats.
-//! * [`core`] — the *persistent* incremental core (the default engine): one
-//!   long-lived CDCL instance per solver whose Tseitin encodings, interned
-//!   atoms and theory lemmas survive across checks, with assertion frames
-//!   retracting by activation literals and per-query cone slicing
-//!   restricting each search to the dependency cone of its assumptions.
+//! * [`core`] — the *persistent* incremental core (the default engine of
+//!   every [`Solver`]): one long-lived CDCL instance per solver whose
+//!   Tseitin encodings, interned atoms and theory lemmas survive across
+//!   checks, with assertion frames retracting by activation literals and
+//!   per-query cone slicing restricting each search to the dependency cone
+//!   of its assumptions.
 //! * [`lemmas`] — the [`SharedLemmaPool`] exchanging theory lemmas across
 //!   worker threads: atom ids are process-global (see [`arena`]), so a
 //!   blocking clause the theory refuted in one core is a valid clause in
@@ -107,12 +110,10 @@ pub mod theory;
 
 pub use arena::{global_atom, Arena, AtomId};
 pub use counters::Tally;
-pub use dl::{default_theory_dl, DlSolver};
+pub use dl::DlSolver;
 pub use formula::{Atom, CmpOp, Formula};
 pub use lemmas::{default_lemma_sharing, SharedLemma, SharedLemmaPool};
 pub use model::Model;
-pub use solver::{
-    default_core_mode, CoreMode, Proof, Solver, SolverConfig, SolverStats, UnbalancedPop, Validity,
-};
+pub use solver::{CoreMode, Proof, Solver, SolverConfig, SolverStats, UnbalancedPop, Validity};
 pub use term::{Term, Var};
 pub use theory::{SmtResult, TheoryConfig, TheoryModuleStats, TheorySolver, TheoryVerdict};

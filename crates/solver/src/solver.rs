@@ -29,32 +29,10 @@ pub enum CoreMode {
     /// per-query cone slicing. The default.
     Persistent,
     /// The original engine: every check rebuilds the SAT instance and
-    /// re-runs Tseitin encoding from nothing. Kept as an ablation for
-    /// differential testing and for measuring what persistence buys.
+    /// re-runs Tseitin encoding from nothing. Kept as the reference the
+    /// differential tests compare the persistent core against, and as the
+    /// persistent core's fallback on `Unknown`.
     Scratch,
-}
-
-/// The default solver core, taken from the `CPCF_SOLVER_CORE` environment
-/// variable: `persistent` (the default when unset) or `scratch` (the
-/// re-encode-per-check engine). An unrecognised value falls back to
-/// `persistent` with a once-per-process warning, mirroring
-/// `CPCF_PROVE_MODE`'s behaviour so a typo in a CI matrix cannot silently
-/// test the wrong engine.
-pub fn default_core_mode() -> CoreMode {
-    match std::env::var("CPCF_SOLVER_CORE").ok().as_deref() {
-        Some("scratch") => CoreMode::Scratch,
-        Some("persistent") | None => CoreMode::Persistent,
-        Some(other) => {
-            static WARNED: std::sync::Once = std::sync::Once::new();
-            WARNED.call_once(|| {
-                eprintln!(
-                    "warning: unrecognised CPCF_SOLVER_CORE `{other}` \
-                     (expected persistent|scratch); using persistent"
-                );
-            });
-            CoreMode::Persistent
-        }
-    }
 }
 
 crate::counters! {
@@ -107,7 +85,7 @@ crate::counters! {
         /// of the persistent SAT instance (zero without a pool).
         lemmas_imported,
         /// Atom conjunctions the theory dispatcher routed to the
-        /// difference-logic module (zero under `CPCF_THEORY_DL=off`).
+        /// difference-logic module (zero when `TheoryConfig::theory_dl` is off).
         dl_checks,
         /// Difference-logic refutations: negative constraint cycles whose
         /// explanations became blocking clauses and shared lemmas.
@@ -179,9 +157,8 @@ pub enum Validity {
 pub struct SolverConfig {
     /// Theory-level configuration (iteration limits, value bounds).
     pub theory: TheoryConfig,
-    /// Which engine runs the satisfiability checks (default: the value of
-    /// the `CPCF_SOLVER_CORE` environment variable, or
-    /// [`CoreMode::Persistent`] when unset).
+    /// Which engine runs the satisfiability checks (default:
+    /// [`CoreMode::Persistent`]).
     pub core: CoreMode,
 }
 
@@ -189,7 +166,7 @@ impl Default for SolverConfig {
     fn default() -> Self {
         SolverConfig {
             theory: TheoryConfig::default(),
-            core: default_core_mode(),
+            core: CoreMode::Persistent,
         }
     }
 }
@@ -424,16 +401,10 @@ impl Solver {
         self.run_check(assumptions)
     }
 
-    /// Alias of [`Solver::check_assuming`], kept for callers written against
-    /// the original API.
-    pub fn check_with(&self, extra: &[Formula]) -> SmtResult {
-        self.check_assuming(extra)
-    }
-
     /// Determines whether `formula` is valid under the current assertions:
     /// valid iff `assertions ∧ ¬formula` is unsatisfiable.
     pub fn check_valid(&self, formula: &Formula) -> Validity {
-        match self.check_with(&[Formula::not(formula.clone())]) {
+        match self.check_assuming(&[Formula::not(formula.clone())]) {
             SmtResult::Unsat => Validity::Valid,
             SmtResult::Sat(_) => Validity::Invalid,
             SmtResult::Unknown => Validity::Unknown,
@@ -446,7 +417,7 @@ impl Solver {
         match self.check_valid(goal) {
             Validity::Valid => Proof::Proved,
             Validity::Unknown => Proof::Ambiguous,
-            Validity::Invalid => match self.check_with(std::slice::from_ref(goal)) {
+            Validity::Invalid => match self.check_assuming(std::slice::from_ref(goal)) {
                 SmtResult::Unsat => Proof::Refuted,
                 SmtResult::Sat(_) => Proof::Ambiguous,
                 SmtResult::Unknown => Proof::Ambiguous,
@@ -705,7 +676,7 @@ mod tests {
     fn check_with_does_not_mutate() {
         let mut solver = Solver::new();
         solver.assert(Formula::ge(x(0), Term::int(0)));
-        let result = solver.check_with(&[Formula::lt(x(0), Term::int(0))]);
+        let result = solver.check_assuming(&[Formula::lt(x(0), Term::int(0))]);
         assert!(result.is_unsat());
         // The contradictory extra assertion was not retained.
         assert!(solver.check().is_sat());

@@ -95,8 +95,8 @@ pub(crate) struct Dispatched {
 }
 
 /// Routes one atom conjunction to the cheapest complete theory module: the
-/// difference-logic engine when every atom lies in its fragment (and the
-/// `CPCF_THEORY_DL` gate is open), the general LIA engine otherwise. Both
+/// difference-logic engine when every atom lies in its fragment (and
+/// [`TheoryConfig::theory_dl`] is on), the general LIA engine otherwise. Both
 /// engines only ever refine each other — on fragment conjunctions DL is
 /// exactly complete, so a verdict LIA could decide is never lost, and
 /// conjunctions outside the fragment take the unchanged LIA path.
@@ -175,9 +175,9 @@ pub struct TheoryConfig {
     /// the differential tests check that deletion never changes verdicts.
     pub sat_reduce_limit: Option<usize>,
     /// Whether the dispatcher may route difference-fragment conjunctions to
-    /// the [`crate::dl::DlSolver`] module (default: the `CPCF_THEORY_DL`
-    /// environment variable via [`crate::dl::default_theory_dl`]; `false`
-    /// reproduces the pre-DL engine exactly, as the ablation leg).
+    /// the [`crate::dl::DlSolver`] module (default: on). `false` reproduces
+    /// the pre-DL engine exactly: the LIA-only reference the differential
+    /// tests compare the DL module against.
     pub theory_dl: bool,
 }
 
@@ -187,7 +187,7 @@ impl Default for TheoryConfig {
             max_iterations: 256,
             lia: LiaConfig::default(),
             sat_reduce_limit: None,
-            theory_dl: crate::dl::default_theory_dl(),
+            theory_dl: true,
         }
     }
 }
@@ -297,18 +297,6 @@ pub fn check_conjunction_counted(
     }
     probes::bump(|p| p.theory_iterations_exhausted += 1);
     (SmtResult::Unknown, sat_stats)
-}
-
-/// Checks whether `formula` is entailed by `background` (i.e. `background ∧
-/// ¬formula` is unsatisfiable).
-pub fn check_entailed(
-    background: &[Formula],
-    formula: &Formula,
-    config: &TheoryConfig,
-) -> SmtResult {
-    let mut combined: Vec<Formula> = background.to_vec();
-    combined.push(Formula::not(formula.clone()));
-    check_conjunction(&combined, config)
 }
 
 /// If every formula is a conjunction of atoms, return them flattened.
@@ -446,21 +434,6 @@ mod tests {
             Formula::eq(x(4), Term::int(0)),
         ];
         assert_eq!(check(&formulas), SmtResult::Unsat);
-    }
-
-    #[test]
-    fn entailment_check_works() {
-        // x = 3 entails x > 0.
-        let background = vec![Formula::eq(x(0), Term::int(3))];
-        let goal = Formula::gt(x(0), Term::int(0));
-        assert_eq!(
-            check_entailed(&background, &goal, &TheoryConfig::default()),
-            SmtResult::Unsat,
-            "negation of an entailed formula must be unsat"
-        );
-        // x = 3 does not entail x > 5.
-        let goal = Formula::gt(x(0), Term::int(5));
-        assert!(check_entailed(&background, &goal, &TheoryConfig::default()).is_sat());
     }
 
     #[test]

@@ -13,18 +13,12 @@ use crate::translate::{translate_heap, translate_refinement, Translation};
 
 pub use folic::Proof;
 
-/// Configuration of proof-relation queries.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ProveConfig {
-    /// Underlying solver configuration.
-    pub solver: SolverConfig,
-}
-
-/// A prover bundling the configuration; cheap to copy around the engine.
+/// A prover bundling the solver configuration; cheap to copy around the
+/// engine.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Prover {
-    /// The configuration used for every query.
-    pub config: ProveConfig,
+    /// The solver configuration used for every query.
+    pub config: SolverConfig,
 }
 
 impl Prover {
@@ -44,7 +38,7 @@ impl Prover {
     /// Decides an arbitrary goal formula under the heap's translation plus
     /// any auxiliary constraints already in `translation`.
     pub fn prove_goal(&self, translation: &Translation, goal: &Formula) -> Proof {
-        let mut solver = Solver::with_config(self.config.solver);
+        let mut solver = Solver::with_config(self.config);
         for formula in &translation.formulas {
             solver.assert(formula.clone());
         }
@@ -56,7 +50,7 @@ impl Prover {
     /// values for the counterexample.
     pub fn heap_model(&self, heap: &Heap) -> SmtResult {
         let translation = translate_heap(heap);
-        let mut solver = Solver::with_config(self.config.solver);
+        let mut solver = Solver::with_config(self.config);
         for formula in &translation.formulas {
             solver.assert(formula.clone());
         }

@@ -1,7 +1,7 @@
 //! Property-based integration tests, driven by a seeded [`StdRng`] so runs
 //! are reproducible without any external property-testing framework.
 //!
-//! Three families of properties:
+//! Five families of properties:
 //!
 //! 1. **Solver soundness** — every model the first-order solver reports
 //!    satisfies the asserted formulas, UNSAT answers agree with brute-force
@@ -10,17 +10,19 @@
 //! 2. **Prover-session equivalence** — over randomized symbolic heaps and
 //!    query sequences (including branch-cloned sibling heaps and
 //!    non-monotone overwrites), the incremental [`cpcf::ProverSession`]
-//!    returns exactly the verdicts of the `fresh_per_query` baseline that
-//!    re-encodes the heap on every query.
-//! 3. **Engine-equivalence fuzzing** — replaying seeded
-//!    [`randtest::HeapTrace`]s through the pop-to-write-point retraction
-//!    engine, the whole-journal rebase ablation and the
-//!    fresh-solver-per-query baseline produces bit-identical verdict
-//!    sequences, and retraction performs strictly fewer whole-heap
-//!    re-encodings than rebase over the corpus. These prove-layer
-//!    differentials pin the **scratch** solver core so all their engines
-//!    share one satisfiability oracle — the axis under test is the prove
-//!    layer's bookkeeping, not the solver core.
+//!    returns exactly the verdicts and model existence of the reference
+//!    oracle ([`cpcf::prove::reference_prove_num`] and
+//!    [`cpcf::prove::reference_heap_model`]), which re-encodes the whole
+//!    heap into a fresh solver on every query.
+//! 3. **Retraction fuzzing** — replaying seeded [`randtest::HeapTrace`]s
+//!    through a session, whose pop-to-write-point retraction absorbs the
+//!    traces' non-monotone overwrites, produces bit-identical verdict
+//!    sequences to the reference oracle. These prove-layer differentials
+//!    pin the **scratch** solver core on both sides, so they share one
+//!    satisfiability oracle: the axis under test is the prove layer's
+//!    bookkeeping, not the solver core. (On the persistent core, clauses
+//!    the session retains change which budget-limited queries exhaust the
+//!    iteration budget, and exact equality fails at seed 119.)
 //! 4. **Solver-core refinement fuzzing** — replaying the same traces
 //!    through the persistent core (hash-consed atoms, retained clauses,
 //!    cone slicing) and the scratch core must *refine* verdicts: whenever
@@ -38,7 +40,7 @@
 //! 5. **Theory-module refinement fuzzing** — replaying traces whose
 //!    generator emits native difference-constraint chains and cycles
 //!    (`TraceConfig::with_diff_chains`), the engine with the
-//!    difference-logic module enabled must refine the LIA-only ablation:
+//!    difference-logic module enabled must refine the LIA-only reference:
 //!    identical verdicts wherever LIA decides, at least as many decisions
 //!    overall, and witness-checked models at `Sat`.
 
@@ -171,14 +173,18 @@ fn validity_is_never_contradicted_by_a_witness() {
 mod session_equivalence {
     use super::*;
     use cpcf::heap::{CRefinement, CSymExpr, Heap, SVal, Tag};
-    use cpcf::{Loc, Number, ProveConfig, ProverSession};
+    use cpcf::prove::{reference_heap_model, reference_prove_num};
+    use cpcf::{Loc, Number, ProverSession};
+    use folic::{CoreMode, SolverConfig};
 
-    /// The given prove-engine configuration pinned to the scratch solver
-    /// core, so prove-layer differentials compare engines over a single
-    /// satisfiability oracle regardless of `CPCF_SOLVER_CORE`.
-    fn on_scratch_core(mut config: ProveConfig) -> ProveConfig {
-        config.solver.core = folic::CoreMode::Scratch;
-        config
+    /// The solver configuration the prove-layer differentials run both the
+    /// session and the reference oracle on: the scratch core, so the two
+    /// sides share one satisfiability oracle.
+    fn on_scratch_core() -> SolverConfig {
+        SolverConfig {
+            core: CoreMode::Scratch,
+            ..SolverConfig::default()
+        }
     }
 
     /// A random atomic operand: a location or a small constant.
@@ -301,12 +307,7 @@ mod session_equivalence {
     fn incremental_session_matches_fresh_baseline() {
         let mut rng = StdRng::seed_from_u64(0x5E55_1011);
         for case in 0..CASES / 2 {
-            let mut incremental =
-                ProverSession::with_config(on_scratch_core(ProveConfig::default()));
-            let mut fresh = ProverSession::with_config(on_scratch_core(ProveConfig {
-                fresh_per_query: true,
-                ..ProveConfig::default()
-            }));
+            let mut incremental = ProverSession::with_config(on_scratch_core());
             // A pool of heaps: mutations sometimes fork a branch (cloning a
             // pool member), sometimes extend one, so the incremental session
             // sees the evaluator's real access pattern — interleaved queries
@@ -326,17 +327,17 @@ mod session_equivalence {
                 let (heap, locs) = &mut pool[index];
                 random_mutation(&mut rng, heap, locs);
 
-                // Query both engines on a random pool member (not
-                // necessarily the one just mutated).
+                // Query the session and the reference on a random pool
+                // member (not necessarily the one just mutated).
                 let (query_heap, query_locs) = &pool[rng.gen_range(0..pool.len())];
                 let loc = query_locs[rng.gen_range(0..query_locs.len())];
                 let op = random_cmp(&mut rng);
                 let rhs = random_sym_expr(&mut rng, query_locs, 1);
                 let a = incremental.prove_num(query_heap, loc, op, &rhs);
-                let b = fresh.prove_num(query_heap, loc, op, &rhs);
+                let b = reference_prove_num(query_heap, loc, op, &rhs, on_scratch_core());
                 assert_eq!(
                     a, b,
-                    "case {case} step {step}: incremental {a:?} != fresh {b:?} \
+                    "case {case} step {step}: incremental {a:?} != reference {b:?} \
                      for {loc} {op:?} {rhs} on heap {query_heap}"
                 );
                 // Asking again must be stable (and exercises the cache).
@@ -403,14 +404,14 @@ mod session_equivalence {
             // First run against the shared cache (populates it) ...
             let cache = SharedVerdictCache::new();
             let mut first =
-                ProverSession::with_config_and_cache(ProveConfig::default(), cache.clone());
+                ProverSession::with_config_and_cache(SolverConfig::default(), cache.clone());
             let first_verdicts = replay(&mut first);
             let first_hits = first.stats().cache_hits;
             cache.advance_epoch();
             // ... then a second, fresh session replaying through the now
             // warm cache.
             let mut second =
-                ProverSession::with_config_and_cache(ProveConfig::default(), cache.clone());
+                ProverSession::with_config_and_cache(SolverConfig::default(), cache.clone());
             let second_verdicts = replay(&mut second);
             let second_stats = second.stats();
 
@@ -442,52 +443,36 @@ mod session_equivalence {
     }
 
     #[test]
-    fn retraction_rebase_and_fresh_engines_agree_on_seeded_traces() {
+    fn retraction_matches_the_reference_on_seeded_traces() {
         use cpcf::SessionStats;
         use randtest::{HeapTrace, TraceConfig};
 
         // The differential oracle for pop-to-write-point retraction, in the
         // spirit of the paper's QuickCheck baseline (§5.2): over seeded
-        // random heap traces, all three prover engines must return exactly
-        // the same verdicts. Engines are configured explicitly so the
-        // property holds regardless of the CPCF_PROVE_MODE default, and all
-        // three share the scratch solver core so the only axis varying is
-        // the prove layer's retraction bookkeeping.
-        let engine = |fresh_per_query: bool, retraction: bool| {
-            on_scratch_core(ProveConfig {
-                fresh_per_query,
-                retraction,
-                ..ProveConfig::default()
-            })
-        };
+        // random heap traces, the session must return exactly the verdicts
+        // of the whole-heap reference. Both sides run the scratch solver
+        // core, so the only axis varying is the prove layer's retraction
+        // bookkeeping. That retraction pops to the write-point instead of
+        // re-encoding is pinned by the unit test
+        // `retraction_pops_to_the_write_point_instead_of_reencoding`.
         const TRACES: u64 = 200;
         let config = TraceConfig::default();
         let mut retraction_total = SessionStats::default();
-        let mut rebase_total = SessionStats::default();
         let mut traces_with_rebases = 0usize;
         for seed in 0..TRACES {
             let trace = HeapTrace::generate(seed, &config);
             if trace.rebases() > 0 {
                 traces_with_rebases += 1;
             }
-            let mut retraction = ProverSession::with_config(engine(false, true));
-            let mut rebase = ProverSession::with_config(engine(false, false));
-            let mut fresh = ProverSession::with_config(engine(true, false));
-            let retraction_verdicts = trace.replay(&mut retraction);
-            let rebase_verdicts = trace.replay(&mut rebase);
-            let fresh_verdicts = trace.replay(&mut fresh);
+            let mut retraction = ProverSession::with_config(on_scratch_core());
             assert_eq!(
-                retraction_verdicts, rebase_verdicts,
-                "seed {seed}: retraction and rebase engines disagree"
-            );
-            assert_eq!(
-                rebase_verdicts, fresh_verdicts,
-                "seed {seed}: rebase and fresh-per-query engines disagree"
+                trace.replay(&mut retraction),
+                trace.replay_reference(on_scratch_core()),
+                "seed {seed}: the retracting session and the reference disagree"
             );
             retraction_total.merge(&retraction.stats());
-            rebase_total.merge(&rebase.stats());
         }
-        // The corpus must actually exercise the machinery under test …
+        // The corpus must actually exercise the machinery under test.
         assert!(
             traces_with_rebases >= TRACES as usize / 10,
             "only {traces_with_rebases}/{TRACES} traces journalled a rebase"
@@ -495,18 +480,6 @@ mod session_equivalence {
         assert!(
             retraction_total.retractions > 0,
             "no trace triggered a retraction: {retraction_total:?}"
-        );
-        assert_eq!(
-            rebase_total.retractions, 0,
-            "the ablation must never retract: {rebase_total:?}"
-        );
-        // … and retraction must beat rebase where it counts: strictly fewer
-        // whole-heap re-encodings for the same queries.
-        assert!(
-            retraction_total.full_encodings < rebase_total.full_encodings,
-            "retraction ({}) did not reduce full re-encodings versus rebase ({})",
-            retraction_total.full_encodings,
-            rebase_total.full_encodings
         );
     }
 
@@ -520,28 +493,20 @@ mod session_equivalence {
         // panics unless journals, fingerprints, stored values and
         // write-points stay bit-identical after every single step. On top of
         // the representation check, the persistent trace's verdicts must
-        // agree between the incremental engine and the fresh-per-query
-        // baseline — i.e. the cheaper snapshots change no answer.
+        // agree between the incremental session and the reference oracle —
+        // i.e. the cheaper snapshots change no answer.
         const TRACES: u64 = 200;
         let config = TraceConfig::default();
-        let engine = |fresh_per_query: bool, retraction: bool| {
-            on_scratch_core(ProveConfig {
-                fresh_per_query,
-                retraction,
-                ..ProveConfig::default()
-            })
-        };
         let mut traces_with_rebases = 0usize;
         for seed in 0..TRACES {
             let trace = HeapTrace::generate_checked(seed, &config);
             if trace.rebases() > 0 {
                 traces_with_rebases += 1;
             }
-            let mut incremental = ProverSession::with_config(engine(false, true));
-            let mut fresh = ProverSession::with_config(engine(true, false));
+            let mut incremental = ProverSession::with_config(on_scratch_core());
             assert_eq!(
                 trace.replay(&mut incremental),
-                trace.replay(&mut fresh),
+                trace.replay_reference(on_scratch_core()),
                 "seed {seed}: verdicts diverge on the persistent heap"
             );
         }
@@ -555,7 +520,6 @@ mod session_equivalence {
     #[test]
     fn persistent_core_refines_scratch_over_200_seeds() {
         use cpcf::SessionStats;
-        use folic::CoreMode;
         use randtest::{HeapTrace, TraceConfig};
 
         // The differential oracle for the persistent solver core: replaying
@@ -570,14 +534,9 @@ mod session_equivalence {
         // every live formula and Unsat answers rest on sound clauses only.)
         const TRACES: u64 = 200;
         let config = TraceConfig::default();
-        let engine = |core: CoreMode| {
-            let mut config = ProveConfig {
-                fresh_per_query: false,
-                retraction: true,
-                ..ProveConfig::default()
-            };
-            config.solver.core = core;
-            config
+        let engine = |core: CoreMode| SolverConfig {
+            core,
+            ..SolverConfig::default()
         };
         let decided = |proof: folic::Proof| proof != folic::Proof::Ambiguous;
         let mut persistent_decided = 0usize;
@@ -649,7 +608,6 @@ mod session_equivalence {
     #[test]
     fn difference_logic_refines_the_lia_only_engine_over_200_seeds() {
         use cpcf::SessionStats;
-        use folic::CoreMode;
         use randtest::{HeapTrace, TraceConfig};
 
         // The differential oracle for the difference-logic theory module:
@@ -667,13 +625,11 @@ mod session_equivalence {
         const TRACES: u64 = 200;
         let config = TraceConfig::with_diff_chains();
         let engine = |theory_dl: bool| {
-            let mut config = ProveConfig {
-                fresh_per_query: false,
-                retraction: true,
-                ..ProveConfig::default()
+            let mut config = SolverConfig {
+                core: CoreMode::Persistent,
+                ..SolverConfig::default()
             };
-            config.solver.core = CoreMode::Persistent;
-            config.solver.theory.theory_dl = theory_dl;
+            config.theory.theory_dl = theory_dl;
             config
         };
         let decided = |proof: folic::Proof| proof != folic::Proof::Ambiguous;
@@ -737,7 +693,6 @@ mod session_equivalence {
     #[test]
     fn lemma_sharing_and_clause_reduction_change_no_verdict_over_200_seeds() {
         use cpcf::{SessionStats, SharedLemmaPool};
-        use folic::CoreMode;
         use randtest::{HeapTrace, TraceConfig};
 
         // The differential oracle for the modernized CDCL search, with one
@@ -760,13 +715,11 @@ mod session_equivalence {
         const TRACES: u64 = 200;
         let config = TraceConfig::default();
         let engine = |reduce_limit: Option<usize>| {
-            let mut config = ProveConfig {
-                fresh_per_query: false,
-                retraction: true,
-                ..ProveConfig::default()
+            let mut config = SolverConfig {
+                core: CoreMode::Persistent,
+                ..SolverConfig::default()
             };
-            config.solver.core = CoreMode::Persistent;
-            config.solver.theory.sat_reduce_limit = reduce_limit;
+            config.theory.sat_reduce_limit = reduce_limit;
             config
         };
         let mut pooled_total = SessionStats::default();
@@ -822,7 +775,7 @@ mod session_equivalence {
 
     #[test]
     fn popped_frames_never_leak_into_later_checks() {
-        use folic::{CoreMode, Proof, Solver, SolverConfig};
+        use folic::{Proof, Solver};
 
         let persistent = || {
             Solver::with_config(SolverConfig {
@@ -928,12 +881,8 @@ mod session_equivalence {
                 random_mutation(&mut rng, &mut heap, &mut locs);
             }
             let mut incremental = ProverSession::new();
-            let mut fresh = ProverSession::with_config(ProveConfig {
-                fresh_per_query: true,
-                ..ProveConfig::default()
-            });
             let a = incremental.heap_model(&heap);
-            let b = fresh.heap_model(&heap);
+            let b = reference_heap_model(&heap, SolverConfig::default());
             assert_eq!(
                 a.is_some(),
                 b.is_some(),
