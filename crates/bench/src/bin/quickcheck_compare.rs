@@ -5,7 +5,7 @@
 //! generator (−99..=99) never tries `n = 100`, while symbolic execution
 //! derives it directly from the program's own arithmetic.
 //!
-//! Usage: `cargo run --release -p scv-bench --bin quickcheck_compare`
+//! Usage: `cargo run --release -p bench --bin quickcheck_compare`
 
 use std::time::Instant;
 

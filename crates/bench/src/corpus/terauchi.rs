@@ -13,13 +13,13 @@ pub fn programs() -> Vec<BenchProgram> {
 (module boolflip
   (provide [main (-> integer? integer?)])
   (define (flip b) (if b #f #t))
-  (define (main n) (if (flip (flip (> n 0))) (assert (> n 0)) 0)))
+  (define (main n) (if (flip (flip (> n 0))) (begin (assert (> n 0)) 0) 0)))
 "#,
             faulty: r#"
 (module boolflip
   (provide [main (-> integer? integer?)])
   (define (flip b) (if b #f #t))
-  (define (main n) (if (flip (> n 0)) (assert (> n 0)) 0)))
+  (define (main n) (if (flip (> n 0)) (begin (assert (> n 0)) 0) 0)))
 "#,
             diff: "one flip too few: the assertion now runs exactly when n ≤ 0",
             expected_unsolved: false,

@@ -48,9 +48,9 @@ impl Default for BenchOptions {
 }
 
 impl BenchOptions {
-    /// A drastically reduced budget for micro-benchmarking (Criterion) runs,
-    /// where each program is analysed many times: deep enough to find the
-    /// shallow bugs, small enough that a single run takes milliseconds.
+    /// A drastically reduced budget for the debug-build test suite, which
+    /// walks the corpus several times: deep enough to find the shallow
+    /// bugs, small enough that a single run takes milliseconds.
     pub fn quick() -> Self {
         BenchOptions {
             analyze: AnalyzeOptions {
@@ -442,6 +442,30 @@ mod tests {
         assert_eq!(result.correct_verdict, Verdict::Verified);
         assert_eq!(result.faulty_verdict, Verdict::Counterexample);
         assert!(result.matches_expectation());
+    }
+
+    #[test]
+    fn case_map_rows_find_validated_counterexamples() {
+        // These faulty variants need the opaque `case` maps (§3.2): without
+        // them repeated applications of an unknown function disagree, the
+        // reconstructed input does not replay, and the row degrades to a
+        // probable error. `validate` is on, so `Counterexample` here means
+        // the concrete re-run confirmed the blame.
+        let options = BenchOptions::default();
+        assert!(options.analyze.validate);
+        let programs = crate::corpus::all_programs();
+        for name in ["zombie", "argmin", "first-quadrant"] {
+            let program = programs
+                .iter()
+                .find(|p| p.name == name)
+                .unwrap_or_else(|| panic!("{name} exists"));
+            let result = run_program(program, &options);
+            assert_eq!(
+                result.faulty_verdict,
+                Verdict::Counterexample,
+                "{name}: faulty variant must yield a validated counterexample"
+            );
+        }
     }
 
     #[test]

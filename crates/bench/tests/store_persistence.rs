@@ -29,10 +29,10 @@ fn temp_store_dir(tag: &str) -> PathBuf {
     ))
 }
 
-/// The corpus run used by the persistence tests: the quick (criterion)
-/// budget so the debug-build suite stays fast, programs sharded over the
-/// hardware threads, and an explicit lemma pool so lemma persistence is
-/// exercised regardless of the `CPCF_LEMMA_SHARING` environment.
+/// The corpus run used by the persistence tests: the quick budget so the
+/// debug-build suite stays fast, programs sharded over the hardware
+/// threads, and an explicit lemma pool so lemma persistence is exercised
+/// regardless of the `CPCF_LEMMA_SHARING` environment.
 fn corpus_options(store: AnalysisStore) -> BenchOptions {
     let mut options = BenchOptions::quick().with_workers(0);
     options.analyze.shared_lemmas = Some(SharedLemmaPool::new());

@@ -41,7 +41,7 @@ pub const CONTEXT_PARTY: &str = "context";
 /// Options controlling an analysis run.
 #[derive(Debug, Clone)]
 pub struct AnalyzeOptions {
-    /// Evaluator options (fuel, branching, case maps, havoc depth).
+    /// Evaluator options (fuel, branching, havoc depth, solver).
     pub eval: EvalOptions,
     /// Re-run counterexamples concretely before reporting them.
     pub validate: bool,

@@ -151,8 +151,10 @@ fn apply_opaque(
         base.refine(function_loc, CRefinement::Is(Tag::Procedure));
     }
 
-    // Memoised result for a previously seen single simple argument.
-    if ctx.options.use_case_maps && args.len() == 1 && is_simple(&base, args[0]) {
+    // Memoised result for a previously seen single simple argument: the
+    // opaque's `case` map (§3.2), which keeps repeated applications to the
+    // same argument consistent.
+    if args.len() == 1 && is_simple(&base, args[0]) {
         if let SVal::Opaque { entries, .. } = base.get(function_loc) {
             if let Some((_, result)) = entries.iter().find(|(a, _)| *a == args[0]) {
                 outcomes.push((Outcome::Val(*result), base));

@@ -14,6 +14,9 @@ use super::apply::apply;
 use super::branch::{refine_to_tag, truthiness, values_equal};
 use super::{Ctx, Outcome};
 
+/// Unrolling bound for `listof` contracts on opaque values.
+const LISTOF_DEPTH: u32 = 3;
+
 /// Continuation receiving the monitored argument locations of a guarded
 /// application.
 type MonitorCont<'a> = &'a mut dyn FnMut(&mut Ctx, Vec<Loc>, Heap) -> Vec<(Outcome, Heap)>;
@@ -31,7 +34,6 @@ pub fn monitor(
     if !ctx.tick() {
         return vec![(Outcome::Timeout, heap.clone())];
     }
-    let listof_depth = ctx.options.listof_depth;
     let blame = |message: String| CBlame {
         party: pos.to_string(),
         message,
@@ -87,7 +89,7 @@ pub fn monitor(
             heap,
         ),
         SVal::Contract(ContractVal::ListOf(element)) => {
-            monitor_listof(ctx, element, value_loc, pos, neg, label, heap, listof_depth)
+            monitor_listof(ctx, element, value_loc, pos, neg, label, heap, LISTOF_DEPTH)
         }
         SVal::Contract(ContractVal::OneOf(options)) => {
             monitor_one_of(ctx, &options, value_loc, pos, neg, label, heap)

@@ -90,12 +90,8 @@ pub struct EvalOptions {
     pub fuel: u64,
     /// Maximum number of outcome branches kept at any point.
     pub max_branches: usize,
-    /// Memoise applications of opaque functions (`case` maps).
-    pub use_case_maps: bool,
     /// How deep the demonic context explores escaped structured values.
     pub havoc_depth: u32,
-    /// Unrolling bound for `listof` contracts on opaque values.
-    pub listof_depth: u32,
     /// Configuration of the prover session's solver.
     pub solver: SolverConfig,
 }
@@ -105,9 +101,7 @@ impl Default for EvalOptions {
         EvalOptions {
             fuel: 60_000,
             max_branches: 512,
-            use_case_maps: true,
             havoc_depth: 3,
-            listof_depth: 3,
             solver: SolverConfig::default(),
         }
     }

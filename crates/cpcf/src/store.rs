@@ -863,9 +863,7 @@ impl EngineFingerprint {
             format!("solver={:?}", eval.solver),
             format!("fuel={}", eval.fuel),
             format!("max_branches={}", eval.max_branches),
-            format!("use_case_maps={}", eval.use_case_maps),
             format!("havoc_depth={}", eval.havoc_depth),
-            format!("listof_depth={}", eval.listof_depth),
             format!("validate={}", options.validate),
             format!("context_depth={}", options.context_depth),
             format!("lemma_sharing={}", folic::default_lemma_sharing()),

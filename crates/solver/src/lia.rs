@@ -19,7 +19,7 @@
 //!   propagation, which handles disequalities and the product constraints
 //!   introduced by multiplication of two unknowns.
 //!
-//! The search is complete up to the configured value bound; when it gives up
+//! The search is complete up to its value bound (±256); when it gives up
 //! it reports [`LiaResult::Unknown`] rather than guessing, which is exactly
 //! the "relative" part of relative completeness.
 
@@ -88,23 +88,11 @@ pub enum LiaResult {
     Unknown,
 }
 
-/// Tuning knobs for the model search.
-#[derive(Debug, Clone, Copy)]
-pub struct LiaConfig {
-    /// Absolute bound on enumerated values for otherwise-unbounded variables.
-    pub value_bound: i64,
-    /// Maximum number of search nodes explored before giving up.
-    pub node_budget: u64,
-}
+/// Absolute bound on enumerated values for otherwise-unbounded variables.
+const VALUE_BOUND: i64 = 256;
 
-impl Default for LiaConfig {
-    fn default() -> Self {
-        LiaConfig {
-            value_bound: 256,
-            node_budget: 20_000,
-        }
-    }
-}
+/// Maximum number of search nodes explored before giving up.
+const NODE_BUDGET: u64 = 20_000;
 
 /// Errors that can occur while building a [`LiaProblem`] from atoms.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -870,17 +858,17 @@ fn propagate(problem: &LiaProblem, state: &mut SearchState) -> bool {
 }
 
 /// Candidate values for branching on `var`, ordered small-magnitude first.
-fn candidate_values(state: &SearchState, var: Var, config: &LiaConfig) -> (Vec<i64>, bool) {
+fn candidate_values(state: &SearchState, var: Var) -> (Vec<i64>, bool) {
     let (lo, hi) = state.bounds.get(&var).copied().unwrap_or((None, None));
     match (lo, hi) {
         (Some(lo), Some(hi)) => {
             let width = (hi as i128 - lo as i128 + 1).max(0);
-            if width <= (2 * config.value_bound as i128 + 1) {
+            if width <= (2 * VALUE_BOUND as i128 + 1) {
                 let mut values: Vec<i64> = (lo..=hi).collect();
                 values.sort_by_key(|v| (v.unsigned_abs(), *v < 0));
                 (values, false)
             } else {
-                let mut values = spiral(config.value_bound)
+                let mut values = spiral(VALUE_BOUND)
                     .filter(|v| *v >= lo && *v <= hi)
                     .collect::<Vec<i64>>();
                 if values.is_empty() {
@@ -890,12 +878,12 @@ fn candidate_values(state: &SearchState, var: Var, config: &LiaConfig) -> (Vec<i
             }
         }
         (Some(lo), None) => {
-            let values: Vec<i64> = (0..=config.value_bound)
+            let values: Vec<i64> = (0..=VALUE_BOUND)
                 .map(|offset| lo.saturating_add(offset))
                 .collect();
             // Prefer values near zero when the lower bound is negative.
             let mut values: Vec<i64> = if lo <= 0 {
-                spiral(config.value_bound).filter(|v| *v >= lo).collect()
+                spiral(VALUE_BOUND).filter(|v| *v >= lo).collect()
             } else {
                 values
             };
@@ -905,9 +893,9 @@ fn candidate_values(state: &SearchState, var: Var, config: &LiaConfig) -> (Vec<i
         }
         (None, Some(hi)) => {
             let mut values: Vec<i64> = if hi >= 0 {
-                spiral(config.value_bound).filter(|v| *v <= hi).collect()
+                spiral(VALUE_BOUND).filter(|v| *v <= hi).collect()
             } else {
-                (0..=config.value_bound)
+                (0..=VALUE_BOUND)
                     .map(|offset| hi.saturating_sub(offset))
                     .collect()
             };
@@ -915,7 +903,7 @@ fn candidate_values(state: &SearchState, var: Var, config: &LiaConfig) -> (Vec<i
             values.dedup();
             (values, true)
         }
-        (None, None) => (spiral(config.value_bound).collect(), true),
+        (None, None) => (spiral(VALUE_BOUND).collect(), true),
     }
 }
 
@@ -946,7 +934,6 @@ fn pick_branch_var(problem: &LiaProblem, state: &SearchState) -> Option<Var> {
 fn search(
     problem: &LiaProblem,
     state: SearchState,
-    config: &LiaConfig,
     budget: &mut u64,
     truncated: &mut bool,
 ) -> SearchOutcome {
@@ -967,7 +954,7 @@ fn search(
             }
         }
         Some(var) => {
-            let (values, was_truncated) = candidate_values(&state, var, config);
+            let (values, was_truncated) = candidate_values(&state, var);
             if was_truncated {
                 *truncated = true;
             }
@@ -976,7 +963,7 @@ fn search(
                 let mut child = state.clone();
                 child.assignment.insert(var, value);
                 child.bounds.insert(var, (Some(value), Some(value)));
-                match search(problem, child, config, budget, truncated) {
+                match search(problem, child, budget, truncated) {
                     SearchOutcome::Model(model) => return SearchOutcome::Model(model),
                     SearchOutcome::NoModel => {}
                     SearchOutcome::GaveUp => {
@@ -995,22 +982,22 @@ fn search(
 }
 
 /// Decides a conjunction of atoms and produces a model when consistent.
-pub fn check_atoms(atoms: &[Atom], config: &LiaConfig) -> LiaResult {
+pub fn check_atoms(atoms: &[Atom]) -> LiaResult {
     let refs: Vec<&Atom> = atoms.iter().collect();
-    check_atom_refs(&refs, config)
+    check_atom_refs(&refs)
 }
 
 /// [`check_atoms`] over borrowed atoms (arena-interned callers).
-pub fn check_atom_refs(atoms: &[&Atom], config: &LiaConfig) -> LiaResult {
+pub fn check_atom_refs(atoms: &[&Atom]) -> LiaResult {
     let problem = match LiaProblem::from_atom_refs(atoms) {
         Ok(p) => p,
         Err(BuildError::Overflow) => return LiaResult::Unknown,
     };
-    check_problem(&problem, config)
+    check_problem(&problem)
 }
 
 /// Decides a pre-built problem.
-pub fn check_problem(problem: &LiaProblem, config: &LiaConfig) -> LiaResult {
+pub fn check_problem(problem: &LiaProblem) -> LiaResult {
     if problem.linear.is_empty() && problem.products.is_empty() {
         return LiaResult::Sat(BTreeMap::new());
     }
@@ -1029,9 +1016,9 @@ pub fn check_problem(problem: &LiaProblem, config: &LiaConfig) -> LiaResult {
         assignment: BTreeMap::new(),
         bounds: Bounds::new(),
     };
-    let mut budget = config.node_budget;
+    let mut budget = NODE_BUDGET;
     let mut truncated = false;
-    match search(reduced, state, config, &mut budget, &mut truncated) {
+    match search(reduced, state, &mut budget, &mut truncated) {
         SearchOutcome::Model(mut model) => {
             // Recover eliminated variables in reverse elimination order: each
             // definition refers only to variables still present at its
@@ -1076,20 +1063,9 @@ pub fn check_problem(problem: &LiaProblem, config: &LiaConfig) -> LiaResult {
 /// elimination/propagation/search pipeline over the buffered conjunction.
 #[derive(Debug, Default)]
 pub struct LiaModule {
-    config: LiaConfig,
     atoms: Vec<Atom>,
     frames: Vec<usize>,
     stats: TheoryModuleStats,
-}
-
-impl LiaModule {
-    /// Creates a module with the given search configuration.
-    pub fn new(config: LiaConfig) -> Self {
-        LiaModule {
-            config,
-            ..LiaModule::default()
-        }
-    }
 }
 
 impl TheorySolver for LiaModule {
@@ -1117,7 +1093,7 @@ impl TheorySolver for LiaModule {
 
     fn check(&mut self) -> TheoryVerdict {
         self.stats.checks += 1;
-        match check_atoms(&self.atoms, &self.config) {
+        match check_atoms(&self.atoms) {
             LiaResult::Sat(values) => TheoryVerdict::Sat(values),
             LiaResult::Unsat => {
                 self.stats.conflicts += 1;
@@ -1149,7 +1125,7 @@ mod tests {
     }
 
     fn check(atoms: &[Atom]) -> LiaResult {
-        check_atoms(atoms, &LiaConfig::default())
+        check_atoms(atoms)
     }
 
     #[test]
@@ -1309,7 +1285,7 @@ mod tests {
             Atom::new(x(0), CmpOp::Ne, x(1)),
         ];
         let problem = LiaProblem::from_atoms(&atoms).expect("builds");
-        match check_problem(&problem, &LiaConfig::default()) {
+        match check_problem(&problem) {
             LiaResult::Sat(model) => assert!(problem.satisfied_by(&model)),
             other => panic!("expected sat, got {other:?}"),
         }

@@ -155,7 +155,8 @@ pub enum Validity {
 /// Configuration for [`Solver`].
 #[derive(Debug, Clone, Copy)]
 pub struct SolverConfig {
-    /// Theory-level configuration (iteration limits, value bounds).
+    /// Theory-level configuration (iteration limit, clause-DB reduction, DL
+    /// routing).
     pub theory: TheoryConfig,
     /// Which engine runs the satisfiability checks (default:
     /// [`CoreMode::Persistent`]).

@@ -9,7 +9,7 @@ use std::collections::BTreeMap;
 use crate::cnf::{assert_formula, AtomMap};
 use crate::dl::DlSolver;
 use crate::formula::{Atom, Formula};
-use crate::lia::{check_atom_refs, LiaConfig, LiaResult};
+use crate::lia::{check_atom_refs, LiaResult};
 use crate::model::Model;
 use crate::probes;
 use crate::sat::{Lit, SatResult as PropResult, SatSolver};
@@ -126,7 +126,7 @@ pub(crate) fn dispatch_check(atoms: &[&Atom], config: &TheoryConfig) -> Dispatch
     }
     probes::bump(|p| p.theory_dispatch_lia += 1);
     Dispatched {
-        result: check_atom_refs(atoms, &config.lia),
+        result: check_atom_refs(atoms),
         explanation: None,
     }
 }
@@ -167,8 +167,6 @@ impl SmtResult {
 pub struct TheoryConfig {
     /// Theory-check iterations before giving up.
     pub max_iterations: u32,
-    /// Configuration of the LIA model search.
-    pub lia: LiaConfig,
     /// Overrides the learnt-database size that first triggers a clause-DB
     /// reduction in the CDCL core (`None` keeps the built-in threshold).
     /// A tiny limit forces reductions even on small formulas, which is how
@@ -185,7 +183,6 @@ impl Default for TheoryConfig {
     fn default() -> Self {
         TheoryConfig {
             max_iterations: 256,
-            lia: LiaConfig::default(),
             sat_reduce_limit: None,
             theory_dl: true,
         }

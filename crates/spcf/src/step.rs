@@ -54,8 +54,8 @@ impl State {
 pub struct StepOptions {
     /// Use `case` maps to memoise applications of opaque first-order
     /// functions (the paper's completeness device). Disabling this recovers
-    /// the behaviour of the original SCPCF semantics and is exposed for the
-    /// ablation benchmark.
+    /// the behaviour of the original SCPCF semantics; `tests/worked_example.rs`
+    /// switches it off to show the spurious path the device removes.
     pub use_case_maps: bool,
 }
 

@@ -2,7 +2,10 @@
 //! every program in every corpus group, analyzing with `workers = 1` and
 //! `workers = 4` must produce identical per-export verdicts in identical report order, for both the
 //! correct and the faulty variant — and every counterexample the analysis
-//! reports must carry a concrete, re-run-confirmed validation.
+//! reports must carry a concrete, re-run-confirmed validation. A
+//! counterexample against a *correct* variant fails the test too: a
+//! confirmed blame of a module the corpus declares correct means the corpus
+//! row is wrong (or validation is unsound).
 //!
 //! The equivalence compares verdict *classifications* (plus blame and
 //! validation status), not counterexample bindings: bindings come from a
@@ -24,14 +27,20 @@ fn quick_options(workers: usize) -> AnalyzeOptions {
 
 /// Asserts the invariant the analyzer promises for `validate: true` runs:
 /// a `Counterexample` verdict is only ever reported after the concrete
-/// re-run confirmed the blame, so `validated` must be set on every row.
-fn assert_counterexamples_validated(report: &ModuleReport, program: &str, variant: &str) {
+/// re-run confirmed the blame, so `validated` must be set on every row —
+/// and a correct variant has no such row.
+fn assert_counterexamples_sound(report: &ModuleReport, program: &str, variant: &str) {
     for (export, analysis) in &report.exports {
         if let ExportAnalysis::Counterexample(cex) = analysis {
             assert!(
                 cex.validated,
                 "{program} ({variant} variant), export {export}: \
                  unvalidated counterexample reported: {cex:?}"
+            );
+            assert_ne!(
+                variant, "correct",
+                "{program} (correct variant), export {export}: \
+                 validated counterexample against the correct variant: {cex:?}"
             );
         }
     }
@@ -83,8 +92,8 @@ fn sequential_and_sharded_analyses_agree_corpus_wide() {
                 "{} ({variant} variant): workers=1 and workers=4 disagree",
                 program.name,
             );
-            assert_counterexamples_validated(&sequential, program.name, variant);
-            assert_counterexamples_validated(&sharded, program.name, variant);
+            assert_counterexamples_sound(&sequential, program.name, variant);
+            assert_counterexamples_sound(&sharded, program.name, variant);
             checked += 1;
         }
     }
