@@ -18,7 +18,10 @@
 //! in `DIR` (verdicts and theory lemmas survive the process: the first run
 //! populates it, later runs warm-start from it — see the store section of
 //! this crate's README); `--incremental` additionally skips exports whose
-//! dependency-cone hash already has a stored verdict (requires `--store`);
+//! dependency-cone hash already has a stored verdict (requires `--store`),
+//! and warm-starts stored lemmas only for modules with an export left to
+//! re-analyse, so a rerun with nothing edited reports
+//! `lemmas_warm_started` 0;
 //! `--timing` appends a per-row and aggregate wall-clock table (monotonic
 //! clock); `--json` emits the machine-readable report (per-row and
 //! aggregate stats — including retraction, heap snapshot/sharing,

@@ -121,7 +121,9 @@ cpcf::counters! {
         /// cache whose epoch is advanced between them).
         cross_variant_cache_hits,
         /// Stored theory lemmas re-published into the program's lemma pool
-        /// before analysis (zero without `--store`, and on the cold run).
+        /// before analysis, as the analyzer's warm starts report them (zero
+        /// without `--store`, on the cold run, and when `--incremental`
+        /// skips every export of both variants).
         lemmas_warm_started,
         /// Exports answered straight from the store because their
         /// dependency-cone hash was unchanged (zero without `--incremental`).
@@ -241,13 +243,29 @@ pub fn contract_order(contract: &Expr) -> u32 {
     }
 }
 
+/// Analyses one variant. The returned [`RowCounters`] carry the variant's
+/// store effects; the cross-variant count is the caller's.
 fn analyze_variant(
     source: &str,
     options: &BenchOptions,
-) -> (Verdict, u128, u32, SessionStats, Vec<SessionStats>, u64) {
+) -> (
+    Verdict,
+    u128,
+    u32,
+    SessionStats,
+    Vec<SessionStats>,
+    RowCounters,
+) {
     let start = Instant::now();
     let Ok((program, _)) = cpcf::parse_program(source) else {
-        return (Verdict::ParseError, 0, 0, SessionStats::ZERO, Vec::new(), 0);
+        return (
+            Verdict::ParseError,
+            0,
+            0,
+            SessionStats::ZERO,
+            Vec::new(),
+            RowCounters::ZERO,
+        );
     };
     let module_name = program
         .modules
@@ -288,7 +306,11 @@ fn analyze_variant(
         order,
         report.stats,
         report.worker_stats,
-        report.skipped.len() as u64,
+        RowCounters {
+            lemmas_warm_started: report.lemmas_warm_started,
+            exports_skipped: report.skipped.len() as u64,
+            ..RowCounters::ZERO
+        },
     )
 }
 
@@ -314,17 +336,10 @@ pub fn run_program(program: &BenchProgram, options: &BenchOptions) -> ProgramRes
     if options.analyze.shared_lemmas.is_none() && cpcf::default_lemma_sharing() {
         options.analyze.shared_lemmas = Some(cpcf::SharedLemmaPool::new());
     }
-    // Warm-start the program's lemma pool from the store up front so the
-    // per-program count is attributable (the scheduler's own warm start is
-    // content-deduplicated, so it then re-publishes nothing).
-    let mut lemmas_warm_started = 0;
-    if let (Some(store), Some(pool)) = (&options.analyze.store, &options.analyze.shared_lemmas) {
-        lemmas_warm_started = store.warm_start_lemmas(pool);
-    }
-    let (correct_verdict, correct_ms, order, mut stats, mut worker_summaries, correct_skipped) =
+    let (correct_verdict, correct_ms, order, mut stats, mut worker_summaries, mut counters) =
         analyze_variant(program.correct, &options);
     cache.advance_epoch();
-    let (faulty_verdict, faulty_ms, faulty_order, faulty_stats, faulty_workers, faulty_skipped) =
+    let (faulty_verdict, faulty_ms, faulty_order, faulty_stats, faulty_workers, faulty_counters) =
         analyze_variant(program.faulty, &options);
     eprintln!(
         "[table1]   {}: correct {:?} in {} ms, faulty {:?} in {} ms",
@@ -338,6 +353,8 @@ pub fn run_program(program: &BenchProgram, options: &BenchOptions) -> ProgramRes
     for (slot, worker) in worker_summaries.iter_mut().zip(&faulty_workers) {
         slot.merge(worker);
     }
+    counters.merge(&faulty_counters);
+    counters.cross_variant_cache_hits = cache.cross_epoch_hits();
     ProgramResult {
         name: program.name.to_string(),
         group: program.group.title().to_string(),
@@ -350,11 +367,7 @@ pub fn run_program(program: &BenchProgram, options: &BenchOptions) -> ProgramRes
         expected_unsolved: program.expected_unsolved,
         stats,
         worker_summaries,
-        counters: RowCounters {
-            cross_variant_cache_hits: cache.cross_epoch_hits(),
-            lemmas_warm_started,
-            exports_skipped: correct_skipped + faulty_skipped,
-        },
+        counters,
     }
 }
 

@@ -68,11 +68,13 @@ pub struct AnalyzeOptions {
     /// `Some` pins an explicit pool regardless of the environment.
     pub shared_lemmas: Option<SharedLemmaPool>,
     /// A persistent [`crate::AnalysisStore`]. When set, the scheduler
-    /// warm-starts the lemma pool from it before analyzing, records every
-    /// freshly computed per-export verdict under its dependency-cone hash
-    /// ([`export_cone_hash`]), and records new lemmas after the run. (The
-    /// *verdict-cache* tier is wired separately: build the shared cache
-    /// with [`SharedVerdictCache::with_store`].)
+    /// warm-starts the lemma pool from it before analyzing — only when some
+    /// export is re-analysed, so a run that reuses every stored cone leaves
+    /// the pool alone — records every freshly computed per-export verdict
+    /// under its dependency-cone hash ([`export_cone_hash`]), and records
+    /// new lemmas after the run. (The *verdict-cache* tier is wired
+    /// separately: build the shared cache with
+    /// [`SharedVerdictCache::with_store`].)
     pub store: Option<crate::store::AnalysisStore>,
     /// Incremental re-verification: when `store` is set, exports whose
     /// dependency-cone hash matches a stored verdict are skipped entirely
@@ -174,6 +176,11 @@ pub struct ModuleReport {
     /// subset of the `exports` names, in module order). Empty outside
     /// [`AnalyzeOptions::incremental`] runs.
     pub skipped: Vec<String>,
+    /// Stored theory lemmas the run warm-started into its lemma pool (those
+    /// new to the pool). Zero without a store and a pool, and when every
+    /// export was skipped: the pool is warm-started only when an export is
+    /// re-analysed.
+    pub lemmas_warm_started: u64,
 }
 
 impl ModuleReport {
@@ -212,16 +219,10 @@ pub fn analyze_module(
             stats: SessionStats::default(),
             worker_stats: Vec::new(),
             skipped: Vec::new(),
+            lemmas_warm_started: 0,
         };
     };
-    let (exports, stats, worker_stats, skipped) = scheduler::run_exports(program, module, options);
-    ModuleReport {
-        module: module_name.to_string(),
-        exports,
-        stats,
-        worker_stats,
-        skipped,
-    }
+    scheduler::run_exports(program, module, options)
 }
 
 /// Convenience: parse and analyze source text, returning the report of the

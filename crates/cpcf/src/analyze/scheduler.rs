@@ -24,24 +24,14 @@ use crate::prove::SessionStats;
 use crate::syntax::{Module, Program};
 
 use super::export::{analyze_export, new_session};
-use super::{AnalyzeOptions, ExportAnalysis};
-
-/// What a sharded module run produces: the per-export verdicts in module
-/// order, the merged statistics, the per-worker statistics in worker-index
-/// order, and the names of exports skipped by incremental re-verification.
-pub(super) type ExportRun = (
-    Vec<(String, ExportAnalysis)>,
-    SessionStats,
-    Vec<SessionStats>,
-    Vec<String>,
-);
+use super::{AnalyzeOptions, ExportAnalysis, ModuleReport};
 
 /// Runs every export of `module`, sharded over `options.workers` threads.
 pub(super) fn run_exports(
     program: &Program,
     module: &Module,
     options: &AnalyzeOptions,
-) -> ExportRun {
+) -> ModuleReport {
     let export_count = module.provides.len();
     // Resolve lemma sharing once per module run: every worker session (and
     // every throwaway validation session they spawn) gets a handle to the
@@ -54,13 +44,6 @@ pub(super) fn run_exports(
     }
     let options = &options;
     let store = options.store.clone();
-    // Warm-start the lemma pool from disk before any session exists: stored
-    // theory lemmas are universally valid arithmetic facts, so the first
-    // CDCL search of this run already begins with the previous run's
-    // learned blocking clauses.
-    if let (Some(store), Some(pool)) = (&store, &options.shared_lemmas) {
-        store.warm_start_lemmas(pool);
-    }
 
     // Dependency-cone hashes, computed once per export whenever a store is
     // attached: incremental mode reads them to skip unchanged cones, and
@@ -97,6 +80,16 @@ pub(super) fn run_exports(
             None => pending.push(index),
         }
     }
+
+    // Warm-start the lemma pool from disk before any session exists, and
+    // only when some export is re-analysed: stored theory lemmas are
+    // universally valid arithmetic facts, so the first CDCL search of this
+    // run already begins with the previous run's learned blocking clauses,
+    // while a run that only reads stored cones never touches the pool.
+    let lemmas_warm_started = match (&store, &options.shared_lemmas) {
+        (Some(store), Some(pool)) if !pending.is_empty() => store.warm_start_lemmas(pool),
+        _ => 0,
+    };
 
     // `workers: 0` means "auto" (one worker per hardware thread); whatever
     // the request resolves to is then capped by the amount of actual work.
@@ -163,7 +156,14 @@ pub(super) fn run_exports(
     for per_worker in &worker_stats {
         stats.merge(per_worker);
     }
-    (exports, stats, worker_stats, skipped)
+    ModuleReport {
+        module: module.name.clone(),
+        exports,
+        stats,
+        worker_stats,
+        skipped,
+        lemmas_warm_started,
+    }
 }
 
 /// What one worker produced: verdicts tagged with their export index, plus

@@ -306,7 +306,7 @@ impl SharedVerdictCache {
             shard.entry(key).or_insert((epoch, proof));
         }
         match (&self.inner.persist, key_bytes) {
-            (Some(persist), Some(bytes)) => persist.record_verdict(bytes, proof),
+            (Some(persist), Some(bytes)) => persist.record_verdict(&bytes, proof),
             _ => false,
         }
     }

@@ -41,13 +41,19 @@
 //! Three identities make persistence sound:
 //!
 //! * **Verdicts** are keyed by the serialized `(fingerprint, generation,
-//!   query)` bytes. Map keys are the full byte strings (not hashes of
-//!   them), so a stored verdict is returned only for byte-identical keys.
+//!   query)` bytes. They live in an index rather than a map of boxed keys:
+//!   every key's bytes sit back to back in one buffer, and an FNV-1a hash
+//!   of the key leads to its entry (colliding keys chain). A lookup
+//!   compares the full key bytes, so a stored verdict is returned only for
+//!   a byte-identical key.
 //! * **Lemmas** are serialized by atom *content* ([`folic::Atom`]
 //!   structure), never by [`folic::AtomId`]: atom ids are process-local
 //!   (the global registry numbers atoms in first-sight order), so ids are
 //!   resolved through [`folic::global_atom`] on the way out and re-interned
-//!   through a fresh [`folic::Arena`] on the way in.
+//!   through a scratch [`folic::Arena`] on the way in. That interning
+//!   happens once per store handle, at the first warm start: global atom
+//!   ids are stable for the life of the process, so every later warm start
+//!   only publishes the cached ids.
 //! * **Engine configuration** is fingerprinted ([`EngineFingerprint`]) over
 //!   every setting and budget that can change a verdict (the solver
 //!   configuration, the `CPCF_LEMMA_SHARING` gate, eval budgets, context
@@ -64,13 +70,14 @@
 //! and the program's struct declarations; an edit outside that cone leaves
 //! the hash unchanged and the stored verdict reusable.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
-use folic::{Arena, Atom, CmpOp, Proof, SharedLemmaPool, Term, Var};
+use folic::{Arena, Atom, AtomId, CmpOp, Proof, SharedLemmaPool, Term, Var};
 
 use crate::analyze::ExportAnalysis;
 use crate::cex::Counterexample;
@@ -117,7 +124,7 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
 /// CRC-32 (IEEE 802.3 polynomial, reflected), table-driven. Guards every
 /// record payload so torn writes and bit rot are detected on load.
 fn crc32(bytes: &[u8]) -> u32 {
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
+    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
     let table = TABLE.get_or_init(|| {
         let mut table = [0u32; 256];
         for (i, entry) in table.iter_mut().enumerate() {
@@ -889,14 +896,136 @@ folic::counters! {
     }
 }
 
+/// The verdict tier: every key's bytes back to back in one buffer, one
+/// entry per key, and an FNV-1a hash → entry map whose colliding keys chain
+/// through the entries. Loading it costs three allocations rather than one
+/// boxed key per verdict, and dropping it three frees.
+#[derive(Debug)]
+struct VerdictIndex {
+    /// The bytes of every key, loaded and appended.
+    keys: Vec<u8>,
+    entries: Vec<VerdictEntry>,
+    /// Key hash → the most recently inserted entry with that hash.
+    heads: HashMap<u64, u32>,
+}
+
+/// One stored verdict. Offsets and links are `u32`, so an entry takes 20
+/// bytes, less than the boxed key it replaces.
+#[derive(Debug)]
+struct VerdictEntry {
+    /// The key's byte range in [`VerdictIndex::keys`].
+    start: u32,
+    end: u32,
+    /// The previously inserted entry with the same key hash, if any.
+    next: Option<u32>,
+    proof: Proof,
+}
+
+impl VerdictIndex {
+    /// An empty index with room for `records` keys of `key_bytes` bytes in
+    /// total, so loading a file never regrows it.
+    fn with_capacity(records: usize, key_bytes: usize) -> Self {
+        VerdictIndex {
+            keys: Vec::with_capacity(key_bytes),
+            entries: Vec::with_capacity(records),
+            heads: HashMap::with_capacity(records),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    fn get(&self, key: &[u8]) -> Option<Proof> {
+        self.get_hashed(fnv1a(key), key)
+    }
+
+    fn get_hashed(&self, hash: u64, key: &[u8]) -> Option<Proof> {
+        let head = self.heads.get(&hash).copied();
+        chain_find(&self.entries, &self.keys, head, key).map(|index| self.entries[index].proof)
+    }
+
+    /// Records `key`'s verdict unless the key is already present; returns
+    /// whether it was new.
+    fn insert(&mut self, key: &[u8], proof: Proof) -> bool {
+        self.insert_hashed(fnv1a(key), key, proof).is_none()
+    }
+
+    /// Applies a verdict read back from the log: replaying in file order, a
+    /// key appended twice (by two processes) keeps its later verdict.
+    fn replay(&mut self, key: &[u8], proof: Proof) {
+        if let Some(stored) = self.insert_hashed(fnv1a(key), key, proof) {
+            *stored = proof;
+        }
+    }
+
+    /// Adds `key` → `proof` under `hash` as the new head of the hash's
+    /// chain and returns `None`; a key already present keeps its entry,
+    /// whose verdict is returned instead. An index past 4 GiB of keys or
+    /// 2³² entries, beyond what `u32` offsets reach, stops indexing new
+    /// keys, which only costs misses. The hash is a parameter so tests can
+    /// chain two keys without searching for an FNV-1a collision.
+    fn insert_hashed(&mut self, hash: u64, key: &[u8], proof: Proof) -> Option<&mut Proof> {
+        let (Ok(start), Ok(end), Ok(index)) = (
+            u32::try_from(self.keys.len()),
+            u32::try_from(self.keys.len() + key.len()),
+            u32::try_from(self.entries.len()),
+        ) else {
+            return None;
+        };
+        let next = match self.heads.entry(hash) {
+            Entry::Vacant(head) => {
+                head.insert(index);
+                None
+            }
+            Entry::Occupied(mut head) => {
+                let chain = Some(*head.get());
+                if let Some(existing) = chain_find(&self.entries, &self.keys, chain, key) {
+                    return Some(&mut self.entries[existing].proof);
+                }
+                Some(head.insert(index))
+            }
+        };
+        self.keys.extend_from_slice(key);
+        self.entries.push(VerdictEntry {
+            start,
+            end,
+            next,
+            proof,
+        });
+        None
+    }
+}
+
+/// Walks a hash chain of `entries` from `cursor` to the entry holding
+/// exactly `key`.
+fn chain_find(
+    entries: &[VerdictEntry],
+    keys: &[u8],
+    mut cursor: Option<u32>,
+    key: &[u8],
+) -> Option<usize> {
+    while let Some(index) = cursor {
+        let entry = &entries[index as usize];
+        if keys[entry.start as usize..entry.end as usize] == *key {
+            return Some(index as usize);
+        }
+        cursor = entry.next;
+    }
+    None
+}
+
 #[derive(Debug)]
 struct StoreInner {
     path: PathBuf,
     fingerprint: EngineFingerprint,
     /// Persisted verdicts, keyed by the serialized cache-key bytes.
-    verdicts: RwLock<HashMap<Box<[u8]>, Proof>>,
-    /// Lemmas loaded from disk, by content, awaiting warm starts.
-    loaded_lemmas: Mutex<Vec<Vec<Atom>>>,
+    verdicts: RwLock<VerdictIndex>,
+    /// Lemmas loaded from disk, by content.
+    loaded_lemmas: Vec<Vec<Atom>>,
+    /// `loaded_lemmas` as process-global atom ids, interned by the first
+    /// warm start and only published by later ones.
+    interned_lemmas: OnceLock<Vec<Vec<AtomId>>>,
     /// Canonical byte forms of every lemma on disk (loaded or appended), so
     /// re-recording is idempotent.
     lemma_seen: Mutex<HashSet<Box<[u8]>>>,
@@ -934,44 +1063,48 @@ impl AnalysisStore {
         std::fs::create_dir_all(dir)?;
         let path = dir.join(format!("store-{:016x}.bin", fingerprint.0));
 
-        let mut verdicts = HashMap::new();
-        let mut loaded_lemmas = Vec::new();
-        let mut lemma_seen = HashSet::new();
-        let mut cones = HashMap::new();
-
         let existing = std::fs::read(&path).unwrap_or_default();
         let header_ok = existing.len() >= HEADER_LEN
             && existing[..8] == MAGIC
             && u32::from_le_bytes(existing[8..12].try_into().expect("4 bytes")) == SCHEMA_VERSION
             && u64::from_le_bytes(existing[12..HEADER_LEN].try_into().expect("8 bytes"))
                 == fingerprint.0;
-        let mut valid_end = HEADER_LEN;
-        if header_ok {
-            let mut pos = HEADER_LEN;
-            while let Some(frame) = existing.get(pos..pos + 8) {
-                let len = u32::from_le_bytes(frame[..4].try_into().expect("4 bytes")) as usize;
-                let crc = u32::from_le_bytes(frame[4..].try_into().expect("4 bytes"));
-                if len == 0 || len > MAX_RECORD {
-                    break;
-                }
-                let Some(payload) = existing.get(pos + 8..pos + 8 + len) else {
-                    break;
-                };
-                if crc32(payload) != crc {
-                    break;
-                }
-                if !apply_record(
-                    payload,
-                    &mut verdicts,
-                    &mut loaded_lemmas,
-                    &mut lemma_seen,
-                    &mut cones,
-                ) {
-                    break;
-                }
-                pos += 8 + len;
-                valid_end = pos;
+        let records = if header_ok {
+            &existing[HEADER_LEN..]
+        } else {
+            &[][..]
+        };
+        // First the CRCs: the longest prefix of CRC-valid records, counting
+        // the verdict records (a tag, a proof and the key) on the way so the
+        // index is sized once.
+        let (mut crc_valid, mut verdict_records, mut key_bytes) = (0, 0, 0);
+        for (crc, payload) in frames(records) {
+            if crc32(payload) != crc {
+                break;
             }
+            crc_valid += 8 + payload.len();
+            if payload[0] == REC_VERDICT {
+                verdict_records += 1;
+                key_bytes += payload.len().saturating_sub(2);
+            }
+        }
+        // Then the decoding.
+        let mut verdicts = VerdictIndex::with_capacity(verdict_records, key_bytes);
+        let mut loaded_lemmas = Vec::new();
+        let mut lemma_seen = HashSet::new();
+        let mut cones = HashMap::new();
+        let mut valid_end = HEADER_LEN;
+        for (_, payload) in frames(&records[..crc_valid]) {
+            if !apply_record(
+                payload,
+                &mut verdicts,
+                &mut loaded_lemmas,
+                &mut lemma_seen,
+                &mut cones,
+            ) {
+                break;
+            }
+            valid_end += 8 + payload.len();
         }
 
         let file = if header_ok {
@@ -996,7 +1129,8 @@ impl AnalysisStore {
                 path,
                 fingerprint,
                 verdicts: RwLock::new(verdicts),
-                loaded_lemmas: Mutex::new(loaded_lemmas),
+                loaded_lemmas,
+                interned_lemmas: OnceLock::new(),
                 lemma_seen: Mutex::new(lemma_seen),
                 cones: RwLock::new(cones),
                 writer: Mutex::new(BufWriter::new(file)),
@@ -1063,13 +1197,7 @@ impl AnalysisStore {
 
     /// The persisted verdict for the serialized cache key, if any.
     pub(crate) fn lookup_verdict(&self, key: &[u8]) -> Option<Proof> {
-        let proof = self
-            .inner
-            .verdicts
-            .read()
-            .expect("store poisoned")
-            .get(key)
-            .copied();
+        let proof = self.inner.verdicts.read().expect("store poisoned").get(key);
         match proof {
             Some(proof) => {
                 self.count(|c| c.store_hits += 1);
@@ -1084,44 +1212,42 @@ impl AnalysisStore {
 
     /// Persists a verdict; returns `true` when the key was new (and a
     /// record was appended).
-    pub(crate) fn record_verdict(&self, key: Vec<u8>, proof: Proof) -> bool {
-        {
-            let mut verdicts = self.inner.verdicts.write().expect("store poisoned");
-            match verdicts.entry(key.clone().into_boxed_slice()) {
-                std::collections::hash_map::Entry::Occupied(_) => return false,
-                std::collections::hash_map::Entry::Vacant(entry) => {
-                    entry.insert(proof);
-                }
-            }
+    pub(crate) fn record_verdict(&self, key: &[u8], proof: Proof) -> bool {
+        let is_new = self
+            .inner
+            .verdicts
+            .write()
+            .expect("store poisoned")
+            .insert(key, proof);
+        if !is_new {
+            return false;
         }
         let mut enc = Enc::new();
         enc.u8(REC_VERDICT);
         encode_proof(&mut enc, proof);
         let mut payload = enc.into_bytes();
-        payload.extend_from_slice(&key);
+        payload.extend_from_slice(key);
         self.append(&payload);
         self.count(|c| c.store_writes += 1);
         true
     }
 
-    /// Re-publishes every stored lemma into `pool`, re-interning the atoms
-    /// through a scratch [`Arena`] (which registers them process-globally,
-    /// so sibling cores can adopt the resulting ids). Returns how many
+    /// Re-publishes every stored lemma into `pool`, in file order. The
+    /// first call on a handle interns the loaded atoms through a scratch
+    /// [`Arena`], which registers them process-globally so sibling cores can
+    /// adopt the resulting ids; global ids are stable for the life of the
+    /// process, so later calls publish the cached ids. Returns how many
     /// lemmas were new to the pool.
     pub fn warm_start_lemmas(&self, pool: &SharedLemmaPool) -> u64 {
-        let lemmas = self.inner.loaded_lemmas.lock().expect("store poisoned");
-        if lemmas.is_empty() {
-            return 0;
-        }
-        let mut arena = Arena::new();
-        let mut published = 0u64;
-        for atoms in lemmas.iter() {
-            let ids: Vec<folic::AtomId> =
-                atoms.iter().map(|atom| arena.intern_atom(atom)).collect();
-            if pool.publish(&ids) {
-                published += 1;
-            }
-        }
+        let lemmas = self.inner.interned_lemmas.get_or_init(|| {
+            let mut arena = Arena::new();
+            self.inner
+                .loaded_lemmas
+                .iter()
+                .map(|atoms| atoms.iter().map(|atom| arena.intern_atom(atom)).collect())
+                .collect()
+        });
+        let published = lemmas.iter().filter(|ids| pool.publish(ids)).count() as u64;
         self.count(|c| c.lemmas_warm_started += published);
         published
     }
@@ -1200,12 +1326,29 @@ impl AnalysisStore {
     }
 }
 
+/// The `(crc, payload)` frames at the start of `records`, up to the first
+/// frame whose length field is zero, oversized or runs past the end.
+fn frames(records: &[u8]) -> impl Iterator<Item = (u32, &[u8])> {
+    let mut pos = 0;
+    std::iter::from_fn(move || {
+        let frame = records.get(pos..pos + 8)?;
+        let len = u32::from_le_bytes(frame[..4].try_into().expect("4 bytes")) as usize;
+        let crc = u32::from_le_bytes(frame[4..].try_into().expect("4 bytes"));
+        if len == 0 || len > MAX_RECORD {
+            return None;
+        }
+        let payload = records.get(pos + 8..pos + 8 + len)?;
+        pos += 8 + len;
+        Some((crc, payload))
+    })
+}
+
 /// Applies one CRC-valid record payload to the in-memory maps. Returns
 /// `false` when the payload does not decode — the load stops there and the
 /// tail is truncated, exactly like a CRC failure.
 fn apply_record(
     payload: &[u8],
-    verdicts: &mut HashMap<Box<[u8]>, Proof>,
+    verdicts: &mut VerdictIndex,
     loaded_lemmas: &mut Vec<Vec<Atom>>,
     lemma_seen: &mut HashSet<Box<[u8]>>,
     cones: &mut HashMap<(String, String, u64), ExportAnalysis>,
@@ -1220,7 +1363,7 @@ fn apply_record(
             if key.is_empty() {
                 return false;
             }
-            verdicts.insert(key.to_vec().into_boxed_slice(), proof);
+            verdicts.replay(key, proof);
             true
         }
         Some(REC_LEMMA) => {
@@ -1331,10 +1474,10 @@ mod tests {
         let dir = temp_store_dir("roundtrip");
         {
             let store = AnalysisStore::open(&dir, fp(1)).expect("open");
-            assert!(store.record_verdict(sample_key(0), Proof::Proved));
-            assert!(store.record_verdict(sample_key(1), Proof::Refuted));
+            assert!(store.record_verdict(&sample_key(0), Proof::Proved));
+            assert!(store.record_verdict(&sample_key(1), Proof::Refuted));
             assert!(
-                !store.record_verdict(sample_key(0), Proof::Proved),
+                !store.record_verdict(&sample_key(0), Proof::Proved),
                 "re-recording is deduplicated"
             );
             let pool = SharedLemmaPool::new();
@@ -1372,11 +1515,117 @@ mod tests {
     }
 
     #[test]
+    fn verdict_lookups_match_whole_keys_only() {
+        let dir = temp_store_dir("whole-keys");
+        let key = sample_key(3);
+        {
+            let store = AnalysisStore::open(&dir, fp(7)).expect("open");
+            assert!(store.record_verdict(&key, Proof::Refuted));
+            store.flush();
+        }
+        let store = AnalysisStore::open(&dir, fp(7)).expect("reopen");
+        let prefix = &key[..key.len() - 1];
+        let mut extension = key.clone();
+        extension.push(0);
+        let mut last_byte = key.clone();
+        *last_byte.last_mut().expect("keys are non-empty") ^= 1;
+        for near_miss in [prefix, &extension, &last_byte] {
+            assert_eq!(store.lookup_verdict(near_miss), None, "{near_miss:?}");
+        }
+        assert_eq!(store.lookup_verdict(&key), Some(Proof::Refuted));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn verdicts_recorded_after_open_are_found_and_survive_reopen() {
+        let dir = temp_store_dir("after-open");
+        {
+            let store = AnalysisStore::open(&dir, fp(8)).expect("open");
+            for i in 0..3 {
+                assert!(store.record_verdict(&sample_key(i), Proof::Proved));
+            }
+            store.flush();
+        }
+        {
+            let store = AnalysisStore::open(&dir, fp(8)).expect("reopen");
+            assert!(
+                !store.record_verdict(&sample_key(1), Proof::Refuted),
+                "a loaded key is not recorded again"
+            );
+            for i in 3..6 {
+                assert!(store.record_verdict(&sample_key(i), Proof::Ambiguous));
+                assert_eq!(store.lookup_verdict(&sample_key(i)), Some(Proof::Ambiguous));
+            }
+            assert_eq!(store.lookup_verdict(&sample_key(1)), Some(Proof::Proved));
+            assert_eq!(store.verdict_count(), 6);
+            store.flush();
+        }
+        let store = AnalysisStore::open(&dir, fp(8)).expect("third open");
+        assert_eq!(store.verdict_count(), 6);
+        for i in 0..6 {
+            let expected = if i < 3 {
+                Proof::Proved
+            } else {
+                Proof::Ambiguous
+            };
+            assert_eq!(store.lookup_verdict(&sample_key(i)), Some(expected));
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn keys_sharing_a_hash_chain_and_are_both_found() {
+        let mut index = VerdictIndex::with_capacity(0, 0);
+        let (first, second, absent) = (sample_key(0), sample_key(1), sample_key(2));
+        assert!(index.insert_hashed(7, &first, Proof::Proved).is_none());
+        assert!(index.insert_hashed(7, &second, Proof::Refuted).is_none());
+        assert_eq!(index.get_hashed(7, &first), Some(Proof::Proved));
+        assert_eq!(index.get_hashed(7, &second), Some(Proof::Refuted));
+        assert_eq!(index.get_hashed(7, &absent), None);
+        assert_eq!(
+            index.insert_hashed(7, &first, Proof::Ambiguous).copied(),
+            Some(Proof::Proved),
+            "a chained key already present keeps its entry"
+        );
+        assert_eq!(index.len(), 2);
+    }
+
+    #[test]
+    fn warm_starts_into_fresh_pools_publish_the_same_lemmas_in_order() {
+        let dir = temp_store_dir("warm-order");
+        {
+            let store = AnalysisStore::open(&dir, fp(9)).expect("open");
+            let pool = SharedLemmaPool::new();
+            let mut arena = Arena::new();
+            for i in 0..4 {
+                let ids: Vec<_> = (i..i + 2)
+                    .map(|j| arena.intern_atom(&sample_atom(100 + j)))
+                    .collect();
+                pool.publish(&ids);
+            }
+            assert_eq!(store.record_lemmas(&pool, 0), 4);
+            store.flush();
+        }
+        let store = AnalysisStore::open(&dir, fp(9)).expect("reopen");
+        let (first, second) = (SharedLemmaPool::new(), SharedLemmaPool::new());
+        assert_eq!(store.warm_start_lemmas(&first), 4);
+        assert_eq!(store.warm_start_lemmas(&second), 4);
+        assert_eq!(
+            store.warm_start_lemmas(&second),
+            0,
+            "the pool already holds them"
+        );
+        assert_eq!(first.fetch_from(0).0, second.fetch_from(0).0);
+        assert_eq!(store.counters().lemmas_warm_started, 8);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn schema_mismatch_is_a_cold_start() {
         let dir = temp_store_dir("schema");
         let path = {
             let store = AnalysisStore::open(&dir, fp(2)).expect("open");
-            store.record_verdict(sample_key(0), Proof::Proved);
+            store.record_verdict(&sample_key(0), Proof::Proved);
             store.flush();
             store.path().to_path_buf()
         };
@@ -1387,7 +1636,7 @@ mod tests {
         let store = AnalysisStore::open(&dir, fp(2)).expect("reopen");
         assert_eq!(store.verdict_count(), 0, "newer schema loads cold");
         // The rewritten file is usable again.
-        assert!(store.record_verdict(sample_key(5), Proof::Ambiguous));
+        assert!(store.record_verdict(&sample_key(5), Proof::Ambiguous));
         store.flush();
         let store = AnalysisStore::open(&dir, fp(2)).expect("third open");
         assert_eq!(store.lookup_verdict(&sample_key(5)), Some(Proof::Ambiguous));
@@ -1399,7 +1648,7 @@ mod tests {
         let dir = temp_store_dir("fingerprint");
         let path = {
             let store = AnalysisStore::open(&dir, fp(3)).expect("open");
-            store.record_verdict(sample_key(0), Proof::Proved);
+            store.record_verdict(&sample_key(0), Proof::Proved);
             store.flush();
             store.path().to_path_buf()
         };
@@ -1423,7 +1672,7 @@ mod tests {
         let a = AnalysisStore::open(&dir, fp(10)).expect("open a");
         let b = AnalysisStore::open(&dir, fp(11)).expect("open b");
         assert_ne!(a.path(), b.path());
-        a.record_verdict(sample_key(0), Proof::Proved);
+        a.record_verdict(&sample_key(0), Proof::Proved);
         a.flush();
         assert_eq!(
             b.lookup_verdict(&sample_key(0)),
@@ -1439,7 +1688,7 @@ mod tests {
         let path = {
             let store = AnalysisStore::open(&dir, fp(4)).expect("open");
             for i in 0..3 {
-                store.record_verdict(sample_key(i), Proof::Proved);
+                store.record_verdict(&sample_key(i), Proof::Proved);
             }
             store.flush();
             store.path().to_path_buf()
@@ -1448,7 +1697,7 @@ mod tests {
         std::fs::write(&path, &bytes[..bytes.len() - 3]).expect("truncate");
         let store = AnalysisStore::open(&dir, fp(4)).expect("reopen");
         assert_eq!(store.verdict_count(), 2, "only the torn record is lost");
-        assert!(store.record_verdict(sample_key(3), Proof::Refuted));
+        assert!(store.record_verdict(&sample_key(3), Proof::Refuted));
         store.flush();
         let store = AnalysisStore::open(&dir, fp(4)).expect("third open");
         assert_eq!(
@@ -1474,7 +1723,7 @@ mod tests {
             let store = AnalysisStore::open(&dir, fp(5)).expect("open");
             assert_eq!(store.verdict_count(), 0);
             assert_eq!(store.lemma_count(), 0);
-            assert!(store.record_verdict(sample_key(0), Proof::Proved));
+            assert!(store.record_verdict(&sample_key(0), Proof::Proved));
             let _ = std::fs::remove_dir_all(&dir);
         }
     }
@@ -1485,7 +1734,7 @@ mod tests {
         let path = {
             let store = AnalysisStore::open(&dir, fp(6)).expect("open");
             for i in 0..3 {
-                store.record_verdict(sample_key(i), Proof::Proved);
+                store.record_verdict(&sample_key(i), Proof::Proved);
             }
             store.record_export("m", "f", 1, &ExportAnalysis::Verified);
             store.flush();

@@ -6,7 +6,11 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 
-use cpcf::{analyze_source_with, AnalysisStore, AnalyzeOptions, EngineFingerprint, ExportAnalysis};
+use cpcf::{
+    analyze_source_with, AnalysisStore, AnalyzeOptions, EngineFingerprint, ExportAnalysis,
+    SharedLemmaPool,
+};
+use folic::{Arena, Atom, CmpOp, Term, Var};
 
 /// A fresh per-test store directory under the system temp dir.
 fn temp_store_dir(tag: &str) -> PathBuf {
@@ -186,6 +190,75 @@ fn skipped_counterexample_verdicts_round_trip() {
         "the stored counterexample (blame, bindings, validation bit) \
          round-trips unchanged"
     );
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Persists three theory lemmas into the store at `dir`, as an earlier
+/// run's pool would have left them.
+fn seed_lemmas(dir: &PathBuf) {
+    let store = open_store(dir);
+    let pool = SharedLemmaPool::new();
+    let mut arena = Arena::new();
+    for i in 0..3 {
+        let atom = Atom {
+            lhs: Term::Var(Var::new(900 + i)),
+            op: CmpOp::Le,
+            rhs: Term::Int(i64::from(i)),
+        };
+        pool.publish(&[arena.intern_atom(&atom)]);
+    }
+    assert_eq!(store.record_lemmas(&pool, 0), 3);
+    store.flush();
+}
+
+/// An incremental run with its own lemma pool, so warm starts happen
+/// whatever `CPCF_LEMMA_SHARING` says.
+fn options_with_pool(store: AnalysisStore) -> AnalyzeOptions {
+    AnalyzeOptions {
+        shared_lemmas: Some(SharedLemmaPool::new()),
+        ..options_with_store(store, true)
+    }
+}
+
+#[test]
+fn idle_incremental_rerun_warm_starts_no_lemmas() {
+    let dir = temp_store_dir("idle");
+    seed_lemmas(&dir);
+
+    let cold_store = open_store(&dir);
+    let cold =
+        analyze_source_with(SOURCE_V1, &options_with_pool(cold_store.clone())).expect("v1 parses");
+    assert!(cold.skipped.is_empty());
+    assert_eq!(cold.lemmas_warm_started, 3, "an analysing run warm-starts");
+    assert_eq!(cold_store.counters().lemmas_warm_started, 3);
+    drop(cold_store);
+
+    // Nothing changed: every export is answered from the store, and the
+    // lemma pool is never warm-started.
+    let warm_store = open_store(&dir);
+    let warm =
+        analyze_source_with(SOURCE_V1, &options_with_pool(warm_store.clone())).expect("v1 parses");
+    assert_eq!(warm.skipped.len(), 3, "a no-op rerun skips every export");
+    assert_eq!(warm.lemmas_warm_started, 0);
+    assert_eq!(warm_store.counters().lemmas_warm_started, 0);
+    assert_eq!(
+        warm.exports, cold.exports,
+        "reused verdicts are bit-identical to the cold run's"
+    );
+    drop(warm_store);
+
+    // Editing `g` re-analyses `g` alone, which warm-starts every stored
+    // lemma into its fresh pool.
+    let v2 = SOURCE_V1.replace("(+ n 1)", "(+ n 2)");
+    let edit_store = open_store(&dir);
+    let edited =
+        analyze_source_with(&v2, &options_with_pool(edit_store.clone())).expect("v2 parses");
+    assert_eq!(edited.skipped, vec!["f".to_string(), "h".to_string()]);
+    let stored = edit_store.lemma_count() as u64;
+    assert_eq!(stored, 3);
+    assert_eq!(edited.lemmas_warm_started, stored);
+    assert_eq!(edit_store.counters().lemmas_warm_started, stored);
 
     let _ = std::fs::remove_dir_all(&dir);
 }
