@@ -12,7 +12,10 @@
 //! * structurally equal **atoms** share one [`AtomId`], with their variable
 //!   sets and negations cached — so the atom → SAT-literal map and the
 //!   theory-literal collection of the lazy SMT loop work on `u32` ids
-//!   instead of cloning trees.
+//!   instead of cloning trees — and with their theory readings (the
+//!   difference-logic constraints and the LIA constraint the atom
+//!   normalises to) computed on the first check that needs them and reused
+//!   by every later one.
 //!
 //! ## Process-global atom ids
 //!
@@ -38,6 +41,7 @@ use std::sync::{Mutex, OnceLock};
 
 use crate::formula::{Atom, CmpOp};
 use crate::term::{Term, Var};
+use crate::theory::{AtomReadings, AtomRef};
 
 /// The id of an interned term (arena-local).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -135,6 +139,9 @@ struct AtomData {
     vars: Vec<Var>,
     /// Cached complement (`¬a`), filled lazily.
     negation: Option<AtomId>,
+    /// The atom's theory readings, each filled by the first dispatch that
+    /// needs it.
+    readings: AtomReadings,
 }
 
 /// The hash-consing arena.
@@ -255,6 +262,7 @@ impl Arena {
                 atom: atom.clone(),
                 vars,
                 negation: None,
+                readings: AtomReadings::default(),
             },
         );
         id
@@ -268,6 +276,20 @@ impl Arena {
     /// [`Arena::has_atom`]).
     pub fn atom(&self, id: AtomId) -> &Atom {
         &self.data(id).atom
+    }
+
+    /// The interned atom together with its cached theory readings, as the
+    /// theory dispatcher takes it.
+    ///
+    /// # Panics
+    ///
+    /// Panics when this arena has never interned the atom.
+    pub(crate) fn atom_ref(&self, id: AtomId) -> AtomRef<'_> {
+        let data = self.data(id);
+        AtomRef {
+            atom: &data.atom,
+            readings: &data.readings,
+        }
     }
 
     /// The sorted distinct free variables of an atom.
@@ -308,6 +330,7 @@ impl Arena {
                         atom,
                         vars,
                         negation: Some(id),
+                        readings: AtomReadings::default(),
                     },
                 );
                 neg

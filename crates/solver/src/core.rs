@@ -7,8 +7,10 @@
 //! incremental replacement owned by [`crate::solver::Solver`]:
 //!
 //! * **Hash-consed atoms** ([`crate::arena::Arena`]): every distinct atom is
-//!   interned once; its free variables, its negation and its SAT variable
-//!   are computed the first time and reused by every later query.
+//!   interned once; its free variables, its negation, its SAT variable and
+//!   its two theory readings — the difference-logic constraints and the
+//!   LIA constraint it normalises to — are computed the first time they are
+//!   needed and reused by every later query, so a check re-reads no atom.
 //! * **Persistent CDCL state**: the clause database survives across checks.
 //!   Each asserted formula is Tseitin-encoded once into *definitional*
 //!   clauses (pure definitions of auxiliary variables, valid in any frame)
@@ -20,22 +22,28 @@
 //!   pruning the search in every later check whose cone they touch; clauses
 //!   blocking merely-undecided (`Unknown`) candidates are guarded by a
 //!   per-check query literal and become inert once the check returns.
-//! * **Theory-module dispatch** ([`crate::theory::TheorySolver`]): every
-//!   candidate atom conjunction — the fast path's whole set, and each
-//!   propositional candidate of the SMT loop — is routed to the cheapest
-//!   complete theory module: the incremental difference-logic engine
-//!   ([`crate::dl::DlSolver`]) when every atom normalises to `x − y ≤ c`,
-//!   the general LIA engine otherwise. A difference-logic refutation
-//!   contributes its negative-cycle *explanation* (the inconsistent subset)
-//!   as the blocking clause and the shared lemma instead of blaming the
-//!   whole candidate, so the learnt clause prunes strictly more.
-//! * **Per-query cone slicing**: before searching, the active formulas are
-//!   partitioned into variable-connected components (union–find over each
-//!   formula's cached variable set). A query only solves the components its
-//!   assumptions touch; the untouched components are checked separately —
-//!   with their verdicts memoized across queries — only when a model must
-//!   be produced, and a query about one heap location never pays for the
-//!   propositional search of unrelated locations' constraints.
+//! * **Theory dispatch** ([`crate::theory`]): every candidate atom
+//!   conjunction — the fast path's whole set, and each propositional
+//!   candidate of the SMT loop — is routed, through the atoms' cached
+//!   readings, to the cheapest complete theory engine: the incremental
+//!   difference-logic engine ([`crate::dl::DlSolver`]) when every atom
+//!   normalises to `x − y ≤ c`, the general LIA engine otherwise, which
+//!   re-flattens only atoms with a genuine product. A difference-logic
+//!   refutation contributes its negative-cycle *explanation* (the
+//!   inconsistent subset) as the blocking clause and the shared lemma
+//!   instead of blaming the whole candidate, so the learnt clause prunes
+//!   strictly more.
+//! * **Per-query cone slicing, maintained with the assertion stack**: the
+//!   active formulas are partitioned into variable-connected components. A
+//!   query only solves the components its assumptions touch; the untouched
+//!   components are checked separately — with their verdicts memoized
+//!   across queries — only when a model must be produced, and a query about
+//!   one heap location never pays for the propositional search of
+//!   unrelated locations' constraints. The components live in a union–find
+//!   over dense variable nodes (union by size, no path compression, an undo
+//!   trail) that `assert` extends and `truncate`/`clear` roll back, so a
+//!   check only links its assumptions, reads off each live formula's root,
+//!   and unlinks the assumptions again.
 //! * **Cross-worker lemma sharing** ([`crate::lemmas`]): because atom ids
 //!   are process-global, a theory lemma is meaningful outside the core that
 //!   derived it. A core attached to a [`SharedLemmaPool`] publishes every
@@ -72,7 +80,7 @@ use crate::sat::{BVar, Lit, SatResult as PropResult, SatSolver};
 use crate::solver::SolverStats;
 use crate::term::Var;
 use crate::theory::{
-    check_conjunction_counted, collect_atoms, dispatch_check, SmtResult, TheoryConfig,
+    check_conjunction_counted, collect_atoms, dispatch_check, AtomRef, SmtResult, TheoryConfig,
 };
 
 /// Bound on memoized formula analyses and component verdicts; the caches are
@@ -93,6 +101,9 @@ struct FormulaInfo {
     nnf: Formula,
     /// Sorted distinct free variables of the original formula.
     vars: Vec<Var>,
+    /// The slicer's node of each variable in `vars` (node ids are never
+    /// reused, so they stay valid for the life of the core).
+    nodes: Vec<u32>,
     /// Distinct atoms of the NNF, in first-occurrence order.
     atoms: Vec<AtomId>,
     /// When the formula is a pure conjunction of atoms: the atom ids in the
@@ -120,6 +131,8 @@ pub struct TheoryCore {
     next_formula_id: u64,
     /// The live assertions, mirroring `Solver::assertions` element-wise.
     formulas: Vec<Rc<FormulaInfo>>,
+    /// The variable-connected components of the live assertions.
+    slicer: ConeSlicer,
     /// Memoized verdicts for out-of-cone components, keyed by their sorted
     /// distinct formula-id sets.
     component_cache: HashMap<Vec<u64>, SmtResult>,
@@ -160,6 +173,7 @@ impl TheoryCore {
             analyzed: HashMap::new(),
             next_formula_id: 0,
             formulas: Vec::new(),
+            slicer: ConeSlicer::default(),
             component_cache: HashMap::new(),
             atoms_at_reset: 0,
             counts: SolverStats::ZERO,
@@ -211,6 +225,7 @@ impl TheoryCore {
     /// analysis if this is the first time the formula is seen).
     pub fn assert(&mut self, formula: &Formula) {
         let info = self.analyze(formula);
+        self.slicer.push(&info.nodes);
         self.formulas.push(info);
     }
 
@@ -218,6 +233,7 @@ impl TheoryCore {
     /// formulas' clauses stay in the database; their activation (root)
     /// literals are simply never assumed again.
     pub fn truncate(&mut self, len: usize) {
+        self.slicer.truncate(len);
         self.formulas.truncate(len);
     }
 
@@ -225,6 +241,7 @@ impl TheoryCore {
     /// Tseitin encodings, the theory lemmas and the component memos — the
     /// whole-session rebase entry point.
     pub fn clear(&mut self) {
+        self.slicer.truncate(0);
         self.formulas.clear();
     }
 
@@ -237,6 +254,7 @@ impl TheoryCore {
             self.analyzed.clear();
         }
         let vars: Vec<Var> = formula.vars().into_iter().collect();
+        let nodes = vars.iter().map(|&var| self.slicer.node(var)).collect();
         let nnf = formula.to_nnf();
         let mut seen = HashSet::new();
         let mut atoms = Vec::new();
@@ -251,6 +269,7 @@ impl TheoryCore {
             formula: formula.clone(),
             nnf,
             vars,
+            nodes,
             atoms,
             conjunction,
             root: Cell::new(None),
@@ -318,7 +337,7 @@ impl TheoryCore {
         active: &[Rc<FormulaInfo>],
         assumed: &[Rc<FormulaInfo>],
     ) -> SmtResult {
-        let slicing = slice(active, assumed);
+        let slicing = self.slicer.slice(active, assumed);
         if !slicing.rest.is_empty() {
             self.counts.cone_vars_pruned += slicing.pruned_vars as u64;
         }
@@ -400,8 +419,8 @@ impl TheoryCore {
                 })
                 .collect();
             let dispatched = {
-                let refs: Vec<&crate::formula::Atom> =
-                    ids.iter().map(|&id| self.arena.atom(id)).collect();
+                let refs: Vec<AtomRef<'_>> =
+                    ids.iter().map(|&id| self.arena.atom_ref(id)).collect();
                 dispatch_check(&refs, &self.config)
             };
             return match dispatched.result {
@@ -516,8 +535,8 @@ impl TheoryCore {
                         });
                     }
                     let dispatched = {
-                        let refs: Vec<&crate::formula::Atom> =
-                            chosen.iter().map(|&id| self.arena.atom(id)).collect();
+                        let refs: Vec<AtomRef<'_>> =
+                            chosen.iter().map(|&id| self.arena.atom_ref(id)).collect();
                         dispatch_check(&refs, &self.config)
                     };
                     match dispatched.result {
@@ -744,90 +763,161 @@ impl TheoryCore {
 
 /// The outcome of cone slicing: the formulas inside the assumptions'
 /// dependency cone (in assertion order), the out-of-cone formulas grouped
-/// into variable-connected components, and how many variables the slicing
-/// excluded from the query's search.
+/// into variable-connected components (in order of first appearance), and
+/// how many variables the slicing excluded from the query's search.
 struct Slicing {
     cone: Vec<Rc<FormulaInfo>>,
     rest: Vec<Vec<Rc<FormulaInfo>>>,
     pruned_vars: usize,
 }
 
-/// Union–find over the formulas' variable sets: two formulas share a
-/// component iff their variable sets are transitively connected. Ground
-/// formulas (no variables) are kept in the cone — they are constant-time
-/// for the theory and excluding them buys nothing.
-fn slice(active: &[Rc<FormulaInfo>], assumed: &[Rc<FormulaInfo>]) -> Slicing {
-    let mut uf = UnionFind::default();
-    for info in active.iter().chain(assumed) {
-        if let Some((&first, rest)) = info.vars.split_first() {
-            for &var in rest {
-                uf.union(first, var);
+/// [`ConeSlicer::class`] of a root outside the current partition.
+const UNSEEN: u32 = u32::MAX;
+/// [`ConeSlicer::class`] of a root inside the assumptions' cone.
+const CONE: u32 = u32::MAX - 1;
+
+/// The variable-connected components of the live assertions, kept in step
+/// with the assertion stack: two formulas share a component iff their
+/// variable sets are transitively connected.
+///
+/// A union–find over dense node ids (one per variable, allocated on first
+/// sight and never reused), with union by size and no path compression, so
+/// every union is undone by resetting one parent from the trail.
+/// [`ConeSlicer::push`] links an asserted formula's variables and
+/// [`ConeSlicer::truncate`] unlinks whatever the retracted formulas linked.
+#[derive(Debug, Default)]
+struct ConeSlicer {
+    /// Variable → node.
+    node_of: HashMap<Var, u32>,
+    /// Parent per node; a root is its own parent.
+    parent: Vec<u32>,
+    /// Component size per root (stale for non-roots).
+    size: Vec<u32>,
+    /// The root each union hung under another root, oldest first.
+    trail: Vec<u32>,
+    /// Per live formula: the trail length before its unions.
+    marks: Vec<usize>,
+    /// Per root, during one partition: [`CONE`], a rest-group index, or
+    /// [`UNSEEN`] (the value every entry holds between partitions).
+    class: Vec<u32>,
+}
+
+impl ConeSlicer {
+    /// The node of `var`, allocated as a singleton on first sight.
+    fn node(&mut self, var: Var) -> u32 {
+        let next = self.parent.len() as u32;
+        let node = *self.node_of.entry(var).or_insert(next);
+        if node == next {
+            self.parent.push(node);
+            self.size.push(1);
+            self.class.push(UNSEEN);
+        }
+        node
+    }
+
+    fn find(&self, mut node: u32) -> u32 {
+        while self.parent[node as usize] != node {
+            node = self.parent[node as usize];
+        }
+        node
+    }
+
+    fn union(&mut self, a: u32, b: u32) {
+        let (mut big, mut small) = (self.find(a), self.find(b));
+        if big == small {
+            return;
+        }
+        if self.size[big as usize] < self.size[small as usize] {
+            std::mem::swap(&mut big, &mut small);
+        }
+        self.parent[small as usize] = big;
+        self.size[big as usize] += self.size[small as usize];
+        self.trail.push(small);
+    }
+
+    /// Connects the nodes of one formula's variables.
+    fn link(&mut self, nodes: &[u32]) {
+        if let Some((&first, rest)) = nodes.split_first() {
+            for &node in rest {
+                self.union(first, node);
             }
-            uf.find(first);
         }
     }
-    let mut cone_roots: HashSet<Var> = HashSet::new();
-    for info in assumed {
-        for &var in &info.vars {
-            cone_roots.insert(uf.find(var));
+
+    /// Undoes every union past trail length `mark`, newest first.
+    fn undo_to(&mut self, mark: usize) {
+        while self.trail.len() > mark {
+            let small = self.trail.pop().expect("length checked");
+            let big = self.parent[small as usize];
+            self.size[big as usize] -= self.size[small as usize];
+            self.parent[small as usize] = small;
         }
     }
-    let mut cone = Vec::new();
-    let mut rest_groups: Vec<(Var, Vec<Rc<FormulaInfo>>)> = Vec::new();
-    let mut pruned: HashSet<Var> = HashSet::new();
-    for info in active {
-        let root = info.vars.first().map(|&v| uf.find(v));
-        match root {
-            None => cone.push(Rc::clone(info)),
-            Some(root) if cone_roots.contains(&root) => cone.push(Rc::clone(info)),
-            Some(root) => {
-                pruned.extend(info.vars.iter().copied());
-                match rest_groups.iter_mut().find(|(r, _)| *r == root) {
-                    Some((_, group)) => group.push(Rc::clone(info)),
-                    None => rest_groups.push((root, vec![Rc::clone(info)])),
+
+    /// Records one asserted formula on top of the stack.
+    fn push(&mut self, nodes: &[u32]) {
+        self.marks.push(self.trail.len());
+        self.link(nodes);
+    }
+
+    /// Retracts the formulas beyond `len`.
+    fn truncate(&mut self, len: usize) {
+        if let Some(&mark) = self.marks.get(len) {
+            self.undo_to(mark);
+            self.marks.truncate(len);
+        }
+    }
+
+    /// Partitions `active` (the live formulas this slicer mirrors) against
+    /// the cone of `assumed`: link the assumptions, classify each live
+    /// formula by its root, then unlink the assumptions. Ground formulas
+    /// (no variables) stay in the cone — they are constant-time for the
+    /// theory and excluding them buys nothing. The pruned count is the sum
+    /// of the rest components' sizes: every node in such a component is a
+    /// variable of one of its formulas.
+    fn slice(&mut self, active: &[Rc<FormulaInfo>], assumed: &[Rc<FormulaInfo>]) -> Slicing {
+        let mark = self.trail.len();
+        for info in assumed {
+            self.link(&info.nodes);
+        }
+        let mut classified: Vec<u32> = Vec::new();
+        for info in assumed {
+            if let Some(&first) = info.nodes.first() {
+                let root = self.find(first);
+                if self.class[root as usize] == UNSEEN {
+                    self.class[root as usize] = CONE;
+                    classified.push(root);
                 }
             }
         }
-    }
-    Slicing {
-        cone,
-        rest: rest_groups.into_iter().map(|(_, group)| group).collect(),
-        pruned_vars: pruned.len(),
-    }
-}
-
-/// A small path-compressing union–find over integer variables.
-#[derive(Debug, Default)]
-struct UnionFind {
-    parent: HashMap<Var, Var>,
-}
-
-impl UnionFind {
-    /// Iterative find with full path compression — parent chains grow as
-    /// long as the heap's longest constraint chain (tens of thousands of
-    /// variables on real corpora), so recursion is not an option.
-    fn find(&mut self, var: Var) -> Var {
-        let mut root = var;
-        while let Some(&parent) = self.parent.get(&root) {
-            if parent == root {
-                break;
+        let mut cone = Vec::new();
+        let mut rest: Vec<Vec<Rc<FormulaInfo>>> = Vec::new();
+        let mut pruned_vars = 0;
+        for info in active {
+            let Some(&first) = info.nodes.first() else {
+                cone.push(Rc::clone(info));
+                continue;
+            };
+            let root = self.find(first);
+            match self.class[root as usize] {
+                CONE => cone.push(Rc::clone(info)),
+                UNSEEN => {
+                    self.class[root as usize] = rest.len() as u32;
+                    classified.push(root);
+                    pruned_vars += self.size[root as usize] as usize;
+                    rest.push(vec![Rc::clone(info)]);
+                }
+                group => rest[group as usize].push(Rc::clone(info)),
             }
-            root = parent;
         }
-        let mut cursor = var;
-        while cursor != root {
-            let parent = self.parent.insert(cursor, root).unwrap_or(root);
-            cursor = parent;
+        for root in classified {
+            self.class[root as usize] = UNSEEN;
         }
-        self.parent.entry(root).or_insert(root);
-        root
-    }
-
-    fn union(&mut self, a: Var, b: Var) {
-        let ra = self.find(a);
-        let rb = self.find(b);
-        if ra != rb {
-            self.parent.insert(ra, rb);
+        self.undo_to(mark);
+        Slicing {
+            cone,
+            rest,
+            pruned_vars,
         }
     }
 }
@@ -994,6 +1084,166 @@ mod tests {
         assert!(result.is_unsat());
         assert_eq!(core.stats().lemmas_published, 0);
         assert_eq!(core.stats().lemmas_imported, 0);
+    }
+
+    /// SplitMix64, so the property runs are seeded and repeatable.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// A small random formula over `x0..x11`: a ground atom, a bound, a
+    /// two- or three-variable comparison, or a disjunction of two of those.
+    fn random_formula(rng: &mut Rng) -> Formula {
+        fn atom(rng: &mut Rng) -> Formula {
+            let bound = Term::int(rng.below(9) as i64 - 4);
+            let mut lhs: Option<Term> = None;
+            for _ in 0..rng.below(4) {
+                let var = x(rng.below(12) as u32);
+                lhs = Some(match lhs {
+                    None => var,
+                    Some(sum) => Term::add(sum, var),
+                });
+            }
+            match lhs {
+                None => Formula::le(Term::int(1), bound),
+                Some(lhs) => Formula::le(lhs, bound),
+            }
+        }
+        if rng.below(4) == 0 {
+            Formula::or(vec![atom(rng), atom(rng)])
+        } else {
+            atom(rng)
+        }
+    }
+
+    /// The cone, rest groups and pruned-variable count computed from
+    /// nothing: components by merging variable sets to a fixpoint.
+    fn brute_force_slice(
+        active: &[Rc<FormulaInfo>],
+        assumed: &[Rc<FormulaInfo>],
+    ) -> (Vec<u64>, Vec<Vec<u64>>, usize) {
+        let mut components: Vec<HashSet<Var>> = active
+            .iter()
+            .chain(assumed)
+            .filter(|info| !info.vars.is_empty())
+            .map(|info| info.vars.iter().copied().collect())
+            .collect();
+        let mut merged = true;
+        while merged {
+            merged = false;
+            'outer: for i in 0..components.len() {
+                for j in i + 1..components.len() {
+                    if !components[i].is_disjoint(&components[j]) {
+                        let other = components.swap_remove(j);
+                        components[i].extend(other);
+                        merged = true;
+                        break 'outer;
+                    }
+                }
+            }
+        }
+        let component_of = |var: Var| {
+            components
+                .iter()
+                .position(|c| c.contains(&var))
+                .expect("every variable has a component")
+        };
+        let cone_components: HashSet<usize> = assumed
+            .iter()
+            .flat_map(|info| info.vars.iter().map(|&var| component_of(var)))
+            .collect();
+        let mut cone = Vec::new();
+        let mut rest: Vec<(usize, Vec<u64>)> = Vec::new();
+        let mut pruned: HashSet<Var> = HashSet::new();
+        for info in active {
+            let Some(&first) = info.vars.first() else {
+                cone.push(info.id);
+                continue;
+            };
+            let component = component_of(first);
+            if cone_components.contains(&component) {
+                cone.push(info.id);
+                continue;
+            }
+            pruned.extend(info.vars.iter().copied());
+            match rest.iter_mut().find(|(c, _)| *c == component) {
+                Some((_, group)) => group.push(info.id),
+                None => rest.push((component, vec![info.id])),
+            }
+        }
+        (
+            cone,
+            rest.into_iter().map(|(_, group)| group).collect(),
+            pruned.len(),
+        )
+    }
+
+    #[test]
+    fn stack_slicer_matches_a_from_scratch_partition() {
+        let mut rng = Rng(0x51ce_0019);
+        for _run in 0..40 {
+            let mut core = core();
+            for _step in 0..120 {
+                match rng.below(10) {
+                    0..=4 => {
+                        let formula = random_formula(&mut rng);
+                        core.assert(&formula);
+                    }
+                    5 => {
+                        let len = rng.below(core.len() as u64 + 1) as usize;
+                        core.truncate(len);
+                    }
+                    6 if rng.below(4) == 0 => core.clear(),
+                    _ => {
+                        let assumptions: Vec<Formula> = (0..1 + rng.below(2))
+                            .map(|_| random_formula(&mut rng))
+                            .collect();
+                        let assumed: Vec<Rc<FormulaInfo>> =
+                            assumptions.iter().map(|f| core.analyze(f)).collect();
+                        let active = core.formulas.clone();
+                        let trail = core.slicer.trail.len();
+                        let slicing = core.slicer.slice(&active, &assumed);
+                        assert_eq!(
+                            core.slicer.trail.len(),
+                            trail,
+                            "assumption unions are undone"
+                        );
+                        let ids = |infos: &[Rc<FormulaInfo>]| {
+                            infos.iter().map(|info| info.id).collect::<Vec<u64>>()
+                        };
+                        let got = (
+                            ids(&slicing.cone),
+                            slicing
+                                .rest
+                                .iter()
+                                .map(|group| ids(group))
+                                .collect::<Vec<_>>(),
+                            slicing.pruned_vars,
+                        );
+                        assert_eq!(got, brute_force_slice(&active, &assumed));
+                        // A full check slices the same way and leaves the
+                        // stack as it found it.
+                        if rng.below(3) == 0 {
+                            core.check(&assumptions);
+                            assert_eq!(core.slicer.trail.len(), trail);
+                        }
+                    }
+                }
+                assert_eq!(core.slicer.marks.len(), core.len());
+            }
+        }
     }
 
     #[test]

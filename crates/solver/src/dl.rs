@@ -27,6 +27,13 @@
 //! pop resume from the repaired potentials instead of recomputing them.
 //! Satisfiable conjunctions get their model straight from the potentials:
 //! `x ↦ π(x) − π(zero)` satisfies every asserted edge by construction.
+//!
+//! Normalising an atom into edges (`classify`, the atom's
+//! *difference-logic reading*) depends on the atom alone. The dispatcher
+//! therefore takes the reading from the atom's cache in the solver core's
+//! arena and asserts it with `DlSolver::assert_reading`, so a check reads
+//! no atom twice; [`TheorySolver::assert`] classifies on the spot and calls
+//! the same method.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
@@ -38,7 +45,7 @@ use crate::theory::{TheoryModuleStats, TheorySolver, TheoryVerdict};
 
 /// The difference-fragment reading of one normalised `expr ≤ 0` constraint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum DlConstraint {
+pub(crate) enum DlConstraint {
     /// `upper − lower ≤ bound`, with `None` standing for the zero node.
     Edge {
         /// The variable on the large side (or the zero node).
@@ -57,8 +64,7 @@ enum DlConstraint {
 /// Reads `expr ≤ 0` as a difference constraint, or `None` when it lies
 /// outside the fragment (three or more variables, or a non-±1 coefficient).
 fn le_zero(expr: &LinExpr) -> Option<DlConstraint> {
-    let terms: Vec<(Var, i64)> = expr.iter().filter(|(_, c)| *c != 0).collect();
-    if terms.is_empty() {
+    if expr.is_constant() {
         return Some(if expr.constant_part() <= 0 {
             DlConstraint::True
         } else {
@@ -66,25 +72,26 @@ fn le_zero(expr: &LinExpr) -> Option<DlConstraint> {
         });
     }
     let bound = expr.constant_part().checked_neg()?;
-    match terms.as_slice() {
-        [(v, 1)] => Some(DlConstraint::Edge {
-            upper: Some(*v),
+    let mut terms = expr.iter();
+    match (terms.next(), terms.next(), terms.next()) {
+        (Some((v, 1)), None, _) => Some(DlConstraint::Edge {
+            upper: Some(v),
             lower: None,
             bound,
         }),
-        [(v, -1)] => Some(DlConstraint::Edge {
+        (Some((v, -1)), None, _) => Some(DlConstraint::Edge {
             upper: None,
-            lower: Some(*v),
+            lower: Some(v),
             bound,
         }),
-        [(a, 1), (b, -1)] => Some(DlConstraint::Edge {
-            upper: Some(*a),
-            lower: Some(*b),
+        (Some((a, 1)), Some((b, -1)), None) => Some(DlConstraint::Edge {
+            upper: Some(a),
+            lower: Some(b),
             bound,
         }),
-        [(a, -1), (b, 1)] => Some(DlConstraint::Edge {
-            upper: Some(*b),
-            lower: Some(*a),
+        (Some((a, -1)), Some((b, 1)), None) => Some(DlConstraint::Edge {
+            upper: Some(b),
+            lower: Some(a),
             bound,
         }),
         _ => None,
@@ -96,8 +103,10 @@ fn le_zero(expr: &LinExpr) -> Option<DlConstraint> {
 /// `y − x ≤ −c`, strict comparisons shift by one, an equality becomes the
 /// two opposing `≤` edges). Returns `None` when the atom lies outside the
 /// fragment: disequalities, products, non-unit coefficients, more than two
-/// variables, or coefficient overflow during normalisation.
-fn classify(atom: &Atom) -> Option<Vec<DlConstraint>> {
+/// variables, or coefficient overflow during normalisation. This is an
+/// atom's *difference-logic reading*; the solver core computes it once per
+/// interned atom.
+pub(crate) fn classify(atom: &Atom) -> Option<Vec<DlConstraint>> {
     let lhs = match linearise(&atom.lhs) {
         Linearised::Linear(e) => e,
         Linearised::NonLinear => return None,
@@ -348,29 +357,21 @@ impl DlSolver {
         }
         Some(model)
     }
-}
 
-impl TheorySolver for DlSolver {
-    fn name(&self) -> &'static str {
-        "dl"
-    }
-
-    fn can_decide(&self, atoms: &[&Atom]) -> bool {
-        in_difference_fragment(atoms)
-    }
-
-    fn push(&mut self) {
-        self.frames
-            .push((self.edges.len(), self.asserted, self.undecidable));
-    }
-
-    fn assert(&mut self, atom: &Atom) -> Result<(), Vec<usize>> {
+    /// Asserts one atom given its difference-logic reading ([`classify`]'s
+    /// result, typically cached per interned atom). `None` marks an
+    /// out-of-fragment atom. Behaves exactly like [`TheorySolver::assert`]
+    /// on the atom the reading came from.
+    pub(crate) fn assert_reading(
+        &mut self,
+        reading: Option<&[DlConstraint]>,
+    ) -> Result<(), Vec<usize>> {
         let index = self.asserted;
         self.asserted += 1;
         if let Some(conflict) = &self.conflict {
             return Err(conflict.clone());
         }
-        let Some(constraints) = classify(atom) else {
+        let Some(constraints) = reading else {
             // `can_decide` filters these; a stray out-of-fragment atom
             // makes the conjunction undecidable for this module (treating
             // it as a conflict would be unsound, ignoring it would let an
@@ -378,7 +379,7 @@ impl TheorySolver for DlSolver {
             self.undecidable = true;
             return Ok(());
         };
-        for constraint in constraints {
+        for &constraint in constraints {
             match constraint {
                 DlConstraint::True => {}
                 DlConstraint::False => {
@@ -410,6 +411,25 @@ impl TheorySolver for DlSolver {
             }
         }
         Ok(())
+    }
+}
+
+impl TheorySolver for DlSolver {
+    fn name(&self) -> &'static str {
+        "dl"
+    }
+
+    fn can_decide(&self, atoms: &[&Atom]) -> bool {
+        in_difference_fragment(atoms)
+    }
+
+    fn push(&mut self) {
+        self.frames
+            .push((self.edges.len(), self.asserted, self.undecidable));
+    }
+
+    fn assert(&mut self, atom: &Atom) -> Result<(), Vec<usize>> {
+        self.assert_reading(classify(atom).as_deref())
     }
 
     fn retract(&mut self) {

@@ -28,7 +28,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use crate::formula::{Atom, CmpOp};
 use crate::linear::{linearise, LinExpr, Linearised};
 use crate::term::{Term, Var};
-use crate::theory::{TheoryModuleStats, TheorySolver, TheoryVerdict};
+use crate::theory::AtomRef;
 
 /// Relation of a linear expression to zero.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,9 +122,22 @@ impl LiaProblem {
     /// hash-consing solver core) whose atoms live in an arena and should not
     /// be cloned per check.
     pub fn from_atom_refs(atoms: &[&Atom]) -> Result<LiaProblem, BuildError> {
+        LiaProblem::build(atoms.iter().map(|&atom| (atom, None)))
+    }
+
+    /// Builds the problem of a conjunction whose atoms may come with their
+    /// [`lia_reading`] already computed. An atom with a reading contributes
+    /// that constraint as is; an atom without one (a product atom, whose
+    /// fresh product variables are numbered across the conjunction) is
+    /// flattened here. Either way the problem equals what flattening every
+    /// atom in order would build.
+    fn build<'a, I>(atoms: I) -> Result<LiaProblem, BuildError>
+    where
+        I: Iterator<Item = (&'a Atom, Option<&'a Result<LinearConstraint, BuildError>>)> + Clone,
+    {
         let mut problem = LiaProblem::default();
         let mut original_vars = BTreeSet::new();
-        for atom in atoms {
+        for (atom, _) in atoms.clone() {
             atom.collect_vars(&mut original_vars);
         }
         problem.original_vars = original_vars.clone();
@@ -134,29 +147,12 @@ impl LiaProblem {
             .map(|v| v.index() + 1)
             .unwrap_or(0);
 
-        for atom in atoms {
-            let lhs = flatten(&atom.lhs, &mut fresh, &mut problem)?;
-            let rhs = flatten(&atom.rhs, &mut fresh, &mut problem)?;
-            let diff = lhs.checked_sub(&rhs).ok_or(BuildError::Overflow)?;
-            match atom.op {
-                CmpOp::Eq => problem.push_linear(diff, ConstraintOp::Eq),
-                CmpOp::Ne => problem.push_linear(diff, ConstraintOp::Ne),
-                CmpOp::Le => problem.push_linear(diff, ConstraintOp::Le),
-                CmpOp::Lt => {
-                    let mut shifted = diff;
-                    shifted.add_constant(1).ok_or(BuildError::Overflow)?;
-                    problem.push_linear(shifted, ConstraintOp::Le);
-                }
-                CmpOp::Ge => {
-                    let negated = diff.checked_scale(-1).ok_or(BuildError::Overflow)?;
-                    problem.push_linear(negated, ConstraintOp::Le);
-                }
-                CmpOp::Gt => {
-                    let mut negated = diff.checked_scale(-1).ok_or(BuildError::Overflow)?;
-                    negated.add_constant(1).ok_or(BuildError::Overflow)?;
-                    problem.push_linear(negated, ConstraintOp::Le);
-                }
-            }
+        for (atom, reading) in atoms {
+            let constraint = match reading {
+                Some(reading) => reading.clone()?,
+                None => atom_constraint(atom, &mut fresh, &mut problem)?,
+            };
+            problem.push_linear(constraint.expr, constraint.op);
         }
         Ok(problem)
     }
@@ -211,6 +207,52 @@ impl LiaProblem {
         }
         true
     }
+}
+
+/// The linear constraint one atom contributes: both sides flattened (product
+/// constraints for non-constant multiplications go to `problem`), their
+/// difference compared against zero, strict comparisons shifted by one and
+/// `≥`/`>` negated into `≤`.
+fn atom_constraint(
+    atom: &Atom,
+    fresh: &mut u32,
+    problem: &mut LiaProblem,
+) -> Result<LinearConstraint, BuildError> {
+    let lhs = flatten(&atom.lhs, fresh, problem)?;
+    let rhs = flatten(&atom.rhs, fresh, problem)?;
+    let diff = lhs.checked_sub(&rhs).ok_or(BuildError::Overflow)?;
+    let (expr, op) = match atom.op {
+        CmpOp::Eq => (diff, ConstraintOp::Eq),
+        CmpOp::Ne => (diff, ConstraintOp::Ne),
+        CmpOp::Le => (diff, ConstraintOp::Le),
+        CmpOp::Lt => {
+            let mut shifted = diff;
+            shifted.add_constant(1).ok_or(BuildError::Overflow)?;
+            (shifted, ConstraintOp::Le)
+        }
+        CmpOp::Ge => {
+            let negated = diff.checked_scale(-1).ok_or(BuildError::Overflow)?;
+            (negated, ConstraintOp::Le)
+        }
+        CmpOp::Gt => {
+            let mut negated = diff.checked_scale(-1).ok_or(BuildError::Overflow)?;
+            negated.add_constant(1).ok_or(BuildError::Overflow)?;
+            (negated, ConstraintOp::Le)
+        }
+    };
+    Ok(LinearConstraint { expr, op })
+}
+
+/// The LIA reading of one atom: the constraint [`LiaProblem`] building
+/// pushes for it, or the overflow that aborts the build. `None` for an atom
+/// with a genuine product, whose flattening introduces product variables
+/// numbered across the whole conjunction — those atoms are flattened per
+/// conjunction. A reading depends on the atom alone, so the solver core
+/// computes it once per interned atom.
+pub(crate) fn lia_reading(atom: &Atom) -> Option<Result<LinearConstraint, BuildError>> {
+    let mut scratch = LiaProblem::default();
+    let constraint = atom_constraint(atom, &mut 0, &mut scratch);
+    scratch.products.is_empty().then_some(constraint)
 }
 
 /// Flattens a term into a linear expression, introducing product constraints
@@ -370,8 +412,10 @@ fn substitute_expr(expr: &LinExpr, var: Var, definition: &LinExpr) -> Option<Lin
     if coeff == 0 {
         return Some(expr.clone());
     }
+    // `checked_neg` fails only for `i64::MIN`, where removing the term by
+    // adding `-coeff` would overflow anyway.
     let mut out = expr.clone();
-    out.add_term(var, -coeff)?;
+    out.add_term(var, coeff.checked_neg()?)?;
     out.checked_add(&definition.checked_scale(coeff)?)
 }
 
@@ -909,7 +953,7 @@ fn candidate_values(state: &SearchState, var: Var) -> (Vec<i64>, bool) {
 
 /// 0, 1, -1, 2, -2, … up to ±bound.
 fn spiral(bound: i64) -> impl Iterator<Item = i64> {
-    (0..=bound).flat_map(|v| if v == 0 { vec![0] } else { vec![v, -v] })
+    std::iter::once(0).chain((1..=bound).flat_map(|v| [v, -v]))
 }
 
 fn pick_branch_var(problem: &LiaProblem, state: &SearchState) -> Option<Var> {
@@ -989,11 +1033,22 @@ pub fn check_atoms(atoms: &[Atom]) -> LiaResult {
 
 /// [`check_atoms`] over borrowed atoms (arena-interned callers).
 pub fn check_atom_refs(atoms: &[&Atom]) -> LiaResult {
-    let problem = match LiaProblem::from_atom_refs(atoms) {
-        Ok(p) => p,
-        Err(BuildError::Overflow) => return LiaResult::Unknown,
-    };
-    check_problem(&problem)
+    check_built(LiaProblem::from_atom_refs(atoms))
+}
+
+/// [`check_atom_refs`] over atoms with their theory readings: the LIA half
+/// of the dispatcher. Cached readings skip re-flattening non-product atoms.
+pub(crate) fn check_readings(atoms: &[AtomRef<'_>]) -> LiaResult {
+    check_built(LiaProblem::build(
+        atoms.iter().map(|atom| (atom.atom, atom.lia())),
+    ))
+}
+
+fn check_built(problem: Result<LiaProblem, BuildError>) -> LiaResult {
+    match problem {
+        Ok(problem) => check_problem(&problem),
+        Err(BuildError::Overflow) => LiaResult::Unknown,
+    }
 }
 
 /// Decides a pre-built problem.
@@ -1052,61 +1107,6 @@ pub fn check_problem(problem: &LiaProblem) -> LiaResult {
             }
         }
         SearchOutcome::GaveUp => LiaResult::Unknown,
-    }
-}
-
-/// The LIA engine packaged as a [`TheorySolver`] module: the catch-all the
-/// dispatcher falls back to for conjunctions outside every specialised
-/// fragment. `can_decide` always answers yes (it is the engine of last
-/// resort — complete up to its value bound, `Unknown` beyond it), asserts
-/// buffer atoms per frame, and `check` runs the full
-/// elimination/propagation/search pipeline over the buffered conjunction.
-#[derive(Debug, Default)]
-pub struct LiaModule {
-    atoms: Vec<Atom>,
-    frames: Vec<usize>,
-    stats: TheoryModuleStats,
-}
-
-impl TheorySolver for LiaModule {
-    fn name(&self) -> &'static str {
-        "lia"
-    }
-
-    fn can_decide(&self, _atoms: &[&Atom]) -> bool {
-        true
-    }
-
-    fn push(&mut self) {
-        self.frames.push(self.atoms.len());
-    }
-
-    fn assert(&mut self, atom: &Atom) -> Result<(), Vec<usize>> {
-        self.atoms.push(atom.clone());
-        Ok(())
-    }
-
-    fn retract(&mut self) {
-        let mark = self.frames.pop().unwrap_or(0);
-        self.atoms.truncate(mark);
-    }
-
-    fn check(&mut self) -> TheoryVerdict {
-        self.stats.checks += 1;
-        match check_atoms(&self.atoms) {
-            LiaResult::Sat(values) => TheoryVerdict::Sat(values),
-            LiaResult::Unsat => {
-                self.stats.conflicts += 1;
-                // The enumeration engine has no conflict analysis: the
-                // explanation is the whole conjunction.
-                TheoryVerdict::Unsat((0..self.atoms.len()).collect())
-            }
-            LiaResult::Unknown => TheoryVerdict::Unknown,
-        }
-    }
-
-    fn stats(&self) -> TheoryModuleStats {
-        self.stats
     }
 }
 

@@ -25,8 +25,9 @@
 //! * [`lia`] — the general linear-integer-arithmetic theory engine:
 //!   Gaussian elimination over equalities, interval propagation, and a
 //!   small-values-first branch-and-bound model search (which also handles the
-//!   product constraints introduced by multiplying two unknowns). Packaged
-//!   as the catch-all [`lia::LiaModule`] behind the theory-module trait.
+//!   product constraints introduced by multiplying two unknowns). The
+//!   dispatcher calls it for every conjunction outside the difference
+//!   fragment.
 //! * [`dl`] — the incremental difference-logic engine: conjunctions whose
 //!   atoms all normalise to `x − y ≤ c` are decided *exactly* by
 //!   negative-cycle detection over the constraint graph, with
@@ -36,7 +37,8 @@
 //!   the differential tests compare against.
 //! * [`theory`] — the theory layer: the [`theory::TheorySolver`] module
 //!   trait, the dispatcher routing each atom conjunction to the cheapest
-//!   complete module, and the lazy SMT loop combining the SAT core with the
+//!   complete engine through the atoms' theory readings (cached per
+//!   interned atom in the persistent core), and the lazy SMT loop combining the SAT core with the
 //!   dispatched theory, rebuilt from nothing per check (the *scratch*
 //!   engine: the persistent core's fallback on `Unknown`, and, as
 //!   [`CoreMode::Scratch`], the reference the differential tests pin).

@@ -3,13 +3,21 @@
 //! lazy SMT loop — CDCL over the boolean abstraction, with the dispatched
 //! theory modules checking each propositional model and contributing
 //! blocking clauses for theory conflicts.
+//!
+//! The dispatcher reads atoms through their *theory readings*
+//! (`AtomReadings`): the difference-logic constraints an atom normalises
+//! to, and the linear constraint the LIA problem builder pushes for it. A
+//! reading depends on the atom alone, so the persistent core keeps one set
+//! per interned atom and each check reuses them; the scratch engine reads
+//! its atoms afresh on every check. Both call the same dispatcher.
 
+use std::cell::OnceCell;
 use std::collections::BTreeMap;
 
 use crate::cnf::{assert_formula, AtomMap};
-use crate::dl::DlSolver;
+use crate::dl::{classify, DlConstraint, DlSolver};
 use crate::formula::{Atom, Formula};
-use crate::lia::{check_atom_refs, LiaResult};
+use crate::lia::{check_readings, lia_reading, BuildError, LiaResult, LinearConstraint};
 use crate::model::Model;
 use crate::probes;
 use crate::sat::{Lit, SatResult as PropResult, SatSolver};
@@ -44,13 +52,14 @@ pub enum TheoryVerdict {
     Unknown,
 }
 
-/// A theory engine packaged as a module: the dispatcher asks `can_decide`
-/// whether the module is complete for a conjunction, then drives it through
-/// `push`/`assert`/`check`/`retract` aligned with the solver's frame
-/// discipline. Implementations: [`crate::dl::DlSolver`] (the difference
-/// fragment, decided exactly by negative-cycle detection) and
-/// [`crate::lia::LiaModule`] (the general engine, complete up to its value
-/// bound — the catch-all fallback).
+/// A theory engine packaged as a module: `can_decide` answers whether the
+/// module is complete for a conjunction, and `push`/`assert`/`check`/
+/// `retract` drive it aligned with the solver's frame discipline.
+/// Implementation: [`crate::dl::DlSolver`] (the difference fragment,
+/// decided exactly by negative-cycle detection), which the dispatcher
+/// drives with pre-computed atom readings instead of `&Atom`s. The general
+/// LIA engine is not a module: it decides a whole conjunction at once, and
+/// the dispatcher calls it directly for everything outside the fragment.
 pub trait TheorySolver {
     /// A short stable name for reports ("dl", "lia").
     fn name(&self) -> &'static str;
@@ -70,21 +79,46 @@ pub trait TheorySolver {
     fn stats(&self) -> TheoryModuleStats;
 }
 
-/// Drives one module over a conjunction: open a frame, assert every atom
-/// (stopping at the first conflict), and check.
-fn run_module<M: TheorySolver>(module: &mut M, atoms: &[&Atom]) -> TheoryVerdict {
-    module.push();
-    for atom in atoms {
-        if module.assert(atom).is_err() {
-            break;
-        }
+/// One atom's theory readings, each computed on first request and at most
+/// once: the difference-logic reading ([`crate::dl::classify`]) and the LIA
+/// reading ([`crate::lia::lia_reading`]).
+#[derive(Debug, Default)]
+pub(crate) struct AtomReadings {
+    dl: OnceCell<Option<Vec<DlConstraint>>>,
+    lia: OnceCell<Option<Result<LinearConstraint, BuildError>>>,
+}
+
+/// An atom paired with its readings: the dispatcher's input.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct AtomRef<'a> {
+    /// The atom.
+    pub atom: &'a Atom,
+    /// Its readings (cached per interned atom, or fresh per scratch check).
+    pub readings: &'a AtomReadings,
+}
+
+impl<'a> AtomRef<'a> {
+    /// The difference-logic reading; `None` outside the fragment.
+    pub fn dl(&self) -> Option<&'a [DlConstraint]> {
+        self.readings
+            .dl
+            .get_or_init(|| classify(self.atom))
+            .as_deref()
     }
-    module.check()
+
+    /// The LIA reading; `None` for an atom with a genuine product.
+    pub fn lia(&self) -> Option<&'a Result<LinearConstraint, BuildError>> {
+        self.readings
+            .lia
+            .get_or_init(|| lia_reading(self.atom))
+            .as_ref()
+    }
 }
 
 /// The outcome of one dispatched theory check, shaped like the LIA result
 /// the call sites already consume, plus the refutation explanation when the
 /// deciding module produced one.
+#[derive(Debug, PartialEq, Eq)]
 pub(crate) struct Dispatched {
     /// The verdict.
     pub result: LiaResult,
@@ -96,39 +130,55 @@ pub(crate) struct Dispatched {
 
 /// Routes one atom conjunction to the cheapest complete theory module: the
 /// difference-logic engine when every atom lies in its fragment (and
-/// [`TheoryConfig::theory_dl`] is on), the general LIA engine otherwise. Both
-/// engines only ever refine each other — on fragment conjunctions DL is
-/// exactly complete, so a verdict LIA could decide is never lost, and
-/// conjunctions outside the fragment take the unchanged LIA path.
-pub(crate) fn dispatch_check(atoms: &[&Atom], config: &TheoryConfig) -> Dispatched {
-    if config.theory_dl {
+/// [`TheoryConfig::theory_dl`] is on), the general LIA engine
+/// ([`crate::lia::check_problem`]) otherwise. Both engines only ever refine
+/// each other — on fragment conjunctions DL is exactly complete, so a
+/// verdict LIA could decide is never lost, and conjunctions outside the
+/// fragment take the unchanged LIA path.
+pub(crate) fn dispatch_check(atoms: &[AtomRef<'_>], config: &TheoryConfig) -> Dispatched {
+    if config.theory_dl && atoms.iter().all(|atom| atom.dl().is_some()) {
+        probes::bump(|p| p.dl_checks += 1);
         let mut dl = DlSolver::new();
-        if dl.can_decide(atoms) {
-            probes::bump(|p| p.dl_checks += 1);
-            match run_module(&mut dl, atoms) {
-                TheoryVerdict::Sat(values) => {
-                    return Dispatched {
-                        result: LiaResult::Sat(values),
-                        explanation: None,
-                    };
-                }
-                TheoryVerdict::Unsat(explanation) => {
-                    return Dispatched {
-                        result: LiaResult::Unsat,
-                        explanation: Some(explanation),
-                    };
-                }
-                // Only reachable when a model coordinate overflows `i64`;
-                // fall through to the LIA engine rather than give up.
-                TheoryVerdict::Unknown => {}
+        dl.push();
+        for atom in atoms {
+            if dl.assert_reading(atom.dl()).is_err() {
+                break;
             }
+        }
+        match dl.check() {
+            TheoryVerdict::Sat(values) => {
+                return Dispatched {
+                    result: LiaResult::Sat(values),
+                    explanation: None,
+                };
+            }
+            TheoryVerdict::Unsat(explanation) => {
+                return Dispatched {
+                    result: LiaResult::Unsat,
+                    explanation: Some(explanation),
+                };
+            }
+            // Only reachable when a model coordinate overflows `i64`;
+            // fall through to the LIA engine rather than give up.
+            TheoryVerdict::Unknown => {}
         }
     }
     probes::bump(|p| p.theory_dispatch_lia += 1);
     Dispatched {
-        result: check_atom_refs(atoms),
+        result: check_readings(atoms),
         explanation: None,
     }
+}
+
+/// [`dispatch_check`] over atoms read afresh — the scratch engine's entry.
+fn dispatch_fresh(atoms: &[Atom], config: &TheoryConfig) -> Dispatched {
+    let readings: Vec<AtomReadings> = atoms.iter().map(|_| AtomReadings::default()).collect();
+    let refs: Vec<AtomRef<'_>> = atoms
+        .iter()
+        .zip(&readings)
+        .map(|(atom, readings)| AtomRef { atom, readings })
+        .collect();
+    dispatch_check(&refs, config)
 }
 
 /// The outcome of an SMT satisfiability check.
@@ -244,10 +294,7 @@ pub fn check_conjunction_counted(
                         var.positive()
                     });
                 }
-                let dispatched = {
-                    let refs: Vec<&Atom> = theory_atoms.iter().collect();
-                    dispatch_check(&refs, config)
-                };
+                let dispatched = dispatch_fresh(&theory_atoms, config);
                 match dispatched.result {
                     LiaResult::Sat(values) => {
                         let mut model = Model::new();
@@ -330,8 +377,7 @@ pub(crate) fn collect_atoms(formula: &Formula, out: &mut Vec<Atom>) -> Option<()
 }
 
 fn lia_to_smt(atoms: &[Atom], formulas: &[Formula], config: &TheoryConfig) -> SmtResult {
-    let refs: Vec<&Atom> = atoms.iter().collect();
-    match dispatch_check(&refs, config).result {
+    match dispatch_fresh(atoms, config).result {
         LiaResult::Sat(values) => {
             let mut model = Model::new();
             for (var, value) in values {
@@ -366,6 +412,7 @@ fn complete_model(model: &mut Model, formulas: &[Formula]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::formula::CmpOp;
     use crate::term::{Term, Var};
 
     fn x(i: u32) -> Term {
@@ -500,6 +547,152 @@ mod tests {
         assert!(
             delta.propagation_ceiling_hits >= 1,
             "the LIA path diverges into the round ceiling: {delta:?}"
+        );
+    }
+
+    /// Dispatch with no readings at all: the fragment test and every
+    /// assert classify their atom on the spot, and LIA flattens every atom.
+    fn dispatch_reference(atoms: &[&Atom], config: &TheoryConfig) -> Dispatched {
+        if config.theory_dl && crate::dl::in_difference_fragment(atoms) {
+            let mut dl = DlSolver::new();
+            dl.push();
+            for atom in atoms {
+                if dl.assert(atom).is_err() {
+                    break;
+                }
+            }
+            match dl.check() {
+                TheoryVerdict::Sat(values) => {
+                    return Dispatched {
+                        result: LiaResult::Sat(values),
+                        explanation: None,
+                    }
+                }
+                TheoryVerdict::Unsat(explanation) => {
+                    return Dispatched {
+                        result: LiaResult::Unsat,
+                        explanation: Some(explanation),
+                    }
+                }
+                TheoryVerdict::Unknown => {}
+            }
+        }
+        Dispatched {
+            result: crate::lia::check_atom_refs(atoms),
+            explanation: None,
+        }
+    }
+
+    /// SplitMix64, so the property runs are seeded and repeatable.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    const OPS: [CmpOp; 6] = [
+        CmpOp::Eq,
+        CmpOp::Ne,
+        CmpOp::Le,
+        CmpOp::Lt,
+        CmpOp::Ge,
+        CmpOp::Gt,
+    ];
+
+    /// Two pools of atoms the conjunctions draw from, so interned atoms
+    /// recur and their cached readings are reused. The first holds
+    /// difference constraints and bounds (every comparison but `≠`); the
+    /// second adds disequalities, wider linear atoms, products of unknowns
+    /// (bare, constant-folded and nested) and atoms whose normalisation
+    /// overflows `i64`.
+    fn atom_pools(rng: &mut Rng) -> (Vec<Atom>, Vec<Atom>) {
+        let mut difference = Vec::new();
+        let mut general = Vec::new();
+        for _ in 0..32 {
+            let op = OPS[rng.below(6) as usize];
+            let (a, b) = (x(rng.below(4) as u32), x(rng.below(4) as u32));
+            let c = Term::int(rng.below(11) as i64 - 5);
+            let fragment_op = if op == CmpOp::Ne { CmpOp::Le } else { op };
+            difference.push(match rng.below(3) {
+                0 => Atom::new(a.clone(), fragment_op, c.clone()),
+                _ => Atom::new(a.clone(), fragment_op, Term::add(b.clone(), c.clone())),
+            });
+            general.push(match rng.below(7) {
+                0 => Atom::new(a, op, Term::add(b, c)),
+                1 => Atom::new(Term::add(Term::mul(Term::int(2), a), b), op, c),
+                2 => Atom::new(Term::mul(a, b), op, c),
+                3 => Atom::new(Term::mul(Term::mul(a, b), Term::int(0)), op, c),
+                4 => Atom::new(
+                    Term::add(Term::mul(a, Term::add(b, c)), x(3)),
+                    op,
+                    Term::int(1),
+                ),
+                5 => Atom::new(
+                    Term::add(a, Term::int(i64::MAX)),
+                    op,
+                    Term::sub(b, Term::int(i64::MAX)),
+                ),
+                _ => Atom::new(Term::mul(Term::int(i64::MIN), a), op, b),
+            });
+        }
+        (difference, general)
+    }
+
+    #[test]
+    fn cached_readings_dispatch_like_fresh_classification() {
+        let mut rng = Rng(0xd15_0019);
+        let (difference, general) = atom_pools(&mut rng);
+        let pool: Vec<Atom> = difference.into_iter().chain(general).collect();
+        let mut arena = crate::arena::Arena::new();
+        let ids: Vec<_> = pool.iter().map(|atom| arena.intern_atom(atom)).collect();
+        let (mut dl_routed, mut lia_decided) = (0, 0);
+        for round in 0..300 {
+            let config = TheoryConfig {
+                theory_dl: round % 4 != 0,
+                ..TheoryConfig::default()
+            };
+            // Even rounds draw from the difference pool only.
+            let range = if round % 2 == 0 {
+                pool.len() / 2
+            } else {
+                pool.len()
+            };
+            let chosen: Vec<usize> = (0..1 + rng.below(4))
+                .map(|_| rng.below(range as u64) as usize)
+                .collect();
+            let atoms: Vec<&Atom> = chosen.iter().map(|&i| &pool[i]).collect();
+            let cached: Vec<AtomRef<'_>> = chosen.iter().map(|&i| arena.atom_ref(ids[i])).collect();
+            let reference = dispatch_reference(&atoms, &config);
+            let owned: Vec<Atom> = atoms.iter().map(|&atom| atom.clone()).collect();
+            assert_eq!(
+                dispatch_check(&cached, &config),
+                reference,
+                "cached readings: {atoms:?}"
+            );
+            assert_eq!(
+                dispatch_fresh(&owned, &config),
+                reference,
+                "fresh readings: {atoms:?}"
+            );
+            if config.theory_dl && crate::dl::in_difference_fragment(&atoms) {
+                dl_routed += 1;
+            } else if reference.result != LiaResult::Unknown {
+                lia_decided += 1;
+            }
+        }
+        assert!(
+            dl_routed > 20 && lia_decided > 20,
+            "both engines decide: {dl_routed} {lia_decided}"
         );
     }
 
