@@ -146,8 +146,9 @@ pub(super) fn analyze_export(
 }
 
 /// Re-runs the context expression with the counterexample's concrete inputs
-/// and checks that the same party is blamed. Returns the verdict together
-/// with the prover statistics of the validation run.
+/// and checks that the run has exactly one outcome, which blames the same
+/// party. Returns the verdict together with the prover statistics of the
+/// validation run.
 fn validate(
     program: &Program,
     context_expr: &Expr,
@@ -164,9 +165,13 @@ fn validate(
     let Some(heap) = load_globals(&mut ctx, program) else {
         return (false, ctx.prover.stats());
     };
+    // The instantiated program must run deterministically: a module that
+    // still branches (say, on an `(opaque)` of its own) has not been shown
+    // to fail on these inputs, only to be able to.
     let outcomes = eval(&mut ctx, &empty_env(), CONTEXT_PARTY, &concrete, &heap);
-    let confirmed = outcomes.iter().any(|(outcome, _)| {
-        matches!(outcome, Outcome::Err(blame) if blame.party == counterexample.blame.party)
-    });
+    let confirmed = matches!(
+        outcomes.as_slice(),
+        [(Outcome::Err(blame), _)] if blame.party == counterexample.blame.party
+    );
     (confirmed, ctx.prover.stats())
 }

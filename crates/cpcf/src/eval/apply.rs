@@ -10,8 +10,8 @@ use folic::Proof;
 use crate::heap::{extend_env, CRefinement, Heap, Loc, SVal, Tag};
 use crate::syntax::{CBlame, Label};
 
-use super::contracts::{monitor, monitor_args};
-use super::{eval, Ctx, Outcome};
+use super::contracts::{monitor, monitor_args, Parties};
+use super::{eval, then, Ctx, Outcome};
 
 /// Applies the value at `function_loc` to `args`.
 pub fn apply(
@@ -74,33 +74,22 @@ pub fn apply(
             // Monitor each argument against its domain contract with the
             // blame parties swapped, then run the inner function, then
             // monitor the result against the range contract.
+            let parties = Parties {
+                pos: &pos,
+                neg: &neg,
+                label: mon_label,
+            };
             monitor_args(
                 ctx,
                 &doms,
                 args,
-                &neg,
-                &pos,
-                mon_label,
+                parties.swapped(),
                 heap,
-                Vec::new(),
-                &mut |ctx, monitored, heap| {
-                    let mut out = Vec::new();
-                    for (outcome, inner_heap) in apply(ctx, caller, inner, &monitored, &heap, label)
-                    {
-                        match outcome {
-                            Outcome::Val(result) => out.extend(monitor(
-                                ctx,
-                                rng,
-                                result,
-                                &pos,
-                                &neg,
-                                mon_label,
-                                &inner_heap,
-                            )),
-                            other => out.push((other, inner_heap)),
-                        }
-                    }
-                    out
+                |ctx, monitored, heap| {
+                    let results = apply(ctx, caller, inner, &monitored, &heap, label);
+                    then(ctx, results, |ctx, result, heap| {
+                        monitor(ctx, rng, result, parties, &heap)
+                    })
                 },
             )
         }
@@ -185,22 +174,18 @@ fn apply_opaque(
 
     // Demonic exploration: the unknown function may use its behavioural
     // arguments arbitrarily; errors found that way are real errors of the
-    // escaping values' owners.
+    // escaping values' owners. Base values and opaques have no behaviour to
+    // explore, and the result above already covers them.
     let havoc_depth = ctx.options.havoc_depth;
     if havoc_depth > 0 {
-        for &arg in args {
-            for (outcome, havoc_heap) in havoc(ctx, caller, arg, &base, havoc_depth) {
-                match outcome {
-                    Outcome::Err(_) | Outcome::Timeout => outcomes.push((outcome, havoc_heap)),
-                    Outcome::Val(_) => {
-                        // The exploration finished without an error: the
-                        // unknown context then returns an unknown value.
-                        let mut h = havoc_heap;
-                        let result = h.alloc(SVal::opaque());
-                        outcomes.push((Outcome::Val(result), h));
-                    }
-                }
-            }
+        for &arg in args.iter().filter(|&&arg| !is_simple(&base, arg)) {
+            let explored = havoc(ctx, caller, arg, &base, havoc_depth);
+            // An exploration that finished without an error leaves the
+            // unknown context to return an unknown value.
+            outcomes.extend(then(ctx, explored, |_, _, mut heap| {
+                let result = heap.alloc(SVal::opaque());
+                vec![(Outcome::Val(result), heap)]
+            }));
         }
     }
     outcomes
@@ -227,64 +212,32 @@ pub fn havoc(
     if depth == 0 || !ctx.tick() {
         return vec![(Outcome::Val(loc), heap.clone())];
     }
-    match heap.get(loc).clone() {
-        SVal::Closure { params, .. } => {
-            let mut heap = heap.clone();
-            let args: Vec<Loc> = (0..params.len())
-                .map(|_| heap.alloc(SVal::opaque()))
-                .collect();
-            let mut out = Vec::new();
-            for (outcome, branch_heap) in apply(ctx, "context", loc, &args, &heap, Label(u32::MAX))
-            {
-                match outcome {
-                    Outcome::Val(result) => {
-                        out.extend(havoc(ctx, caller, result, &branch_heap, depth - 1));
-                    }
-                    other => out.push((other, branch_heap)),
-                }
-            }
-            out
-        }
-        SVal::Guarded { doms, .. } => {
-            let mut heap = heap.clone();
-            let args: Vec<Loc> = (0..doms.len())
-                .map(|_| heap.alloc(SVal::opaque()))
-                .collect();
-            let mut out = Vec::new();
-            for (outcome, branch_heap) in apply(ctx, "context", loc, &args, &heap, Label(u32::MAX))
-            {
-                match outcome {
-                    Outcome::Val(result) => {
-                        out.extend(havoc(ctx, caller, result, &branch_heap, depth - 1));
-                    }
-                    other => out.push((other, branch_heap)),
-                }
-            }
-            out
-        }
+    let arity = match heap.get(loc) {
+        SVal::Closure { params, .. } => Some(params.len()),
+        SVal::Guarded { doms, .. } => Some(doms.len()),
+        _ => None,
+    };
+    if let Some(arity) = arity {
+        let mut heap = heap.clone();
+        let args: Vec<Loc> = (0..arity).map(|_| heap.alloc(SVal::opaque())).collect();
+        let results = apply(ctx, "context", loc, &args, &heap, Label(u32::MAX));
+        return then(ctx, results, |ctx, result, heap| {
+            havoc(ctx, caller, result, &heap, depth - 1)
+        });
+    }
+    match *heap.get(loc) {
         SVal::Pair(car, cdr) => {
-            let mut out = Vec::new();
-            for (outcome, branch_heap) in havoc(ctx, caller, car, heap, depth - 1) {
-                match outcome {
-                    Outcome::Val(_) => out.extend(havoc(ctx, caller, cdr, &branch_heap, depth - 1)),
-                    other => out.push((other, branch_heap)),
-                }
-            }
-            out
+            let explored = havoc(ctx, caller, car, heap, depth - 1);
+            then(ctx, explored, |ctx, _, heap| {
+                havoc(ctx, caller, cdr, &heap, depth - 1)
+            })
         }
-        SVal::StructVal { fields, .. } => {
+        SVal::StructVal { ref fields, .. } => {
             let mut states = vec![(Outcome::Val(loc), heap.clone())];
-            for field in fields {
-                let mut next = Vec::new();
-                for (outcome, branch_heap) in states {
-                    match outcome {
-                        Outcome::Val(_) => {
-                            next.extend(havoc(ctx, caller, field, &branch_heap, depth - 1));
-                        }
-                        other => next.push((other, branch_heap)),
-                    }
-                }
-                states = next;
+            for &field in fields {
+                states = then(ctx, states, |ctx, _, heap| {
+                    havoc(ctx, caller, field, &heap, depth - 1)
+                });
             }
             states
         }

@@ -18,10 +18,22 @@
 //! constraint journal at each of these sites, which made splitting the
 //! dominant cost on deep paths.
 //!
+//! Every step is sequenced by one rule: a step yields a list of
+//! `(outcome, heap)` states, errors and timeouts pass through unchanged,
+//! and each normal value is continued. `then` is that rule for one outcome
+//! list. `sequence` applies it left to right over a list of steps and hands
+//! the continuation the values in order; argument lists (`bind_list`) and a
+//! guarded function's domain monitors both run through it. `bind` is `eval`
+//! followed by `then`. An outcome list is cut at
+//! [`EvalOptions::max_branches`] in exactly three places: `eval`'s result,
+//! and the continuation lists built by `bind` and by `bind_list`'s steps.
+//! Each cut bumps the `branch_truncations` counter.
+//!
 //! The evaluator is split by concern:
 //!
-//! * [`mod@self`] — the expression dispatcher, continuation plumbing
-//!   (`bind`/`bind_list`) and the short-circuiting forms;
+//! * [`mod@self`] — the expression dispatcher, the sequencing combinators
+//!   (`then`, `sequence`, `bind`, `bind_list`) and the short-circuiting
+//!   forms;
 //! * [`branch`] — truthiness, tag predicates and structural refinement: the
 //!   places where one symbolic state splits into several;
 //! * [`apply`] — function application, including the demonic treatment of
@@ -48,7 +60,7 @@ mod prims;
 
 pub use apply::{apply, havoc};
 pub use branch::{refine_to_tag, tag_predicate, truthiness, values_equal};
-pub use contracts::monitor;
+use contracts::{monitor, Parties};
 pub use prims::apply_prim;
 
 use crate::heap::{ContractVal, Tag};
@@ -330,25 +342,21 @@ fn eval_inner(
             neg,
             label,
         } => {
-            let (pos, neg, label) = (pos.clone(), neg.clone(), *label);
+            let parties = Parties {
+                pos,
+                neg,
+                label: *label,
+            };
             bind(
                 ctx,
                 env,
                 owner,
                 contract,
                 heap,
-                move |ctx, contract_loc, heap| {
-                    let (pos, neg) = (pos.clone(), neg.clone());
-                    bind(
-                        ctx,
-                        env,
-                        owner,
-                        value,
-                        &heap,
-                        move |ctx, value_loc, heap| {
-                            monitor(ctx, contract_loc, value_loc, &pos, &neg, label, &heap)
-                        },
-                    )
+                |ctx, contract_loc, heap| {
+                    bind(ctx, env, owner, value, &heap, |ctx, value_loc, heap| {
+                        monitor(ctx, contract_loc, value_loc, parties, &heap)
+                    })
                 },
             )
         }
@@ -367,31 +375,96 @@ pub(crate) fn alloc_value(heap: &Heap, value: SVal) -> Vec<(Outcome, Heap)> {
     vec![(Outcome::Val(loc), heap)]
 }
 
-/// Evaluates `expr` and continues with `k` on every normal outcome,
-/// propagating errors and timeouts.
-fn bind<K>(
+/// Continues every normal outcome with `k`; errors and timeouts pass
+/// through unchanged. This is the evaluator's one sequencing rule.
+fn then<K>(ctx: &mut Ctx, outcomes: Vec<(Outcome, Heap)>, k: K) -> Vec<(Outcome, Heap)>
+where
+    K: FnMut(&mut Ctx, Loc, Heap) -> Vec<(Outcome, Heap)>,
+{
+    then_upto(ctx, outcomes, usize::MAX, k)
+}
+
+/// [`then`], but stops (and counts a truncation) once `limit` outcomes have
+/// been collected.
+fn then_upto<K>(
     ctx: &mut Ctx,
-    env: &Env,
-    owner: &str,
-    expr: &Expr,
-    heap: &Heap,
+    outcomes: Vec<(Outcome, Heap)>,
+    limit: usize,
     mut k: K,
 ) -> Vec<(Outcome, Heap)>
 where
     K: FnMut(&mut Ctx, Loc, Heap) -> Vec<(Outcome, Heap)>,
 {
     let mut out = Vec::new();
-    for (outcome, branch_heap) in eval(ctx, env, owner, expr, heap) {
-        if out.len() >= ctx.options.max_branches {
+    for (outcome, heap) in outcomes {
+        if out.len() >= limit {
             note_truncation();
             break;
         }
         match outcome {
-            Outcome::Val(loc) => out.extend(k(ctx, loc, branch_heap)),
-            other => out.push((other, branch_heap)),
+            Outcome::Val(loc) => out.extend(k(ctx, loc, heap)),
+            other => out.push((other, heap)),
         }
     }
     out
+}
+
+/// Runs `step(0)`, …, `step(len - 1)` left to right, each in the heap of a
+/// normal outcome of the one before, and continues with `k` on the list of
+/// their values. Each step's continuations are cut at `limit`.
+fn sequence<S, K>(
+    ctx: &mut Ctx,
+    len: usize,
+    heap: Heap,
+    limit: usize,
+    mut step: S,
+    mut k: K,
+) -> Vec<(Outcome, Heap)>
+where
+    S: FnMut(&mut Ctx, usize, &Heap) -> Vec<(Outcome, Heap)>,
+    K: FnMut(&mut Ctx, Vec<Loc>, Heap) -> Vec<(Outcome, Heap)>,
+{
+    fn go<S, K>(
+        ctx: &mut Ctx,
+        len: usize,
+        done: Vec<Loc>,
+        heap: Heap,
+        limit: usize,
+        step: &mut S,
+        k: &mut K,
+    ) -> Vec<(Outcome, Heap)>
+    where
+        S: FnMut(&mut Ctx, usize, &Heap) -> Vec<(Outcome, Heap)>,
+        K: FnMut(&mut Ctx, Vec<Loc>, Heap) -> Vec<(Outcome, Heap)>,
+    {
+        if done.len() == len {
+            return k(ctx, done, heap);
+        }
+        let outcomes = step(ctx, done.len(), &heap);
+        then_upto(ctx, outcomes, limit, |ctx, loc, branch_heap| {
+            let mut done = done.clone();
+            done.push(loc);
+            go(ctx, len, done, branch_heap, limit, step, k)
+        })
+    }
+    go(ctx, len, Vec::new(), heap, limit, &mut step, &mut k)
+}
+
+/// Evaluates `expr` and continues with `k` on every normal outcome.
+fn bind<K>(
+    ctx: &mut Ctx,
+    env: &Env,
+    owner: &str,
+    expr: &Expr,
+    heap: &Heap,
+    k: K,
+) -> Vec<(Outcome, Heap)>
+where
+    K: FnMut(&mut Ctx, Loc, Heap) -> Vec<(Outcome, Heap)>,
+{
+    let outcomes = eval(ctx, env, owner, expr, heap);
+    let limit = ctx.options.max_branches;
+    then_upto(ctx, outcomes, limit, k)
 }
 
 /// Evaluates a list of expressions left to right and continues with the
@@ -402,46 +475,14 @@ fn bind_list<K>(
     owner: &str,
     exprs: &[Expr],
     heap: &Heap,
-    mut k: K,
+    k: K,
 ) -> Vec<(Outcome, Heap)>
 where
     K: FnMut(&mut Ctx, Vec<Loc>, Heap) -> Vec<(Outcome, Heap)>,
 {
-    fn go<K>(
-        ctx: &mut Ctx,
-        env: &Env,
-        owner: &str,
-        exprs: &[Expr],
-        done: Vec<Loc>,
-        heap: Heap,
-        k: &mut K,
-    ) -> Vec<(Outcome, Heap)>
-    where
-        K: FnMut(&mut Ctx, Vec<Loc>, Heap) -> Vec<(Outcome, Heap)>,
-    {
-        match exprs.split_first() {
-            None => k(ctx, done, heap),
-            Some((first, rest)) => {
-                let mut out = Vec::new();
-                for (outcome, branch_heap) in eval(ctx, env, owner, first, &heap) {
-                    if out.len() >= ctx.options.max_branches {
-                        note_truncation();
-                        break;
-                    }
-                    match outcome {
-                        Outcome::Val(loc) => {
-                            let mut done = done.clone();
-                            done.push(loc);
-                            out.extend(go(ctx, env, owner, rest, done, branch_heap, k));
-                        }
-                        other => out.push((other, branch_heap)),
-                    }
-                }
-                out
-            }
-        }
-    }
-    go(ctx, env, owner, exprs, Vec::new(), heap.clone(), &mut k)
+    let limit = ctx.options.max_branches;
+    let step = |ctx: &mut Ctx, i: usize, heap: &Heap| eval(ctx, env, owner, &exprs[i], heap);
+    sequence(ctx, exprs.len(), heap.clone(), limit, step, k)
 }
 
 fn eval_and(

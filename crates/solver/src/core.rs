@@ -26,13 +26,12 @@
 //!   conjunction — the fast path's whole set, and each propositional
 //!   candidate of the SMT loop — is routed, through the atoms' cached
 //!   readings, to the cheapest complete theory engine: the incremental
-//!   difference-logic engine ([`crate::dl::DlSolver`]) when every atom
-//!   normalises to `x − y ≤ c`, the general LIA engine otherwise, which
-//!   re-flattens only atoms with a genuine product. A difference-logic
-//!   refutation contributes its negative-cycle *explanation* (the
-//!   inconsistent subset) as the blocking clause and the shared lemma
-//!   instead of blaming the whole candidate, so the learnt clause prunes
-//!   strictly more.
+//!   difference-logic engine ([`crate::dl`]) when every atom normalises to
+//!   `x − y ≤ c`, the general LIA engine otherwise, which re-flattens only
+//!   atoms with a genuine product. A difference-logic refutation
+//!   contributes its negative-cycle *explanation* (the inconsistent
+//!   subset) as the blocking clause and the shared lemma instead of blaming
+//!   the whole candidate, so the learnt clause prunes strictly more.
 //! * **Per-query cone slicing, maintained with the assertion stack**: the
 //!   active formulas are partitioned into variable-connected components. A
 //!   query only solves the components its assumptions touch; the untouched

@@ -17,23 +17,22 @@
 //! loop off degrades the verdict to `Unknown`. The graph test decides the
 //! same conjunction in two edge insertions.
 //!
-//! [`DlSolver`] is incremental in the style of Cotton & Maler: it maintains
+//! `DlSolver` is incremental in the style of Cotton & Maler: it maintains
 //! a **potential function** π with `π(x) ≤ π(y) + c` for every asserted
 //! edge. Each new edge is checked against π in O(1); only a violated edge
 //! triggers an SPFA-style repair that relaxes π forward from the edge's
 //! head, and a repair that propagates back into the edge's tail has closed
-//! a negative cycle. Potentials stay valid across [`DlSolver::retract`]
-//! (removing constraints only removes conditions on π), so asserts after a
-//! pop resume from the repaired potentials instead of recomputing them.
-//! Satisfiable conjunctions get their model straight from the potentials:
-//! `x ↦ π(x) − π(zero)` satisfies every asserted edge by construction.
+//! a negative cycle. Satisfiable conjunctions get their model straight from
+//! the potentials: `x ↦ π(x) − π(zero)` satisfies every asserted edge by
+//! construction. A solver is one-shot: the dispatcher builds one per check,
+//! asserts the conjunction and asks for the verdict, so nothing is ever
+//! retracted.
 //!
 //! Normalising an atom into edges (`classify`, the atom's
 //! *difference-logic reading*) depends on the atom alone. The dispatcher
 //! therefore takes the reading from the atom's cache in the solver core's
 //! arena and asserts it with `DlSolver::assert_reading`, so a check reads
-//! no atom twice; [`TheorySolver::assert`] classifies on the spot and calls
-//! the same method.
+//! no atom twice.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
@@ -41,7 +40,7 @@ use crate::formula::{Atom, CmpOp};
 use crate::linear::{linearise, LinExpr, Linearised};
 use crate::probes;
 use crate::term::Var;
-use crate::theory::{TheoryModuleStats, TheorySolver, TheoryVerdict};
+use crate::theory::TheoryVerdict;
 
 /// The difference-fragment reading of one normalised `expr ≤ 0` constraint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -142,7 +141,7 @@ pub(crate) fn classify(atom: &Atom) -> Option<Vec<DlConstraint>> {
 }
 
 /// True when every atom of the conjunction lies in the difference fragment,
-/// i.e. [`DlSolver`] decides the conjunction exactly.
+/// i.e. `DlSolver` decides the conjunction exactly.
 pub fn in_difference_fragment(atoms: &[&Atom]) -> bool {
     atoms.iter().all(|atom| classify(atom).is_some())
 }
@@ -161,34 +160,24 @@ struct Edge {
 /// algorithm; node 0 is the virtual zero node that single-variable bounds
 /// are differenced against.
 #[derive(Debug, Default)]
-pub struct DlSolver {
+pub(crate) struct DlSolver {
     /// Variable → graph node (allocated on first sight).
     node_of: HashMap<Var, usize>,
     /// Potential function, one entry per node (index 0: the zero node).
     pot: Vec<i128>,
     /// Outgoing edge ids per node.
     out: Vec<Vec<usize>>,
-    /// Asserted edges, in assertion order (retraction truncates).
+    /// Asserted edges, in assertion order.
     edges: Vec<Edge>,
-    /// Frame marks: `(edges.len(), asserted, undecidable)` at each push.
-    frames: Vec<(usize, usize, bool)>,
     /// Atoms asserted so far (explanation indices refer to this order).
     asserted: usize,
-    /// The first conflict found, as explanation indices; cleared by a
-    /// retraction that discards one of the blamed atoms.
+    /// The first conflict found, as explanation indices.
     conflict: Option<Vec<usize>>,
-    /// An out-of-fragment atom slipped past `can_decide`: the module can
-    /// no longer claim `Sat` (a recorded conflict stays sound).
-    undecidable: bool,
-    /// Potentials left mid-repair by a conflict; restored lazily on
-    /// retraction.
-    dirty: bool,
-    stats: TheoryModuleStats,
 }
 
 impl DlSolver {
     /// Creates an empty solver (just the zero node).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         DlSolver {
             pot: vec![0],
             out: vec![Vec::new()],
@@ -230,7 +219,6 @@ impl DlSolver {
             // A negative self-loop (cannot arise from difference atoms,
             // whose variable pairs are distinct after cancellation, but
             // guard anyway).
-            self.dirty = true;
             self.conflict = Some(vec![atom]);
             return false;
         }
@@ -241,7 +229,6 @@ impl DlSolver {
         // cycle; a wave that dies out has restored a valid potential.
         self.pot[to] = self.pot[from] + weight;
         probes::bump(|p| p.dl_propagations += 1);
-        self.stats.propagations += 1;
         let mut in_queue = vec![false; self.pot.len()];
         let mut queue = VecDeque::new();
         queue.push_back(to);
@@ -254,9 +241,7 @@ impl DlSolver {
                 if self.pot[edge.to] > self.pot[x] + edge.weight {
                     self.pot[edge.to] = self.pot[x] + edge.weight;
                     probes::bump(|p| p.dl_propagations += 1);
-                    self.stats.propagations += 1;
                     if edge.to == from {
-                        self.dirty = true;
                         self.conflict = Some(self.negative_cycle_explanation());
                         return false;
                     }
@@ -317,34 +302,6 @@ impl DlSolver {
         atoms.into_iter().collect()
     }
 
-    /// Rebuilds the potential function from scratch over the live edges,
-    /// used after a retraction discarded the edges of a conflict that left
-    /// the potentials mid-repair.
-    fn restore_potentials(&mut self) {
-        for p in &mut self.pot {
-            *p = 0;
-        }
-        // Bellman–Ford from the all-zeros potential: the live edge set was
-        // consistent before the retracted frame, so this converges.
-        let n = self.pot.len();
-        for _round in 0..=n {
-            let mut changed = false;
-            for edge in &self.edges {
-                if self.pot[edge.to] > self.pot[edge.from] + edge.weight {
-                    self.pot[edge.to] = self.pot[edge.from] + edge.weight;
-                    changed = true;
-                }
-            }
-            if !changed {
-                self.dirty = false;
-                return;
-            }
-        }
-        // Still inconsistent after n rounds (cannot happen when the
-        // surviving frames were conflict-free): stay dirty, so `check`
-        // conservatively answers `Unknown` instead of claiming a model.
-    }
-
     /// A model from the potentials, shifted so the zero node maps to 0.
     /// `None` when a value does not fit in `i64` (the caller falls back to
     /// `Unknown`, never a wrong answer).
@@ -359,32 +316,23 @@ impl DlSolver {
     }
 
     /// Asserts one atom given its difference-logic reading ([`classify`]'s
-    /// result, typically cached per interned atom). `None` marks an
-    /// out-of-fragment atom. Behaves exactly like [`TheorySolver::assert`]
-    /// on the atom the reading came from.
+    /// result, typically cached per interned atom). `Err` carries a conflict
+    /// explanation (indices into the assertion order) once the conjunction
+    /// is inconsistent.
     pub(crate) fn assert_reading(
         &mut self,
-        reading: Option<&[DlConstraint]>,
+        constraints: &[DlConstraint],
     ) -> Result<(), Vec<usize>> {
         let index = self.asserted;
         self.asserted += 1;
         if let Some(conflict) = &self.conflict {
             return Err(conflict.clone());
         }
-        let Some(constraints) = reading else {
-            // `can_decide` filters these; a stray out-of-fragment atom
-            // makes the conjunction undecidable for this module (treating
-            // it as a conflict would be unsound, ignoring it would let an
-            // unchecked model through).
-            self.undecidable = true;
-            return Ok(());
-        };
         for &constraint in constraints {
             match constraint {
                 DlConstraint::True => {}
                 DlConstraint::False => {
                     self.conflict = Some(vec![index]);
-                    self.stats.conflicts += 1;
                     probes::bump(|p| p.dl_conflicts += 1);
                     return Err(vec![index]);
                 }
@@ -403,7 +351,6 @@ impl DlSolver {
                     };
                     if !self.add_edge(from, to, i128::from(bound), index) {
                         let explanation = self.conflict.clone().expect("conflict recorded");
-                        self.stats.conflicts += 1;
                         probes::bump(|p| p.dl_conflicts += 1);
                         return Err(explanation);
                     }
@@ -412,63 +359,17 @@ impl DlSolver {
         }
         Ok(())
     }
-}
 
-impl TheorySolver for DlSolver {
-    fn name(&self) -> &'static str {
-        "dl"
-    }
-
-    fn can_decide(&self, atoms: &[&Atom]) -> bool {
-        in_difference_fragment(atoms)
-    }
-
-    fn push(&mut self) {
-        self.frames
-            .push((self.edges.len(), self.asserted, self.undecidable));
-    }
-
-    fn assert(&mut self, atom: &Atom) -> Result<(), Vec<usize>> {
-        self.assert_reading(classify(atom).as_deref())
-    }
-
-    fn retract(&mut self) {
-        let (edge_mark, atom_mark, undecidable) = self.frames.pop().unwrap_or((0, 0, false));
-        while self.edges.len() > edge_mark {
-            let edge = self.edges.pop().expect("length checked");
-            let popped = self.out[edge.from].pop();
-            debug_assert_eq!(popped, Some(self.edges.len()));
-        }
-        self.asserted = atom_mark;
-        self.undecidable = undecidable;
-        // A conflict always blames the atom whose edge closed the cycle, so
-        // it survives retraction exactly when every blamed atom does.
-        if let Some(explanation) = &self.conflict {
-            if explanation.iter().any(|&index| index >= atom_mark) {
-                self.conflict = None;
-            }
-        }
-        if self.dirty && self.conflict.is_none() {
-            self.restore_potentials();
-        }
-    }
-
-    fn check(&mut self) -> TheoryVerdict {
-        self.stats.checks += 1;
+    /// Decides the asserted conjunction. `Unknown` only when a model
+    /// coordinate does not fit in `i64`.
+    pub(crate) fn check(&self) -> TheoryVerdict {
         if let Some(explanation) = &self.conflict {
             return TheoryVerdict::Unsat(explanation.clone());
-        }
-        if self.undecidable || self.dirty {
-            return TheoryVerdict::Unknown;
         }
         match self.model() {
             Some(model) => TheoryVerdict::Sat(model),
             None => TheoryVerdict::Unknown,
         }
-    }
-
-    fn stats(&self) -> TheoryModuleStats {
-        self.stats
     }
 }
 
@@ -482,12 +383,10 @@ mod tests {
     }
 
     fn check(atoms: &[Atom]) -> TheoryVerdict {
-        let refs: Vec<&Atom> = atoms.iter().collect();
         let mut dl = DlSolver::new();
-        assert!(dl.can_decide(&refs), "atoms must be in the fragment");
-        dl.push();
-        for atom in &refs {
-            if dl.assert(atom).is_err() {
+        for atom in atoms {
+            let reading = classify(atom).expect("atoms must be in the fragment");
+            if dl.assert_reading(&reading).is_err() {
                 break;
             }
         }
@@ -573,20 +472,19 @@ mod tests {
 
     #[test]
     fn fragment_classification_rejects_non_difference_atoms() {
-        let dl = DlSolver::new();
         let ne = Atom::new(x(0), CmpOp::Ne, x(1));
         let three_vars = Atom::new(Term::add(x(0), x(1)), CmpOp::Le, x(2));
         let scaled = Atom::new(Term::mul(Term::int(2), x(0)), CmpOp::Le, x(1));
         let product = Atom::new(Term::mul(x(0), x(1)), CmpOp::Le, Term::int(4));
         for atom in [&ne, &three_vars, &scaled, &product] {
-            assert!(!dl.can_decide(&[atom]), "{atom:?} is outside the fragment");
+            assert!(classify(atom).is_none(), "{atom:?} is outside the fragment");
         }
         // But bounds, strict comparisons and constants are inside.
         let bound = Atom::new(x(0), CmpOp::Lt, Term::int(3));
         let constant = Atom::new(Term::int(1), CmpOp::Le, Term::int(2));
         let cancelled = Atom::new(Term::add(x(0), x(1)), CmpOp::Le, Term::add(x(1), x(2)));
         for atom in [&bound, &constant, &cancelled] {
-            assert!(dl.can_decide(&[atom]), "{atom:?} is inside the fragment");
+            assert!(classify(atom).is_some(), "{atom:?} is inside the fragment");
         }
     }
 
@@ -597,32 +495,6 @@ mod tests {
             TheoryVerdict::Unsat(explanation) => assert_eq!(explanation, vec![0]),
             other => panic!("expected unsat, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn retraction_restores_consistency_and_reuses_potentials() {
-        let mut dl = DlSolver::new();
-        let base = Atom::new(x(0), CmpOp::Le, Term::sub(x(1), Term::int(2)));
-        let cycle = Atom::new(x(1), CmpOp::Le, Term::sub(x(0), Term::int(2)));
-        dl.push();
-        assert!(dl.assert(&base).is_ok());
-        dl.push();
-        assert!(dl.assert(&cycle).is_err(), "the cycle must conflict");
-        assert!(matches!(dl.check(), TheoryVerdict::Unsat(_)));
-        dl.retract();
-        match dl.check() {
-            TheoryVerdict::Sat(model) => {
-                let v0 = model.get(&Var::new(0)).copied().expect("assigned");
-                let v1 = model.get(&Var::new(1)).copied().expect("assigned");
-                assert!(v0 <= v1 - 2, "retracted frame must leave a valid model");
-            }
-            other => panic!("expected sat after retraction, got {other:?}"),
-        }
-        // The surviving frame stays incremental: a compatible bound asserts
-        // in O(1) against the retained potentials.
-        let compatible = Atom::new(x(1), CmpOp::Ge, x(0));
-        assert!(dl.assert(&compatible).is_ok());
-        assert!(matches!(dl.check(), TheoryVerdict::Sat(_)));
     }
 
     #[test]

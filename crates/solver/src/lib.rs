@@ -35,13 +35,13 @@
 //!   explanations as conflict clauses. On by default;
 //!   [`TheoryConfig::theory_dl`] switches it off for the LIA-only reference
 //!   the differential tests compare against.
-//! * [`theory`] — the theory layer: the [`theory::TheorySolver`] module
-//!   trait, the dispatcher routing each atom conjunction to the cheapest
-//!   complete engine through the atoms' theory readings (cached per
-//!   interned atom in the persistent core), and the lazy SMT loop combining the SAT core with the
-//!   dispatched theory, rebuilt from nothing per check (the *scratch*
-//!   engine: the persistent core's fallback on `Unknown`, and, as
-//!   [`CoreMode::Scratch`], the reference the differential tests pin).
+//! * [`theory`] — the theory layer: the dispatcher routing each atom
+//!   conjunction to the cheapest complete engine through the atoms' theory
+//!   readings (cached per interned atom in the persistent core), and the
+//!   lazy SMT loop combining the SAT core with the dispatched theory,
+//!   rebuilt from nothing per check (the *scratch* engine: the persistent
+//!   core's fallback on `Unknown`, and, as [`CoreMode::Scratch`], the
+//!   reference the differential tests pin).
 //! * [`counters`](mod@counters) — the [`counters!`] macro that declares a counter
 //!   registry once and generates its merge, delta and report visitor;
 //!   [`SolverStats`] is this crate's registry.
@@ -112,10 +112,9 @@ pub mod theory;
 
 pub use arena::{global_atom, Arena, AtomId};
 pub use counters::Tally;
-pub use dl::DlSolver;
 pub use formula::{Atom, CmpOp, Formula};
 pub use lemmas::{default_lemma_sharing, SharedLemma, SharedLemmaPool};
 pub use model::Model;
 pub use solver::{CoreMode, Proof, Solver, SolverConfig, SolverStats, UnbalancedPop, Validity};
 pub use term::{Term, Var};
-pub use theory::{SmtResult, TheoryConfig, TheoryModuleStats, TheorySolver, TheoryVerdict};
+pub use theory::{SmtResult, TheoryConfig};

@@ -1,8 +1,8 @@
-//! The theory layer: the [`TheorySolver`] module interface, the dispatcher
-//! routing each atom conjunction to the cheapest complete module, and the
-//! lazy SMT loop — CDCL over the boolean abstraction, with the dispatched
-//! theory modules checking each propositional model and contributing
-//! blocking clauses for theory conflicts.
+//! The theory layer: the dispatcher routing each atom conjunction to the
+//! cheapest complete theory engine, and the lazy SMT loop — CDCL over the
+//! boolean abstraction, with the dispatched engine checking each
+//! propositional model and contributing blocking clauses for theory
+//! conflicts.
 //!
 //! The dispatcher reads atoms through their *theory readings*
 //! (`AtomReadings`): the difference-logic constraints an atom normalises
@@ -24,59 +24,17 @@ use crate::sat::{Lit, SatResult as PropResult, SatSolver};
 use crate::solver::SolverStats;
 use crate::term::Var;
 
-/// Per-module statistics of one theory engine (the dispatcher's counts of
-/// the same events reach [`crate::solver::SolverStats`] through
-/// [`crate::probes`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TheoryModuleStats {
-    /// Conjunction checks answered by this module.
-    pub checks: u64,
-    /// Refutations (conflicts) this module derived.
-    pub conflicts: u64,
-    /// Module-internal propagation steps (edge relaxations for the
-    /// difference-logic module; zero for the LIA module, whose interval
-    /// propagation is counted inside its own search).
-    pub propagations: u64,
-}
-
-/// The verdict of one theory module on its asserted conjunction.
+/// The verdict of the difference-logic engine on its asserted conjunction.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TheoryVerdict {
+pub(crate) enum TheoryVerdict {
     /// Consistent, with a witnessing assignment.
     Sat(BTreeMap<Var, i64>),
     /// Inconsistent. The explanation lists indices — into the order atoms
     /// were asserted — of a subset that is already inconsistent; it is
     /// what becomes the blocking clause and the shared theory lemma.
     Unsat(Vec<usize>),
-    /// The module could not decide within its fragment or budget.
+    /// Undecided: a model coordinate does not fit in `i64`.
     Unknown,
-}
-
-/// A theory engine packaged as a module: `can_decide` answers whether the
-/// module is complete for a conjunction, and `push`/`assert`/`check`/
-/// `retract` drive it aligned with the solver's frame discipline.
-/// Implementation: [`crate::dl::DlSolver`] (the difference fragment,
-/// decided exactly by negative-cycle detection), which the dispatcher
-/// drives with pre-computed atom readings instead of `&Atom`s. The general
-/// LIA engine is not a module: it decides a whole conjunction at once, and
-/// the dispatcher calls it directly for everything outside the fragment.
-pub trait TheorySolver {
-    /// A short stable name for reports ("dl", "lia").
-    fn name(&self) -> &'static str;
-    /// Whether this module decides conjunctions of exactly these atoms.
-    fn can_decide(&self, atoms: &[&Atom]) -> bool;
-    /// Opens an assertion frame; [`TheorySolver::retract`] pops back to it.
-    fn push(&mut self);
-    /// Asserts one atom on top of the current frame. `Err` carries a
-    /// conflict explanation (indices into the assertion order) when the
-    /// atom made the conjunction inconsistent.
-    fn assert(&mut self, atom: &Atom) -> Result<(), Vec<usize>>;
-    /// Pops the most recent frame, retracting its assertions.
-    fn retract(&mut self);
-    /// Decides the currently asserted conjunction.
-    fn check(&mut self) -> TheoryVerdict;
-    /// This module's cumulative counters.
-    fn stats(&self) -> TheoryModuleStats;
 }
 
 /// One atom's theory readings, each computed on first request and at most
@@ -139,9 +97,8 @@ pub(crate) fn dispatch_check(atoms: &[AtomRef<'_>], config: &TheoryConfig) -> Di
     if config.theory_dl && atoms.iter().all(|atom| atom.dl().is_some()) {
         probes::bump(|p| p.dl_checks += 1);
         let mut dl = DlSolver::new();
-        dl.push();
-        for atom in atoms {
-            if dl.assert_reading(atom.dl()).is_err() {
+        for reading in atoms.iter().filter_map(AtomRef::dl) {
+            if dl.assert_reading(reading).is_err() {
                 break;
             }
         }
@@ -223,9 +180,9 @@ pub struct TheoryConfig {
     /// the differential tests check that deletion never changes verdicts.
     pub sat_reduce_limit: Option<usize>,
     /// Whether the dispatcher may route difference-fragment conjunctions to
-    /// the [`crate::dl::DlSolver`] module (default: on). `false` reproduces
-    /// the pre-DL engine exactly: the LIA-only reference the differential
-    /// tests compare the DL module against.
+    /// the difference-logic engine ([`crate::dl`]; default: on). `false`
+    /// reproduces the pre-DL engine exactly: the LIA-only reference the
+    /// differential tests compare the DL engine against.
     pub theory_dl: bool,
 }
 
@@ -555,9 +512,9 @@ mod tests {
     fn dispatch_reference(atoms: &[&Atom], config: &TheoryConfig) -> Dispatched {
         if config.theory_dl && crate::dl::in_difference_fragment(atoms) {
             let mut dl = DlSolver::new();
-            dl.push();
             for atom in atoms {
-                if dl.assert(atom).is_err() {
+                let reading = classify(atom).expect("in the fragment");
+                if dl.assert_reading(&reading).is_err() {
                     break;
                 }
             }

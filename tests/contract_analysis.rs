@@ -165,3 +165,17 @@ fn tight_budgets_degrade_gracefully() {
         );
     }
 }
+
+#[test]
+fn a_module_that_still_branches_is_not_a_validated_counterexample() {
+    // The module's own opaque survives instantiation, so the re-run still
+    // splits on whether it is a number. A run that only *can* blame the
+    // module is no concrete counterexample: the verdict stays probable.
+    let verdict = first_verdict(
+        r#"(module m (provide [main (-> integer?)]) (define (main) (/ 1 (+ 1 (* 0 (opaque))))))"#,
+    );
+    assert!(
+        matches!(verdict, ExportAnalysis::ProbableError(_)),
+        "got {verdict:?}"
+    );
+}

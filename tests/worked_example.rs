@@ -98,3 +98,41 @@ fn cpcf_and_spcf_agree_on_the_division_example() {
     assert!(cex.validated);
     assert!(cex.bindings.iter().any(|(_, e)| *e == cpcf::Expr::Int(100)));
 }
+
+/// The verdict on the only export of a cpcf module.
+fn cpcf_verdict(source: &str) -> cpcf::ExportAnalysis {
+    let report = cpcf::analyze_source(source).expect("parses");
+    report.exports.into_iter().next().expect("one export").1
+}
+
+#[test]
+fn cpcf_case_maps_verify_the_section_3_2_example() {
+    // The §3.2 example through cpcf: the unknown `g` is applied to equal
+    // arguments, so the case map relates the two results and the zero
+    // denominator is refuted, whether the argument is a literal, a
+    // let-bound value or the same parameter.
+    let safe_programs = [
+        r#"(module m (provide [f (-> (-> integer? integer?) integer?)])
+             (define (f g) (/ 1 (- 100 (- (g 0) (g 0))))))"#,
+        r#"(module m (provide [f (-> (-> integer? integer?) integer?)])
+             (define (f g) (let ([a (g 0)] [b (g 0)]) (/ 1 (- 100 (- a b))))))"#,
+        r#"(module m (provide [f (-> (-> integer? integer?) integer? integer?)])
+             (define (f g n) (/ 1 (- 100 (- (g n) (g n))))))"#,
+    ];
+    for source in safe_programs {
+        let verdict = cpcf_verdict(source);
+        assert!(verdict.is_verified(), "{source}: got {verdict:?}");
+    }
+}
+
+#[test]
+fn cpcf_case_maps_keep_the_faulty_twin_refutable() {
+    // With different arguments the two results are unrelated, and a
+    // context with (g n) - (g 0) = 100 breaks the division.
+    let verdict = cpcf_verdict(
+        r#"(module m (provide [f (-> (-> integer? integer?) integer? integer?)])
+             (define (f g n) (/ 1 (- 100 (- (g n) (g 0))))))"#,
+    );
+    let cex = verdict.counterexample().expect("counterexample");
+    assert!(cex.validated, "unvalidated counterexample: {cex:?}");
+}
