@@ -24,7 +24,7 @@
 //! `lemmas_warm_started` 0;
 //! `--timing` appends a per-row and aggregate wall-clock table (monotonic
 //! clock); `--json` emits the machine-readable report (per-row and
-//! aggregate stats — including retraction, heap snapshot/sharing,
+//! aggregate stats — including encoding, heap snapshot/sharing,
 //! per-worker, cross-variant cache-hit and store counters — plus
 //! `analysis_ms`/`wall_ms` timing) on stdout.
 //!

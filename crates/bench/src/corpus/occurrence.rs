@@ -4,7 +4,7 @@
 //! and widen the group with mutable-box rows in the same occurrence-typed
 //! style: union-contracted values flowing *through a box*, so every call
 //! journals a non-monotone overwrite of the box's content — the workload
-//! that exercises solver-state retraction and per-query cone slicing (each
+//! that exercises solver re-encoding and per-query cone slicing (each
 //! box cell is its own constraint island until a comparison links it).
 
 use super::{BenchProgram, Group};
@@ -78,7 +78,7 @@ pub fn programs() -> Vec<BenchProgram> {
         // An accumulator cell whose every overwrite depends on the cell's
         // previous content ((+ (unbox acc) n)) — the journalled rebase
         // carries a constraint chaining old state to new, the hardest case
-        // for retraction bookkeeping.
+        // for re-encoding bookkeeping.
         BenchProgram {
             name: "box-acc",
             group: Group::Occurrence,
@@ -139,8 +139,8 @@ pub fn programs() -> Vec<BenchProgram> {
         },
         // A resource-protocol state machine whose state cell is overwritten
         // with a *symbolic* value in the faulty variant — the journalled
-        // rebase carries the argument's constraints, which retraction must
-        // pop and the counterexample search must solve (n ≠ 1).
+        // rebase carries the argument's constraints, which the session must
+        // re-encode and the counterexample search must solve (n ≠ 1).
         BenchProgram {
             name: "box-flip",
             group: Group::Occurrence,

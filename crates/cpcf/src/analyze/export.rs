@@ -147,7 +147,7 @@ pub(super) fn analyze_export(
 
 /// Re-runs the context expression with the counterexample's concrete inputs
 /// and checks that the run has exactly one outcome, which blames the same
-/// party. Returns the verdict together with the prover statistics of the
+/// party at the same site (label). Returns the verdict together with the prover statistics of the
 /// validation run.
 fn validate(
     program: &Program,
@@ -171,7 +171,9 @@ fn validate(
     let outcomes = eval(&mut ctx, &empty_env(), CONTEXT_PARTY, &concrete, &heap);
     let confirmed = matches!(
         outcomes.as_slice(),
-        [(Outcome::Err(blame), _)] if blame.party == counterexample.blame.party
+        [(Outcome::Err(blame), _)]
+            if blame.party == counterexample.blame.party
+                && blame.label == counterexample.blame.label
     );
     (confirmed, ctx.prover.stats())
 }

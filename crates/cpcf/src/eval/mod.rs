@@ -34,12 +34,12 @@
 //! * [`mod@self`] — the expression dispatcher, the sequencing combinators
 //!   (`then`, `sequence`, `bind`, `bind_list`) and the short-circuiting
 //!   forms;
-//! * [`branch`] — truthiness, tag predicates and structural refinement: the
+//! * `branch` — truthiness, tag predicates and structural refinement: the
 //!   places where one symbolic state splits into several;
 //! * [`apply`] — function application, including the demonic treatment of
 //!   opaque functions and escaped values;
-//! * [`contracts`] — contract monitoring and blame assignment;
-//! * [`prims`] — primitive operations and symbolic arithmetic.
+//! * `contracts` — contract monitoring and blame assignment;
+//! * `prims` — primitive operations and symbolic arithmetic.
 //!
 //! All prover queries go through the [`Ctx`]'s [`ProverSession`], which
 //! keeps a live incremental solver synchronized with the heap's constraint

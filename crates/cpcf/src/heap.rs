@@ -16,25 +16,23 @@
 //! is therefore built for **O(1) snapshots with structural sharing** rather
 //! than for deep copies:
 //!
-//! * the location store, the opaque-label table, the memo-reference set and
-//!   the write-point ledger are persistent copy-on-write maps
-//!   ([`crate::pmap::PMap`]) — a snapshot copies one pointer per map, and a
-//!   later write copies only the tree path still shared with other
-//!   snapshots;
+//! * the location store, the opaque-label table and the memo-reference set
+//!   are persistent copy-on-write maps ([`crate::pmap::PMap`]) — a snapshot
+//!   copies one pointer per map, and a later write copies only the tree path
+//!   still shared with other snapshots;
 //! * the constraint journal is an **`Arc`-shared chain of immutable
 //!   chunks**: a snapshot captures `(chain, len)` and keeps appending on
 //!   either side cheap — an append copies at most the unsealed tail chunk
 //!   (and only when that tail is still shared), never the O(path-length)
 //!   prefix the old `Vec` journal cloned at every branch split.
 //!
-//! The journal's *content* — event order, fingerprint chain, write-points —
-//! is bit-identical to the old deep-clone representation (a property fuzzed
-//! by `randtest`'s shadow-heap differential), so incremental prover
-//! sessions, retraction and the fingerprint-keyed verdict caches are
-//! unaffected consumers. Sharing is observable through the thread-local
-//! counters in [`crate::prove::thread_totals`]: snapshots taken, map nodes
-//! copied by shared-path writes, and journal bytes shared instead of
-//! copied.
+//! The journal's *content* — event order and fingerprint chain — is that of
+//! a plain `Vec` of entries (a property fuzzed against exactly that oracle
+//! in this module's tests), so incremental prover sessions and the
+//! fingerprint-keyed verdict caches are unaffected consumers. Sharing is
+//! observable through the thread-local counters in
+//! [`crate::prove::thread_totals`]: snapshots taken, map nodes copied by
+//! shared-path writes, and journal bytes shared instead of copied.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -372,19 +370,9 @@ pub enum JournalEvent {
     /// new entry pairs with every earlier one in the functionality encoding.
     EntryAdded(Loc, usize),
     /// A non-monotone overwrite: formulas previously encoded from this
-    /// location may no longer hold. `retract_to` is the location's
-    /// *write-point* — the journal position at which the earliest formula
-    /// depending on the location entered the formula stream — so an
-    /// incremental consumer only needs to discard solver state covering
-    /// journal positions at or after `retract_to` and replay the surviving
-    /// suffix, instead of re-encoding the whole heap.
-    Rebase {
-        /// The overwritten location.
-        loc: Loc,
-        /// The overwritten location's write-point: every formula depending
-        /// on it was asserted for a journal position `>= retract_to`.
-        retract_to: usize,
-    },
+    /// location may no longer hold, so an incremental consumer that already
+    /// asserted some of them must re-encode the whole heap.
+    Rebase(Loc),
 }
 
 /// A journal event together with the heap fingerprint *after* the event.
@@ -492,6 +480,15 @@ impl PJournal {
         chunk.entries[position - chunk.base]
     }
 
+    /// The fingerprint after the first `len` entries (0 for none).
+    fn fingerprint_at(&self, len: usize) -> u64 {
+        if len == 0 {
+            0
+        } else {
+            self.entry(len - 1).fingerprint
+        }
+    }
+
     /// Iterates entries from position `from` (inclusive) to the end, in
     /// order. `from` values at or beyond the length yield nothing.
     fn iter_from(&self, from: usize) -> impl Iterator<Item = JournalEntry> + '_ {
@@ -548,19 +545,6 @@ pub struct Heap {
     /// held *elsewhere* and must rebase incremental consumers. Grows
     /// monotonically (a conservative over-approximation).
     memo_refs: PMap<Loc, ()>,
-    /// Per-location *write-points*: the journal position at which the
-    /// earliest formula depending on the location entered the formula
-    /// stream. A formula depends on a location when it constrains the
-    /// location's solver variable — its defining equality (concrete
-    /// integers), its numeric refinements, or a functionality implication of
-    /// a memo table whose entry references it. A consumer that asserted the
-    /// journal's formulas in order therefore retracts *every* formula about
-    /// a location by discarding solver state covering positions at or after
-    /// its write-point. Reset (not merely kept) on a [`JournalEvent::Rebase`]
-    /// of the location, because the rebase itself retracts the older
-    /// formulas and the location's new constraints enter at the rebase
-    /// position.
-    write_points: PMap<Loc, usize>,
 }
 
 impl Clone for Heap {
@@ -580,7 +564,6 @@ impl Clone for Heap {
             journal: self.journal.clone(),
             fingerprint: self.fingerprint,
             memo_refs: self.memo_refs.clone(),
-            write_points: self.write_points.clone(),
         }
     }
 }
@@ -588,11 +571,7 @@ impl Clone for Heap {
 /// A cheap, deterministic summary of a storeable value, mixed into the
 /// fingerprint chain so that sibling branches that mutate the same location
 /// differently end up with different fingerprints.
-///
-/// Exposed (hidden) for `randtest`'s shadow heap, which replays the same
-/// algebra on the old deep-clone representation for differential testing.
-#[doc(hidden)]
-pub fn content_hash(value: &SVal) -> u64 {
+fn content_hash(value: &SVal) -> u64 {
     let mut hasher = std::collections::hash_map::DefaultHasher::new();
     std::mem::discriminant(value).hash(&mut hasher);
     match value {
@@ -619,10 +598,7 @@ pub fn content_hash(value: &SVal) -> u64 {
 
 /// True if the value contributes formulas to the heap's first-order
 /// encoding, so overwriting it is a non-monotone change.
-///
-/// Exposed (hidden) for `randtest`'s shadow heap; see [`content_hash`].
-#[doc(hidden)]
-pub fn encodes_formulas(value: &SVal) -> bool {
+fn encodes_formulas(value: &SVal) -> bool {
     match value {
         SVal::Num(Number::Int(_)) => true,
         SVal::Opaque {
@@ -672,14 +648,6 @@ impl Heap {
                 self.memo_refs.insert(arg, ());
                 self.memo_refs.insert(res, ());
             }
-        }
-    }
-
-    /// Sets `loc`'s write-point to `position` unless an earlier one exists
-    /// (the `BTreeMap::entry(..).or_insert(..)` of the old representation).
-    fn write_point_if_absent(&mut self, loc: Loc, position: usize) {
-        if !self.write_points.contains_key(&loc) {
-            self.write_points.insert(loc, position);
         }
     }
 
@@ -769,12 +737,6 @@ impl Heap {
             _ => Change::Touched,
         };
         let hash = content_hash(&value);
-        // The write-point is read *before* the overwrite is journalled: it
-        // bounds the formulas already in the stream, which the rebase event
-        // tells consumers to retract. A missing write-point (impossible for
-        // the overwrite patterns that trigger a rebase, but cheap to guard)
-        // degrades to position 0, i.e. "retract everything".
-        let retract_to = self.write_points.get(&loc).copied().unwrap_or(0);
         self.note_memo_refs(&value);
         self.entries.insert(loc, value);
         match change {
@@ -784,7 +746,7 @@ impl Heap {
                 }
             }
             Change::Touched => self.record(JournalEvent::Touched(loc), hash),
-            Change::Rebase => self.record(JournalEvent::Rebase { loc, retract_to }, hash),
+            Change::Rebase => self.record(JournalEvent::Rebase(loc), hash),
         }
     }
 
@@ -819,15 +781,13 @@ impl Heap {
     }
 
     /// Appends a journal event, advancing the fingerprint chain (FNV-1a
-    /// style mixing of the event and a content summary) and maintaining the
-    /// per-location write-points.
+    /// style mixing of the event and a content summary).
     fn record(&mut self, event: JournalEvent, content: u64) {
-        self.note_write_points(&event);
         let mut hasher = std::collections::hash_map::DefaultHasher::new();
         self.fingerprint.hash(&mut hasher);
         std::mem::discriminant(&event).hash(&mut hasher);
         match event {
-            JournalEvent::Touched(loc) | JournalEvent::Rebase { loc, .. } => loc.hash(&mut hasher),
+            JournalEvent::Touched(loc) | JournalEvent::Rebase(loc) => loc.hash(&mut hasher),
             JournalEvent::Refined(loc, index) | JournalEvent::EntryAdded(loc, index) => {
                 (loc, index).hash(&mut hasher)
             }
@@ -838,75 +798,6 @@ impl Heap {
             event,
             fingerprint: self.fingerprint,
         });
-    }
-
-    /// Updates the write-point ledger for the event about to be journalled
-    /// at the current journal position. Called with the mutation already
-    /// applied to `entries`, so the event's value can be inspected.
-    ///
-    /// The invariant maintained: every formula depending on a location is
-    /// emitted by a consumer for a journal position `>=` the location's
-    /// write-point. Wholesale (re-)encodings of a location may emit formulas
-    /// reflecting state journalled *before* the encoding's own position, but
-    /// only state whose own events already carry earlier write-points, so
-    /// first-contribution positions are a sound lower bound.
-    fn note_write_points(&mut self, event: &JournalEvent) {
-        let position = self.journal.len();
-        match *event {
-            JournalEvent::Touched(loc) => {
-                self.note_value_write_points(loc, position, false);
-            }
-            JournalEvent::Rebase { loc, .. } => {
-                // The rebase retracts every older formula about `loc`; its
-                // new constraints enter the stream here.
-                self.write_points.insert(loc, position);
-                self.note_value_write_points(loc, position, true);
-            }
-            JournalEvent::Refined(loc, index) => {
-                let numeric = matches!(
-                    self.entries.get(&loc),
-                    Some(SVal::Opaque { refinements, .. })
-                        if matches!(refinements.get(index), Some(CRefinement::NumCmp(_, _)))
-                );
-                if numeric {
-                    self.write_point_if_absent(loc, position);
-                }
-            }
-            JournalEvent::EntryAdded(loc, index) => {
-                let entry = match self.entries.get(&loc) {
-                    Some(SVal::Opaque { entries, .. }) => entries.get(index).copied(),
-                    _ => None,
-                };
-                self.write_point_if_absent(loc, position);
-                if let Some((arg, res)) = entry {
-                    self.write_point_if_absent(arg, position);
-                    self.write_point_if_absent(res, position);
-                }
-            }
-        }
-    }
-
-    /// Write-points contributed by the value now stored at `loc`: the
-    /// location itself when the value encodes formulas, plus every location
-    /// referenced by a memo entry (the functionality encoding constrains
-    /// their solver variables too). `skip_self` is set by rebases, which
-    /// have already reset the location's own write-point.
-    fn note_value_write_points(&mut self, loc: Loc, position: usize, skip_self: bool) {
-        let Some(value) = self.entries.get(&loc) else {
-            return;
-        };
-        let encodes = encodes_formulas(value);
-        let memo: Vec<(Loc, Loc)> = match value {
-            SVal::Opaque { entries, .. } => entries.clone(),
-            _ => Vec::new(),
-        };
-        if !skip_self && encodes {
-            self.write_point_if_absent(loc, position);
-        }
-        for (arg, res) in memo {
-            self.write_point_if_absent(arg, position);
-            self.write_point_if_absent(res, position);
-        }
     }
 
     /// Number of events in the constraint journal.
@@ -948,11 +839,7 @@ impl Heap {
     ///
     /// Panics when `len > journal_len()`.
     pub fn journal_fingerprint_at(&self, len: usize) -> u64 {
-        if len == 0 {
-            0
-        } else {
-            self.journal.entry(len - 1).fingerprint
-        }
+        self.journal.fingerprint_at(len)
     }
 
     /// The heap's generation: how many journalled mutations produced it.
@@ -968,14 +855,6 @@ impl Heap {
     /// different content into the chain.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
-    }
-
-    /// The write-point of `loc`: the journal position at which the earliest
-    /// formula depending on the location entered the formula stream, or
-    /// `None` while no formula depends on it. [`JournalEvent::Rebase`]
-    /// carries the pre-overwrite value of this, as `retract_to`.
-    pub fn write_point(&self, loc: Loc) -> Option<usize> {
-        self.write_points.get(&loc).copied()
     }
 
     /// The refinements on `loc` (empty when not opaque).
@@ -1153,19 +1032,11 @@ mod tests {
         let mut heap = Heap::new();
         let l = heap.alloc_fresh_opaque();
         heap.refine(l, CRefinement::NumCmp(CmpOp::Ge, CSymExpr::int(5)));
-        // Structural refinement throws the numeric constraint away: rebase,
-        // carrying the position at which the numeric refinement entered the
-        // formula stream (journal position 1, right after the allocation).
+        // Structural refinement throws the numeric constraint away: rebase.
         let car = heap.alloc_fresh_opaque();
         let cdr = heap.alloc_fresh_opaque();
         heap.set(l, SVal::Pair(car, cdr));
-        assert_eq!(
-            heap.last_journal_event().unwrap(),
-            JournalEvent::Rebase {
-                loc: l,
-                retract_to: 1
-            }
-        );
+        assert_eq!(heap.last_journal_event().unwrap(), JournalEvent::Rebase(l));
         // Overwriting a location that never contributed formulas is not.
         let fresh = heap.alloc_fresh_opaque();
         heap.set(fresh, SVal::Bool(true));
@@ -1176,28 +1047,11 @@ mod tests {
     }
 
     #[test]
-    fn write_points_mark_first_formula_contributions() {
+    fn overwriting_a_memo_referenced_location_is_a_rebase() {
         let mut heap = Heap::new();
-        let plain = heap.alloc_fresh_opaque(); // position 0, no formulas
-        assert_eq!(heap.write_point(plain), None);
-        let n = heap.alloc(SVal::Num(Number::Int(7))); // position 1: x = 7
-        assert_eq!(heap.write_point(n), Some(1));
-        // A tag refinement contributes no formula; a numeric one does.
-        heap.refine(plain, CRefinement::Is(Tag::Integer)); // position 2
-        assert_eq!(heap.write_point(plain), None);
-        heap.refine(plain, CRefinement::NumCmp(CmpOp::Ge, CSymExpr::int(0))); // position 3
-        assert_eq!(heap.write_point(plain), Some(3));
-        // Later refinements keep the earliest position.
-        heap.refine(plain, CRefinement::NumCmp(CmpOp::Le, CSymExpr::int(9)));
-        assert_eq!(heap.write_point(plain), Some(3));
-    }
-
-    #[test]
-    fn memo_entries_set_write_points_for_referenced_locations() {
-        let mut heap = Heap::new();
-        let f = heap.alloc_fresh_opaque(); // 0
-        let a = heap.alloc_fresh_opaque(); // 1
-        let r = heap.alloc_fresh_opaque(); // 2
+        let f = heap.alloc_fresh_opaque();
+        let a = heap.alloc_fresh_opaque();
+        let r = heap.alloc_fresh_opaque();
         if let SVal::Opaque { refinements, .. } = heap.get(f).clone() {
             heap.set(
                 f,
@@ -1207,23 +1061,126 @@ mod tests {
                 },
             );
         }
-        // The EntryAdded at position 3 makes f, a and r all formula-relevant
-        // (the functionality encoding constrains every entry's locations).
-        assert_eq!(heap.write_point(f), Some(3));
-        assert_eq!(heap.write_point(a), Some(3));
-        assert_eq!(heap.write_point(r), Some(3));
-        // Overwriting the memo-referenced argument with a non-base value
-        // rebases, telling consumers to retract back to that entry add.
-        heap.set(a, SVal::Bool(true));
         assert_eq!(
             heap.last_journal_event().unwrap(),
-            JournalEvent::Rebase {
-                loc: a,
-                retract_to: 3
-            }
+            JournalEvent::EntryAdded(f, 0)
         );
-        // The rebase resets the write-point to the rebase position itself.
-        assert_eq!(heap.write_point(a), Some(4));
+        // `a` contributes no formula of its own, but the functionality
+        // encoding relies on it being base-valued.
+        heap.set(a, SVal::Bool(true));
+        assert_eq!(heap.last_journal_event().unwrap(), JournalEvent::Rebase(a));
+        // A base-valued overwrite keeps the functionality formulas valid.
+        heap.set(r, SVal::Num(Number::Int(3)));
+        assert_eq!(heap.last_journal_event().unwrap(), JournalEvent::Touched(r));
+    }
+
+    /// A random journal entry drawn from `next`.
+    fn random_entry(next: &mut impl FnMut() -> usize) -> JournalEntry {
+        let loc = Loc::new((next() % 16) as u32);
+        let event = match next() % 4 {
+            0 => JournalEvent::Touched(loc),
+            1 => JournalEvent::Refined(loc, next() % 4),
+            2 => JournalEvent::EntryAdded(loc, next() % 4),
+            _ => JournalEvent::Rebase(loc),
+        };
+        let fingerprint = (next() as u64) << 31 | next() as u64;
+        JournalEntry { event, fingerprint }
+    }
+
+    /// Checks `journal` against its `Vec` oracle; `probe` picks one more
+    /// `iter_from` start and the `fingerprint_at` prefix.
+    fn assert_journal_agrees(journal: &PJournal, oracle: &[JournalEntry], probe: usize) {
+        assert_eq!(journal.len(), oracle.len());
+        for (position, expected) in oracle.iter().enumerate() {
+            assert_eq!(journal.entry(position), *expected, "entry {position}");
+        }
+        let len = oracle.len();
+        let boundary = len - len % JOURNAL_CHUNK;
+        let starts = [
+            0,
+            boundary.saturating_sub(1),
+            boundary,
+            probe % (len + 1),
+            len,
+            len + 1,
+        ];
+        for from in starts {
+            let expected = oracle.get(from..).unwrap_or_default();
+            assert!(
+                journal.iter_from(from).eq(expected.iter().copied()),
+                "iter_from {from}"
+            );
+        }
+        let prefix = probe % (len + 1);
+        let expected = prefix
+            .checked_sub(1)
+            .map_or(0, |last| oracle[last].fingerprint);
+        assert_eq!(
+            journal.fingerprint_at(prefix),
+            expected,
+            "fingerprint_at {prefix}"
+        );
+    }
+
+    #[test]
+    fn journal_matches_a_vec_oracle_across_forks() {
+        // A deterministic LCG keeps the test self-contained.
+        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize
+        };
+        let mut pool: Vec<(PJournal, Vec<JournalEntry>)> = vec![Default::default()];
+        let mut shared_full_pushes = 0;
+        for step in 0..3000 {
+            let index = next() % pool.len();
+            let filled = pool[index].1.len() % JOURNAL_CHUNK;
+            let nearly_full = filled >= JOURNAL_CHUNK - 3;
+            // Fork often near chunk boundaries, so pushes land on shared,
+            // nearly full tails.
+            if next() % 8 == 0 || (nearly_full && next() % 2 == 0) {
+                let fork = pool[index].clone();
+                if pool.len() < 8 {
+                    pool.push(fork);
+                } else {
+                    let victim = next() % pool.len();
+                    pool[victim] = fork;
+                }
+            } else {
+                let entry = random_entry(&mut next);
+                let (journal, oracle) = &mut pool[index];
+                if nearly_full
+                    && journal
+                        .tail
+                        .as_ref()
+                        .is_some_and(|t| Arc::strong_count(t) > 1)
+                {
+                    shared_full_pushes += 1;
+                }
+                journal.push(entry);
+                oracle.push(entry);
+            }
+            let (journal, oracle) = &pool[index];
+            assert_journal_agrees(journal, oracle, next());
+            // Equality agrees with the oracle's, whether the two journals
+            // share chunks or were built apart.
+            let (other, other_oracle) = &pool[next() % pool.len()];
+            assert_eq!(journal == other, oracle == other_oracle, "step {step}");
+            let mut rebuilt = PJournal::default();
+            for &entry in oracle {
+                rebuilt.push(entry);
+            }
+            assert!(rebuilt == *journal, "step {step}: rebuilt journal differs");
+        }
+        for (journal, oracle) in &pool {
+            assert_journal_agrees(journal, oracle, next());
+        }
+        assert!(
+            shared_full_pushes >= 20,
+            "only {shared_full_pushes} pushes hit a shared, nearly full chunk"
+        );
     }
 
     #[test]

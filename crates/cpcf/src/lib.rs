@@ -14,7 +14,7 @@
 //! * mutable boxes;
 //! * a module system with contracted exports (`provide`).
 //!
-//! The analysis ([`analyze`]) plays the role of the paper's SCV tool: for
+//! The analysis ([`analyze`](fn@analyze)) plays the role of the paper's SCV tool: for
 //! each contracted export it synthesizes the most general unknown context
 //! allowed by the contract, executes the module symbolically against it,
 //! and, at every error blamed on the module, asks the first-order solver
@@ -57,10 +57,10 @@
 //!   context ([`Ctx`]) threads the prover session mutably through all of
 //!   them, so neither it nor the option types are `Copy`.
 //! * [`cex`] — counterexample reconstruction from a solver model.
-//! * [`analyze`] — the driver, split into context synthesis, per-export
-//!   analysis and a work-stealing scheduler that shards exports across
-//!   [`AnalyzeOptions::workers`] threads, one long-lived [`ProverSession`]
-//!   per worker. A [`SharedVerdictCache`] lets verdicts flow between
+//! * [`analyze`](mod@analyze) — the analysis itself, split into context
+//!   synthesis, per-export analysis and a work-stealing scheduler that
+//!   shards exports across [`AnalyzeOptions::workers`] threads, one
+//!   long-lived [`ProverSession`] per worker. A [`SharedVerdictCache`] lets verdicts flow between
 //!   workers and across runs (e.g. the correct/faulty variants of a
 //!   benchmark). [`ModuleReport`] carries the aggregated and per-worker
 //!   [`SessionStats`] so harnesses can report solver work per benchmark.

@@ -21,23 +21,21 @@
 //! * verdicts are **memoized** in a `(heap fingerprint, query) → Proof`
 //!   cache that survives branching, because the fingerprint identifies heap
 //!   content, not solver state;
-//! * a non-monotone heap update (a [`JournalEvent::Rebase`]) is handled by
-//!   **pop-to-write-point retraction**: the rebase event carries the journal
-//!   position at which the overwritten location's constraints entered the
-//!   formula stream, the session pops only the solver frames covering that
-//!   position onwards ([`Solver::pop_to`]), and replays the surviving
-//!   journal suffix as a delta. Only when the write-point falls inside the
-//!   base (scope-0) encoding does the old cost model return — a full
-//!   re-encode from scratch.
+//! * a non-monotone heap update (a [`JournalEvent::Rebase`]) invalidates
+//!   formulas already on the solver, so a rebase anywhere in the unseen
+//!   suffix makes the session **re-encode the whole heap** as a new base.
+//!   Rebases come from overwrite patterns in the evaluator (structural
+//!   refinement of a constrained opaque value), not from search order, and
+//!   are rare.
 //!
-//! [`SessionStats`] counts queries, cache hits, encodings, retractions and
-//! replayed assertions so the savings are measurable.
+//! [`SessionStats`] counts queries, cache hits and full, delta and reused
+//! encodings so the savings are measurable.
 //!
 //! The session drives one [`Solver`] built from the [`SolverConfig`] it was
 //! given. By default that is `folic`'s persistent incremental core
 //! (hash-consed atoms, a CDCL clause database that survives across queries
 //! with frames retracting by activation literals, per-query cone slicing),
-//! so the session's `push`/`pop`/`pop_to` frames map directly onto core
+//! so the session's `push`/`pop` frames map directly onto core
 //! retractions, and a whole-session re-encode
 //! ([`Solver::clear_assertions`]) keeps the interned atoms, Tseitin
 //! encodings and learned theory lemmas alive instead of discarding the
@@ -120,15 +118,6 @@ folic::counters! {
         /// Solver-backed queries for which the live solver already matched the
         /// heap exactly — no encoding work at all.
         reused_encodings,
-        /// Non-monotone overwrites absorbed by pop-to-write-point retraction
-        /// instead of a whole-heap re-encode.
-        retractions,
-        /// Solver frames popped by retractions (branch-switch pops, the normal
-        /// sibling-heap navigation, are not counted here).
-        frames_popped,
-        /// Formulas re-asserted while replaying the surviving journal suffix
-        /// after a retraction pop.
-        assertions_replayed,
         /// Heap snapshots ([`Heap::clone`]) taken while this session's work
         /// ran. Counted in the thread-local [`thread_totals`] like the other
         /// evaluator-side counters below, and attributed to the session by
@@ -548,11 +537,10 @@ impl ProverSession {
         }
     }
 
-    /// Brings the live solver's assertion stack in sync with `heap`:
-    /// pops scopes for abandoned branches, retracts to the write-point of
-    /// any non-monotone overwrite, asserts the unseen journal suffix, or —
-    /// when a write-point falls inside the base encoding — re-encodes from
-    /// scratch.
+    /// Brings the live solver's assertion stack in sync with `heap`: pops
+    /// scopes for abandoned branches and asserts the unseen journal suffix,
+    /// or re-encodes from scratch when there is no prefix to extend or the
+    /// suffix holds a non-monotone overwrite.
     fn sync(&mut self, heap: &Heap) {
         // Pop back to the deepest synchronized prefix this heap extends.
         while let Some(frame) = self.frames.last() {
@@ -567,67 +555,35 @@ impl ProverSession {
         let Some(frame) = self.frames.last() else {
             return self.full_sync(heap);
         };
-        // Non-monotone overwrites in the unseen suffix: every formula about
-        // an overwritten location was asserted for a journal position at or
-        // after the location's write-point (carried by the rebase event), so
-        // popping every frame that covers the earliest such write-point
-        // retracts all of them — the rest of the solver state stays alive.
-        let retract_to = heap
-            .journal_suffix(frame.len)
-            .filter_map(|entry| match entry.event {
-                JournalEvent::Rebase { retract_to, .. } => Some(retract_to),
-                _ => None,
-            })
-            .min();
-        // Journal positions below this boundary had already been asserted
-        // before this sync; formulas re-emitted for them after a retraction
-        // pop are genuine *replays* (as opposed to first-time assertions of
-        // new suffix events) and are counted as such.
-        let replay_boundary = frame.len;
-        if let Some(retract_to) = retract_to {
-            // The deepest frame whose journal coverage stops before the
-            // write-point survives; everything above it is popped. Frame
-            // lengths increase strictly with depth, and frame index i sits
-            // at solver scope depth i (the base frame at scope 0).
-            let Some(keep) = self.frames.iter().rposition(|f| f.len <= retract_to) else {
-                // The write-point predates even the base encoding: nothing
-                // to pop to, so the old cost model returns.
-                return self.full_sync(heap);
-            };
-            let popped = self.frames.len() - 1 - keep;
-            if popped > 0 {
-                self.solver
-                    .pop_to(keep)
-                    .expect("frame ledger out of sync with solver scopes");
-                self.frames.truncate(keep + 1);
-            }
-            self.stats.retractions += 1;
-            self.stats.frames_popped += popped as u64;
-        }
-        let frame_len = self.frames.last().expect("a frame survives").len;
+        let frame_len = frame.len;
         if heap.journal_len() == frame_len {
             self.stats.reused_encodings += 1;
             return;
         }
+        // A rebase invalidates formulas already asserted about the
+        // overwritten location, possibly in the base frame.
+        if heap
+            .journal_suffix(frame_len)
+            .any(|entry| matches!(entry.event, JournalEvent::Rebase(_)))
+        {
+            return self.full_sync(heap);
+        }
         let mut translation = Translation::with_next_aux(self.aux_next);
-        // Locations re-encoded wholesale by a Touched or Rebase event need
-        // no per-refinement/per-entry delta formulas of their own (the
+        // Locations re-encoded wholesale by a Touched event need no
+        // per-refinement/per-entry delta formulas of their own (the
         // wholesale translation already reflects the location's final
-        // state), and repeated events encode only once. A rebased location
-        // is safe to encode wholesale precisely because the retraction pop
-        // above removed every formula its older states contributed.
+        // state), and repeated events encode only once.
         let wholesale: std::collections::HashSet<Loc> = heap
             .journal_suffix(frame_len)
             .filter_map(|entry| match entry.event {
-                JournalEvent::Touched(loc) | JournalEvent::Rebase { loc, .. } => Some(loc),
+                JournalEvent::Touched(loc) => Some(loc),
                 _ => None,
             })
             .collect();
         let mut pending = wholesale.clone();
-        for (offset, entry) in heap.journal_suffix(frame_len).enumerate() {
-            let before = translation.formulas.len();
+        for entry in heap.journal_suffix(frame_len) {
             match entry.event {
-                JournalEvent::Touched(loc) | JournalEvent::Rebase { loc, .. } => {
+                JournalEvent::Touched(loc) => {
                     if pending.remove(&loc) {
                         translate_loc(heap, loc, &mut translation);
                     }
@@ -642,11 +598,7 @@ impl ProverSession {
                         translate_entry_at(heap, loc, index, &mut translation);
                     }
                 }
-            }
-            // A formula emitted for a position the session had synced before
-            // the retraction pop is work being redone, not new work.
-            if frame_len + offset < replay_boundary {
-                self.stats.assertions_replayed += (translation.formulas.len() - before) as u64;
+                JournalEvent::Rebase(_) => unreachable!("rebases re-encode above"),
             }
         }
         self.aux_next = translation.next_aux;
@@ -1232,7 +1184,10 @@ mod tests {
     }
 
     #[test]
-    fn rebases_force_a_full_reencode() {
+    fn retraction_falls_back_to_reencoding_below_the_base_frame() {
+        // The overwritten location's constraint lives in the base (scope-0)
+        // encoding: there is no frame to pop, and the session retracts the
+        // stale constraint by re-encoding the whole heap.
         let mut heap = Heap::new();
         let l = heap.alloc_fresh_opaque();
         heap.refine(l, CRefinement::NumCmp(CmpOp::Ge, CSymExpr::int(5)));
@@ -1246,22 +1201,93 @@ mod tests {
         let cdr = heap.alloc_fresh_opaque();
         heap.set(l, SVal::Pair(car, cdr));
         let m = heap.alloc_fresh_opaque();
+        let zero = CSymExpr::int(0);
         assert_eq!(
-            session.prove_num(&heap, m, CmpOp::Eq, &CSymExpr::int(0)),
+            session.prove_num(&heap, m, CmpOp::Eq, &zero),
             Proof::Ambiguous,
             "the stale `l ≥ 5` constraint must not leak into the new state"
         );
-        assert_eq!(session.stats().full_encodings, 2);
+        assert_eq!(
+            reference_prove_num(&heap, m, CmpOp::Eq, &zero, SolverConfig::default()),
+            Proof::Ambiguous
+        );
+        let stats = session.stats();
+        assert_eq!(stats.full_encodings, 2, "{stats:?}");
     }
 
     #[test]
-    fn overwriting_memo_referenced_locations_rebases() {
-        // An opaque function's memo table [(a, r1), (b, r2)] with r1 ≥ 0 and
-        // r2 ≤ -1 entails a ≠ b via functionality. Structurally refining `a`
-        // to a pair afterwards retracts that implication (the baseline's
-        // is_base check drops it), so the incremental session must rebase
-        // rather than keep the stale formula.
+    fn rebases_force_a_full_reencode() {
+        // The overwritten location's constraint entered in a delta frame
+        // above the base: the rebase still costs exactly one re-encode.
+        let reference = |heap: &Heap, loc: Loc, op: CmpOp, rhs: &CSymExpr| {
+            reference_prove_num(heap, loc, op, rhs, SolverConfig::default())
+        };
+        let mut session = ProverSession::new();
         let mut heap = Heap::new();
+        let l0 = heap.alloc_fresh_opaque();
+        heap.refine(l0, CRefinement::NumCmp(CmpOp::Ge, CSymExpr::int(0)));
+        assert_eq!(
+            session.prove_num(&heap, l0, CmpOp::Gt, &CSymExpr::int(-1)),
+            Proof::Proved,
+            "base frame"
+        );
+        let l1 = heap.alloc_fresh_opaque();
+        heap.refine(l1, CRefinement::NumCmp(CmpOp::Ge, CSymExpr::int(5)));
+        assert_eq!(
+            session.prove_num(&heap, l1, CmpOp::Gt, &CSymExpr::int(0)),
+            Proof::Proved,
+            "first delta frame"
+        );
+        let l2 = heap.alloc_fresh_opaque();
+        heap.refine(l2, CRefinement::NumCmp(CmpOp::Le, CSymExpr::int(2)));
+        assert_eq!(
+            session.prove_num(&heap, l2, CmpOp::Lt, &CSymExpr::int(3)),
+            Proof::Proved,
+            "second delta frame"
+        );
+        let before = session.stats();
+        assert_eq!((before.full_encodings, before.delta_encodings), (1, 2));
+        // Structural refinement of l1: non-monotone.
+        let car = heap.alloc_fresh_opaque();
+        let cdr = heap.alloc_fresh_opaque();
+        heap.set(l1, SVal::Pair(car, cdr));
+        assert_eq!(heap.last_journal_event(), Some(JournalEvent::Rebase(l1)));
+        let queries = [
+            (l2, CmpOp::Le, CSymExpr::int(2), Proof::Proved),
+            (l0, CmpOp::Ge, CSymExpr::int(0), Proof::Proved),
+            (l1, CmpOp::Ge, CSymExpr::int(5), Proof::Ambiguous),
+        ];
+        for (loc, op, rhs, expected) in &queries {
+            let verdict = session.prove_num(&heap, *loc, *op, rhs);
+            assert_eq!(verdict, *expected, "{loc} {op:?} {rhs:?}");
+            assert_eq!(verdict, reference(&heap, *loc, *op, rhs));
+        }
+        let after = session.stats();
+        assert_eq!(
+            after.full_encodings,
+            before.full_encodings + 1,
+            "one re-encode absorbs the rebase: {after:?}"
+        );
+        assert_eq!(after.delta_encodings, before.delta_encodings, "{after:?}");
+    }
+
+    /// An opaque function's memo table [(a, r1), (b, r2)] with r1 ≥ 0 and
+    /// r2 ≤ -1 entails a ≠ b via functionality. Structurally refining `a`
+    /// to a pair afterwards retracts that implication (the baseline's
+    /// is_base check drops it), so the incremental session must rebase
+    /// rather than keep the stale formula. `anchor_first` puts the memo
+    /// table in a delta frame above a base frame instead of in the base.
+    fn overwrite_memo_referenced_location(anchor_first: bool) {
+        let mut heap = Heap::new();
+        let mut incremental = ProverSession::new();
+        if anchor_first {
+            let anchor = heap.alloc_fresh_opaque();
+            heap.refine(anchor, CRefinement::NumCmp(CmpOp::Ge, CSymExpr::int(0)));
+            assert_eq!(
+                incremental.prove_num(&heap, anchor, CmpOp::Ge, &CSymExpr::int(0)),
+                Proof::Proved
+            );
+        }
         let f = heap.alloc_fresh_opaque();
         let a = heap.alloc_fresh_opaque();
         let b = heap.alloc_fresh_opaque();
@@ -1276,39 +1302,49 @@ mod tests {
                 entries: vec![(a, r1), (b, r2)],
             },
         );
-        let mut incremental = ProverSession::new();
-        let reference = |heap: &Heap| {
-            reference_prove_num(
-                heap,
-                a,
-                CmpOp::Ne,
-                &CSymExpr::loc(b),
-                SolverConfig::default(),
-            )
-        };
+        let rhs = CSymExpr::loc(b);
+        let reference =
+            |heap: &Heap| reference_prove_num(heap, a, CmpOp::Ne, &rhs, SolverConfig::default());
         // Session and reference derive a ≠ b while the entries are
         // base-valued; this also plants the functionality implication on the
         // live solver.
-        let before_incremental = incremental.prove_num(&heap, a, CmpOp::Ne, &CSymExpr::loc(b));
+        let before_incremental = incremental.prove_num(&heap, a, CmpOp::Ne, &rhs);
         assert_eq!(before_incremental, Proof::Proved);
         assert_eq!(before_incremental, reference(&heap));
+        let before = incremental.stats();
         // Structural refinement: `a` becomes a pair (non-base).
         let car = heap.alloc_fresh_opaque();
         let cdr = heap.alloc_fresh_opaque();
         heap.set(a, SVal::Pair(car, cdr));
-        assert!(
-            matches!(
-                heap.last_journal_event().unwrap(),
-                crate::heap::JournalEvent::Rebase { loc, .. } if loc == a
-            ),
+        assert_eq!(
+            heap.last_journal_event(),
+            Some(JournalEvent::Rebase(a)),
             "a non-base overwrite of a memo-referenced location must rebase"
         );
-        let after_incremental = incremental.prove_num(&heap, a, CmpOp::Ne, &CSymExpr::loc(b));
+        let after_incremental = incremental.prove_num(&heap, a, CmpOp::Ne, &rhs);
         assert_eq!(
             after_incremental,
             reference(&heap),
             "stale functionality constraints must not survive the overwrite"
         );
+        let after = incremental.stats();
+        assert_eq!(
+            after.full_encodings,
+            before.full_encodings + 1,
+            "one re-encode absorbs the rebase: {after:?}"
+        );
+    }
+
+    #[test]
+    fn overwriting_memo_referenced_locations_rebases() {
+        overwrite_memo_referenced_location(false);
+    }
+
+    #[test]
+    fn retraction_handles_memo_functionality_overwrites() {
+        // The functionality constraints enter the stream in a delta frame;
+        // the overwrite retracts them and verdicts match the reference.
+        overwrite_memo_referenced_location(true);
     }
 
     #[test]
@@ -1336,156 +1372,6 @@ mod tests {
             stats.solver.assertions, 3,
             "1 base formula + 2 delta formulas, no duplicates: {stats:?}"
         );
-    }
-
-    /// Builds the scenario where retraction pays: constraints entering the
-    /// stream across several delta frames, then a non-monotone overwrite of
-    /// a location whose write-point lies *above* the base frame.
-    fn overwrite_above_base(session: &mut ProverSession) -> (Heap, Loc, Loc, Loc) {
-        let mut heap = Heap::new();
-        let l0 = heap.alloc_fresh_opaque(); // 0
-        heap.refine(l0, CRefinement::NumCmp(CmpOp::Ge, CSymExpr::int(0))); // 1
-        assert_eq!(
-            session.prove_num(&heap, l0, CmpOp::Gt, &CSymExpr::int(-1)),
-            Proof::Proved,
-            "base frame"
-        );
-        let l1 = heap.alloc_fresh_opaque(); // 2
-        heap.refine(l1, CRefinement::NumCmp(CmpOp::Ge, CSymExpr::int(5))); // 3 = l1's write-point
-        assert_eq!(
-            session.prove_num(&heap, l1, CmpOp::Gt, &CSymExpr::int(0)),
-            Proof::Proved,
-            "first delta frame"
-        );
-        let l2 = heap.alloc_fresh_opaque(); // 4
-        heap.refine(l2, CRefinement::NumCmp(CmpOp::Le, CSymExpr::int(2))); // 5
-        assert_eq!(
-            session.prove_num(&heap, l2, CmpOp::Lt, &CSymExpr::int(3)),
-            Proof::Proved,
-            "second delta frame"
-        );
-        // Structural refinement of l1: non-monotone, write-point 3.
-        let car = heap.alloc_fresh_opaque();
-        let cdr = heap.alloc_fresh_opaque();
-        heap.set(l1, SVal::Pair(car, cdr));
-        assert!(matches!(
-            heap.last_journal_event().unwrap(),
-            JournalEvent::Rebase { loc, retract_to: 3 } if loc == l1
-        ));
-        (heap, l0, l1, l2)
-    }
-
-    #[test]
-    fn retraction_pops_to_the_write_point_instead_of_reencoding() {
-        let mut session = ProverSession::new();
-        let (heap, l0, l1, l2) = overwrite_above_base(&mut session);
-        // The surviving constraints are replayed, the stale one is gone.
-        assert_eq!(
-            session.prove_num(&heap, l2, CmpOp::Le, &CSymExpr::int(2)),
-            Proof::Proved,
-            "the replayed suffix must keep l2's constraint alive"
-        );
-        assert_eq!(
-            session.prove_num(&heap, l0, CmpOp::Ge, &CSymExpr::int(0)),
-            Proof::Proved,
-            "the base frame survives untouched"
-        );
-        assert_eq!(
-            session.prove_num(&heap, l1, CmpOp::Ge, &CSymExpr::int(5)),
-            Proof::Ambiguous,
-            "the stale `l1 >= 5` constraint must not survive the overwrite"
-        );
-        let stats = session.stats();
-        assert_eq!(stats.full_encodings, 1, "never re-encoded: {stats:?}");
-        assert_eq!(stats.retractions, 1, "{stats:?}");
-        assert_eq!(
-            stats.frames_popped, 2,
-            "both delta frames cover the write-point: {stats:?}"
-        );
-        assert_eq!(
-            stats.assertions_replayed, 1,
-            "exactly l2's constraint is replayed: {stats:?}"
-        );
-    }
-
-    #[test]
-    fn retraction_falls_back_to_reencoding_below_the_base_frame() {
-        // When the overwritten location's constraints are part of the base
-        // (scope-0) encoding there is nothing to pop to, and the session
-        // re-encodes the whole heap.
-        let mut heap = Heap::new();
-        let l = heap.alloc_fresh_opaque();
-        heap.refine(l, CRefinement::NumCmp(CmpOp::Ge, CSymExpr::int(5)));
-        let mut session = ProverSession::new();
-        assert_eq!(
-            session.prove_num(&heap, l, CmpOp::Gt, &CSymExpr::int(0)),
-            Proof::Proved
-        );
-        let car = heap.alloc_fresh_opaque();
-        let cdr = heap.alloc_fresh_opaque();
-        heap.set(l, SVal::Pair(car, cdr));
-        let m = heap.alloc_fresh_opaque();
-        assert_eq!(
-            session.prove_num(&heap, m, CmpOp::Eq, &CSymExpr::int(0)),
-            Proof::Ambiguous
-        );
-        let stats = session.stats();
-        assert_eq!(stats.full_encodings, 2, "{stats:?}");
-        assert_eq!(stats.retractions, 0, "{stats:?}");
-    }
-
-    #[test]
-    fn retraction_handles_memo_functionality_overwrites() {
-        // The memo-table variant of the retraction scenario: functionality
-        // constraints enter the stream in a delta frame, the overwrite of a
-        // memo-referenced location retracts them, and verdicts match the
-        // reference oracle before and after.
-        let mut retraction = ProverSession::new();
-        let mut heap = Heap::new();
-        let anchor = heap.alloc_fresh_opaque();
-        heap.refine(anchor, CRefinement::NumCmp(CmpOp::Ge, CSymExpr::int(0)));
-        assert_eq!(
-            retraction.prove_num(&heap, anchor, CmpOp::Ge, &CSymExpr::int(0)),
-            Proof::Proved
-        );
-        let f = heap.alloc_fresh_opaque();
-        let a = heap.alloc_fresh_opaque();
-        let b = heap.alloc_fresh_opaque();
-        let r1 = heap.alloc_fresh_opaque();
-        let r2 = heap.alloc_fresh_opaque();
-        heap.refine(r1, CRefinement::NumCmp(CmpOp::Ge, CSymExpr::int(0)));
-        heap.refine(r2, CRefinement::NumCmp(CmpOp::Le, CSymExpr::int(-1)));
-        heap.set(
-            f,
-            SVal::Opaque {
-                refinements: Vec::new(),
-                entries: vec![(a, r1), (b, r2)],
-            },
-        );
-        // Functionality entails a != b while both entries are base-valued.
-        let rhs = CSymExpr::loc(b);
-        let reference =
-            |heap: &Heap| reference_prove_num(heap, a, CmpOp::Ne, &rhs, SolverConfig::default());
-        assert_eq!(
-            retraction.prove_num(&heap, a, CmpOp::Ne, &rhs),
-            Proof::Proved
-        );
-        assert_eq!(reference(&heap), Proof::Proved);
-        // Overwriting `a` with a non-base value retracts the implication.
-        let car = heap.alloc_fresh_opaque();
-        let cdr = heap.alloc_fresh_opaque();
-        heap.set(a, SVal::Pair(car, cdr));
-        assert_eq!(
-            retraction.prove_num(&heap, a, CmpOp::Ne, &rhs),
-            reference(&heap),
-            "retraction and the reference disagree after the overwrite"
-        );
-        let stats = retraction.stats();
-        assert_eq!(
-            stats.full_encodings, 1,
-            "the overwrite is absorbed by retraction: {stats:?}"
-        );
-        assert_eq!(stats.retractions, 1, "{stats:?}");
     }
 
     #[test]

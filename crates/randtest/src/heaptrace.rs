@@ -6,23 +6,20 @@
 //! chains and cycles targeting the difference-logic theory module.
 //!
 //! The generator is the random-input half of the differential oracle for the
-//! prover: replaying one trace through an incremental session (with its
-//! pop-to-write-point retraction) and through the stateless whole-heap
-//! reference ([`cpcf::prove::reference_prove_num`]) must produce identical
-//! verdict sequences (`tests/solver_properties.rs` asserts this over
-//! hundreds of seeds). It
-//! plays the same methodological role as the QuickCheck baseline in the
-//! paper's §5.2: randomized inputs probing a claimed equivalence — here the
-//! engine-independence of verdicts that the relative-completeness argument
-//! rests on.
+//! prover: replaying one trace through an incremental session (which pops
+//! back to shared prefixes and re-encodes on rebases) and through the
+//! stateless whole-heap reference ([`cpcf::prove::reference_prove_num`])
+//! must produce identical verdict sequences (`tests/solver_properties.rs`
+//! asserts this over hundreds of seeds). It plays the same methodological
+//! role as the QuickCheck baseline in the paper's §5.2: randomized inputs
+//! probing a claimed equivalence — here the engine-independence of verdicts
+//! that the relative-completeness argument rests on.
 
 use cpcf::heap::{CRefinement, CSymExpr, Heap, JournalEvent, SVal, Tag};
 use cpcf::{Loc, Number, ProverSession};
 use folic::{CmpOp, Proof, SolverConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-use crate::shadow::{assert_heaps_agree, ShadowHeap};
 
 /// Shape parameters for [`HeapTrace::generate`].
 #[derive(Debug, Clone, Copy)]
@@ -100,45 +97,15 @@ impl HeapTrace {
     /// Generates the trace for `seed` under the given shape parameters.
     /// Identical inputs produce identical traces.
     pub fn generate(seed: u64, config: &TraceConfig) -> HeapTrace {
-        HeapTrace::generate_impl(seed, config, false)
-    }
-
-    /// [`HeapTrace::generate`] with the shadow-heap differential check
-    /// enabled: every branch in the pool additionally maintains a
-    /// [`ShadowHeap`] (the old deep-clone representation) replaying the
-    /// exact same mutation sequence, and after every mutation the persistent
-    /// heap is asserted to agree with it on journals, fingerprints, stored
-    /// values and write-points. The generated trace is identical to
-    /// `generate`'s for the same seed — both modes consume the RNG
-    /// identically.
-    ///
-    /// # Panics
-    ///
-    /// Panics at the first divergence between the representations.
-    pub fn generate_checked(seed: u64, config: &TraceConfig) -> HeapTrace {
-        HeapTrace::generate_impl(seed, config, true)
-    }
-
-    fn generate_impl(seed: u64, config: &TraceConfig, check: bool) -> HeapTrace {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut base = Heap::new();
-        let mut base_shadow = check.then(ShadowHeap::new);
+        let mut heap = Heap::new();
         let initial = rng.gen_range(config.initial_locs.0..=config.initial_locs.1);
         let locs: Vec<Loc> = (0..initial.max(1))
-            .map(|_| {
-                if let Some(shadow) = &mut base_shadow {
-                    shadow.alloc_fresh_opaque();
-                }
-                base.alloc_fresh_opaque()
-            })
+            .map(|_| heap.alloc_fresh_opaque())
             .collect();
-        let mut pool: Vec<Branch> = vec![Branch {
-            heap: base,
-            shadow: base_shadow,
-            locs,
-        }];
+        let mut pool: Vec<Branch> = vec![Branch { heap, locs }];
         let mut steps = Vec::new();
-        for step in 0..rng.gen_range(config.steps.0..=config.steps.1) {
+        for _ in 0..rng.gen_range(config.steps.0..=config.steps.1) {
             let index = rng.gen_range(0..pool.len());
             if pool.len() < config.max_branches && rng.gen_bool(config.fork_probability) {
                 let fork = pool[index].clone();
@@ -148,18 +115,6 @@ impl HeapTrace {
                 let branch = &mut pool[index];
                 let op = random_op(&mut rng, config, &branch.heap, &branch.locs);
                 let new_locs = apply_op(&mut branch.heap, &op);
-                if let Some(shadow) = &mut branch.shadow {
-                    let shadow_locs = apply_op(shadow, &op);
-                    assert_eq!(
-                        new_locs, shadow_locs,
-                        "seed {seed} step {step}: allocation sequences diverge"
-                    );
-                    assert_heaps_agree(
-                        &branch.heap,
-                        shadow,
-                        &format!("seed {seed} step {step} ({op:?})"),
-                    );
-                }
                 branch.locs.extend(new_locs);
             }
             // Query a random pool member — not necessarily the branch just
@@ -177,7 +132,9 @@ impl HeapTrace {
 
     /// The largest number of non-monotone overwrites (journalled
     /// [`JournalEvent::Rebase`] events) visible in any single step's
-    /// snapshot — how hard this trace exercises the retraction machinery.
+    /// snapshot. A session replaying the trace re-encodes the whole heap
+    /// when it first syncs past each of them, so a nonzero count means the
+    /// trace exercises that path.
     pub fn rebases(&self) -> usize {
         self.steps
             .iter()
@@ -271,20 +228,16 @@ fn random_sym_expr(rng: &mut StdRng, config: &TraceConfig, locs: &[Loc]) -> CSym
     }
 }
 
-/// One branch of the generator's heap pool: the persistent heap, its
-/// optional deep-clone shadow (differential mode only), and the locations
+/// One branch of the generator's heap pool: the heap and the locations
 /// allocated on the branch so far.
 #[derive(Debug, Clone)]
 struct Branch {
     heap: Heap,
-    shadow: Option<ShadowHeap>,
     locs: Vec<Loc>,
 }
 
-/// One generated mutation, replayable against any [`TraceHeap`]. Keeping
-/// the mutation as data (instead of applying it inline) is what lets the
-/// differential mode drive the persistent heap and the deep-clone shadow
-/// with the *same* operation sequence.
+/// One generated mutation. [`random_op`] draws it from the RNG and
+/// [`apply_op`] applies it, so the RNG is consumed before the heap changes.
 #[derive(Debug, Clone)]
 enum TraceOp {
     /// Append a numeric refinement to an opaque location.
@@ -313,62 +266,16 @@ enum TraceOp {
     Nop,
 }
 
-/// The mutation interface shared by [`Heap`] and [`ShadowHeap`], so one
-/// [`TraceOp`] stream drives both representations.
-pub(crate) trait TraceHeap {
-    fn th_alloc(&mut self, value: SVal) -> Loc;
-    fn th_alloc_fresh_opaque(&mut self) -> Loc;
-    fn th_refine(&mut self, loc: Loc, refinement: CRefinement);
-    fn th_set(&mut self, loc: Loc, value: SVal);
-    fn th_get(&self, loc: Loc) -> &SVal;
-}
-
-impl TraceHeap for Heap {
-    fn th_alloc(&mut self, value: SVal) -> Loc {
-        self.alloc(value)
-    }
-    fn th_alloc_fresh_opaque(&mut self) -> Loc {
-        self.alloc_fresh_opaque()
-    }
-    fn th_refine(&mut self, loc: Loc, refinement: CRefinement) {
-        self.refine(loc, refinement);
-    }
-    fn th_set(&mut self, loc: Loc, value: SVal) {
-        self.set(loc, value);
-    }
-    fn th_get(&self, loc: Loc) -> &SVal {
-        self.get(loc)
-    }
-}
-
-impl TraceHeap for ShadowHeap {
-    fn th_alloc(&mut self, value: SVal) -> Loc {
-        self.alloc(value)
-    }
-    fn th_alloc_fresh_opaque(&mut self) -> Loc {
-        self.alloc_fresh_opaque()
-    }
-    fn th_refine(&mut self, loc: Loc, refinement: CRefinement) {
-        self.refine(loc, refinement);
-    }
-    fn th_set(&mut self, loc: Loc, value: SVal) {
-        self.set(loc, value);
-    }
-    fn th_get(&self, loc: Loc) -> &SVal {
-        self.get(loc)
-    }
-}
-
 /// Draws one random mutation: mostly monotone growth (numeric and tag
 /// refinements, allocations, memo entries), with a solid share of the
-/// non-monotone structural overwrites that force engines to retract or
-/// re-encode solver state. Inspects `heap` (the primary representation)
-/// only to preserve the historical RNG consumption per case.
+/// non-monotone structural overwrites that force engines to re-encode
+/// solver state. Inspects `heap` only to preserve the historical RNG
+/// consumption per case.
 fn random_op(rng: &mut StdRng, config: &TraceConfig, heap: &Heap, locs: &[Loc]) -> TraceOp {
     let cases = if config.diff_chains { 14 } else { 12 };
     match rng.gen_range(0..cases) {
         // Numeric refinements: the evaluator's bread and butter along a
-        // path condition, and what gives overwrites formulas to retract.
+        // path condition, and what gives overwrites formulas to invalidate.
         0..=4 => {
             let loc = locs[rng.gen_range(0..locs.len())];
             if matches!(heap.get(loc), SVal::Opaque { .. }) {
@@ -456,35 +363,33 @@ fn random_diff_chain(rng: &mut StdRng, heap: &Heap, locs: &[Loc]) -> TraceOp {
     TraceOp::DiffChain(refinements)
 }
 
-/// Applies one mutation, returning the locations it allocated (identical
-/// across representations because allocation counters stay in lockstep).
-/// Eligibility checks (is the target opaque, is the memo argument fresh) run
-/// against `heap`'s state at application time; in differential mode both
-/// representations hold the same state, so they decide identically.
-fn apply_op<H: TraceHeap>(heap: &mut H, op: &TraceOp) -> Vec<Loc> {
+/// Applies one mutation, returning the locations it allocated. Eligibility
+/// checks (is the target opaque, is the memo argument fresh) run against
+/// `heap`'s state at application time.
+fn apply_op(heap: &mut Heap, op: &TraceOp) -> Vec<Loc> {
     match op {
         TraceOp::RefineNum(loc, cmp, rhs) => {
-            heap.th_refine(*loc, CRefinement::NumCmp(*cmp, rhs.clone()));
+            heap.refine(*loc, CRefinement::NumCmp(*cmp, rhs.clone()));
             Vec::new()
         }
         TraceOp::RefineTag(loc, tag) => {
-            if matches!(heap.th_get(*loc), SVal::Opaque { .. }) {
-                heap.th_refine(*loc, CRefinement::Is(tag.clone()));
+            if matches!(heap.get(*loc), SVal::Opaque { .. }) {
+                heap.refine(*loc, CRefinement::Is(tag.clone()));
             }
             Vec::new()
         }
-        TraceOp::AllocOpaque => vec![heap.th_alloc_fresh_opaque()],
-        TraceOp::AllocInt(n) => vec![heap.th_alloc(SVal::Num(Number::Int(*n)))],
+        TraceOp::AllocOpaque => vec![heap.alloc_fresh_opaque()],
+        TraceOp::AllocInt(n) => vec![heap.alloc(SVal::Num(Number::Int(*n)))],
         TraceOp::MemoEntry { f, arg, res } => {
             if let SVal::Opaque {
                 refinements,
                 entries,
-            } = heap.th_get(*f).clone()
+            } = heap.get(*f).clone()
             {
                 let mut entries = entries;
                 if !entries.iter().any(|(a, _)| *a == *arg) {
                     entries.push((*arg, *res));
-                    heap.th_set(
+                    heap.set(
                         *f,
                         SVal::Opaque {
                             refinements,
@@ -496,10 +401,10 @@ fn apply_op<H: TraceHeap>(heap: &mut H, op: &TraceOp) -> Vec<Loc> {
             Vec::new()
         }
         TraceOp::OverwritePair(loc) => {
-            if matches!(heap.th_get(*loc), SVal::Opaque { .. }) {
-                let car = heap.th_alloc_fresh_opaque();
-                let cdr = heap.th_alloc_fresh_opaque();
-                heap.th_set(*loc, SVal::Pair(car, cdr));
+            if matches!(heap.get(*loc), SVal::Opaque { .. }) {
+                let car = heap.alloc_fresh_opaque();
+                let cdr = heap.alloc_fresh_opaque();
+                heap.set(*loc, SVal::Pair(car, cdr));
                 vec![car, cdr]
             } else {
                 Vec::new()
@@ -507,8 +412,8 @@ fn apply_op<H: TraceHeap>(heap: &mut H, op: &TraceOp) -> Vec<Loc> {
         }
         TraceOp::DiffChain(refinements) => {
             for (loc, cmp, rhs) in refinements {
-                if matches!(heap.th_get(*loc), SVal::Opaque { .. }) {
-                    heap.th_refine(*loc, CRefinement::NumCmp(*cmp, rhs.clone()));
+                if matches!(heap.get(*loc), SVal::Opaque { .. }) {
+                    heap.refine(*loc, CRefinement::NumCmp(*cmp, rhs.clone()));
                 }
             }
             Vec::new()
@@ -552,7 +457,7 @@ mod tests {
         assert!(
             rebasing >= 10,
             "only {rebasing}/50 seeds journalled a rebase; the generator no \
-             longer exercises the retraction machinery"
+             longer exercises the re-encoding path"
         );
     }
 
@@ -562,25 +467,6 @@ mod tests {
         let mut session = ProverSession::new();
         let verdicts = trace.replay(&mut session);
         assert_eq!(verdicts.len(), trace.steps.len());
-    }
-
-    #[test]
-    fn checked_generation_produces_the_same_traces() {
-        // The differential mode must not perturb the RNG: its traces are
-        // exactly the plain generator's — with and without the
-        // difference-chain mutation in the mix.
-        for config in [TraceConfig::default(), TraceConfig::with_diff_chains()] {
-            for seed in [0u64, 7, 42] {
-                let plain = HeapTrace::generate(seed, &config);
-                let checked = HeapTrace::generate_checked(seed, &config);
-                assert_eq!(plain.steps.len(), checked.steps.len());
-                for (a, b) in plain.steps.iter().zip(&checked.steps) {
-                    assert_eq!(a.heap.fingerprint(), b.heap.fingerprint());
-                    assert_eq!((a.loc, a.op), (b.loc, b.op));
-                    assert_eq!(a.rhs, b.rhs);
-                }
-            }
-        }
     }
 
     /// Recovers the `to ≥ from + c` edge a [`random_diff_chain`] refinement
@@ -673,16 +559,5 @@ mod tests {
             with_chains >= 10,
             "only {with_chains}/50 seeds carried a difference refinement"
         );
-    }
-
-    #[test]
-    fn checked_generation_exercises_rebases() {
-        // The shadow comparison must cover the non-monotone path, not just
-        // append-only growth.
-        let config = TraceConfig::default();
-        let rebasing = (0..50)
-            .filter(|&seed| HeapTrace::generate_checked(seed, &config).rebases() > 0)
-            .count();
-        assert!(rebasing >= 10, "only {rebasing}/50 checked seeds rebased");
     }
 }

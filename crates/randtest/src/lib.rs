@@ -14,18 +14,15 @@
 //!
 //! The [`heaptrace`] module applies the same methodology one level down: a
 //! seeded generator of random symbolic-heap mutation/query traces, used as
-//! the differential oracle showing the incremental prover session (with
-//! pop-to-write-point retraction) observationally equivalent to the
-//! whole-heap reference oracle.
+//! the differential oracle showing the incremental prover session
+//! observationally equivalent to the whole-heap reference oracle.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod heaptrace;
-pub mod shadow;
 
 pub use heaptrace::{HeapTrace, TraceConfig, TraceStep};
-pub use shadow::ShadowHeap;
 
 use std::collections::HashMap;
 

@@ -16,7 +16,7 @@
 //!   clauses (pure definitions of auxiliary variables, valid in any frame)
 //!   plus a **root literal** that acts as the formula's activation literal:
 //!   a check assumes the root literals of the formulas that are live, so
-//!   `push`/`pop`/`pop_to` retract by no longer assuming a frame's literals
+//!   `push`/`pop` retract by no longer assuming a frame's literals
 //!   instead of discarding clauses. Theory conflict clauses are valid
 //!   lemmas over the interned atoms, so they are added unguarded and keep
 //!   pruning the search in every later check whose cone they touch; clauses

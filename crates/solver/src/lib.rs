@@ -115,6 +115,6 @@ pub use counters::Tally;
 pub use formula::{Atom, CmpOp, Formula};
 pub use lemmas::{default_lemma_sharing, SharedLemma, SharedLemmaPool};
 pub use model::Model;
-pub use solver::{CoreMode, Proof, Solver, SolverConfig, SolverStats, UnbalancedPop, Validity};
+pub use solver::{CoreMode, Proof, Solver, SolverConfig, SolverStats, Validity};
 pub use term::{Term, Var};
 pub use theory::{SmtResult, TheoryConfig};

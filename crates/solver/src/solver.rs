@@ -10,7 +10,6 @@
 //! measure how much re-encoding the incremental interface saves.
 
 use std::cell::{Cell, RefCell};
-use std::fmt;
 use std::time::{Duration, Instant};
 
 use crate::core::TheoryCore;
@@ -115,29 +114,6 @@ crate::counters! {
         time: Duration => "solver_ms",
     }
 }
-
-/// The error returned by [`Solver::pop_to`] when the requested depth is
-/// deeper than the scopes actually open — the checked counterpart of the
-/// panic in [`Solver::pop`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct UnbalancedPop {
-    /// The scope depth the caller asked to return to.
-    pub requested: usize,
-    /// The scope depth that was actually open.
-    pub depth: usize,
-}
-
-impl fmt::Display for UnbalancedPop {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "cannot pop to scope depth {} with only {} scopes open",
-            self.requested, self.depth
-        )
-    }
-}
-
-impl std::error::Error for UnbalancedPop {}
 
 /// Outcome of a validity query ([`Solver::check_valid`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -275,35 +251,6 @@ impl Solver {
         if self.persistent() {
             self.core.get_mut().truncate(mark);
         }
-    }
-
-    /// Pops scopes until exactly `depth` remain open, discarding the
-    /// assertions of every popped scope. `pop_to(scope_depth())` is a no-op.
-    ///
-    /// This is the checked retraction entry point used by incremental
-    /// consumers that track their own frame ledger: asking for a depth that
-    /// is not currently open is reported as an [`UnbalancedPop`] instead of
-    /// the panic [`Solver::pop`] raises on an empty scope stack.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`UnbalancedPop`] (leaving the solver untouched) when `depth`
-    /// exceeds the current [`Solver::scope_depth`].
-    pub fn pop_to(&mut self, depth: usize) -> Result<(), UnbalancedPop> {
-        if depth > self.scopes.len() {
-            return Err(UnbalancedPop {
-                requested: depth,
-                depth: self.scopes.len(),
-            });
-        }
-        if let Some(&mark) = self.scopes.get(depth) {
-            self.scopes.truncate(depth);
-            self.assertions.truncate(mark);
-            if self.persistent() {
-                self.core.get_mut().truncate(mark);
-            }
-        }
-        Ok(())
     }
 
     /// Retracts every assertion and scope while keeping everything the
@@ -620,57 +567,6 @@ mod tests {
         assert_eq!(solver.scope_depth(), 2);
         solver.pop();
         assert_eq!(solver.scope_depth(), 1);
-    }
-
-    #[test]
-    fn pop_to_restores_depth_and_assertions_exactly() {
-        let mut solver = Solver::new();
-        solver.assert(Formula::ge(x(0), Term::int(0)));
-        solver.push();
-        solver.assert(Formula::eq(x(0), Term::int(5)));
-        solver.push();
-        solver.assert(Formula::le(x(1), Term::int(3)));
-        solver.assert(Formula::ge(x(1), Term::int(1)));
-        solver.push();
-        assert_eq!(solver.scope_depth(), 3);
-        assert_eq!(solver.assertions().len(), 4);
-        // Popping to the current depth is a no-op.
-        solver.pop_to(3).expect("balanced");
-        assert_eq!(solver.scope_depth(), 3);
-        assert_eq!(solver.assertions().len(), 4);
-        // Popping two scopes at once drops exactly their assertions.
-        solver.pop_to(1).expect("balanced");
-        assert_eq!(solver.scope_depth(), 1);
-        assert_eq!(solver.assertions().len(), 2);
-        assert!(solver.check().is_sat());
-        // Back to the base scope: only the base assertion survives.
-        solver.pop_to(0).expect("balanced");
-        assert_eq!(solver.scope_depth(), 0);
-        assert_eq!(solver.assertions().len(), 1);
-    }
-
-    #[test]
-    fn pop_to_rejects_unbalanced_depths() {
-        let mut solver = Solver::new();
-        solver.assert(Formula::ge(x(0), Term::int(0)));
-        solver.push();
-        solver.assert(Formula::eq(x(0), Term::int(5)));
-        let err = solver.pop_to(2).expect_err("two scopes are not open");
-        assert_eq!(
-            err,
-            UnbalancedPop {
-                requested: 2,
-                depth: 1
-            }
-        );
-        assert!(err.to_string().contains("scope depth 2"));
-        // A failed pop leaves the solver untouched.
-        assert_eq!(solver.scope_depth(), 1);
-        assert_eq!(solver.assertions().len(), 2);
-        // An empty solver rejects any positive depth instead of panicking.
-        let mut empty = Solver::new();
-        assert!(empty.pop_to(1).is_err());
-        assert!(empty.pop_to(0).is_ok());
     }
 
     #[test]

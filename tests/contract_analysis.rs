@@ -179,3 +179,19 @@ fn a_module_that_still_branches_is_not_a_validated_counterexample() {
         "got {verdict:?}"
     );
 }
+
+#[test]
+fn a_failure_at_another_site_does_not_validate_a_counterexample() {
+    // The module is safe: the inner difference is always 0. The unary
+    // witness reconstructed for the binary `g` fails in the re-run with an
+    // arity error, not at the reported division, so it confirms nothing.
+    let verdict = first_verdict(
+        r#"(module m
+             (provide [main (-> (-> integer? integer? integer?) integer?)])
+             (define (main g) (/ 1 (- 100 (- (g 1 2) (g 1 2))))))"#,
+    );
+    assert!(
+        !verdict.counterexample().is_some_and(|cex| cex.validated),
+        "got {verdict:?}"
+    );
+}

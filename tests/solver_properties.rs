@@ -1,29 +1,27 @@
 //! Property-based integration tests, driven by a seeded [`StdRng`] so runs
 //! are reproducible without any external property-testing framework.
 //!
-//! Five families of properties:
+//! Four families of properties:
 //!
 //! 1. **Solver soundness** — every model the first-order solver reports
 //!    satisfies the asserted formulas, UNSAT answers agree with brute-force
 //!    search on bounded instances, and validity answers are never
 //!    contradicted by a witness.
 //! 2. **Prover-session equivalence** — over randomized symbolic heaps and
-//!    query sequences (including branch-cloned sibling heaps and
-//!    non-monotone overwrites), the incremental [`cpcf::ProverSession`]
-//!    returns exactly the verdicts and model existence of the reference
-//!    oracle ([`cpcf::prove::reference_prove_num`] and
+//!    query sequences, and over seeded [`randtest::HeapTrace`]s (both with
+//!    branch-cloned sibling heaps and non-monotone overwrites), the
+//!    incremental [`cpcf::ProverSession`] returns exactly the verdicts and
+//!    model existence of the reference oracle
+//!    ([`cpcf::prove::reference_prove_num`] and
 //!    [`cpcf::prove::reference_heap_model`]), which re-encodes the whole
-//!    heap into a fresh solver on every query.
-//! 3. **Retraction fuzzing** — replaying seeded [`randtest::HeapTrace`]s
-//!    through a session, whose pop-to-write-point retraction absorbs the
-//!    traces' non-monotone overwrites, produces bit-identical verdict
-//!    sequences to the reference oracle. These prove-layer differentials
-//!    pin the **scratch** solver core on both sides, so they share one
-//!    satisfiability oracle: the axis under test is the prove layer's
-//!    bookkeeping, not the solver core. (On the persistent core, clauses
-//!    the session retains change which budget-limited queries exhaust the
-//!    iteration budget, and exact equality fails at seed 119.)
-//! 4. **Solver-core refinement fuzzing** — replaying the same traces
+//!    heap into a fresh solver on every query. These prove-layer
+//!    differentials pin the **scratch** solver core on both sides, so they
+//!    share one satisfiability oracle: the axis under test is the prove
+//!    layer's bookkeeping (branch pops, deltas, re-encodes on rebases), not
+//!    the solver core. (On the persistent core, clauses the session retains
+//!    change which budget-limited queries exhaust the iteration budget, and
+//!    exact equality fails at seed 119.)
+//! 3. **Solver-core refinement fuzzing** — replaying the same traces
 //!    through the persistent core (hash-consed atoms, retained clauses,
 //!    cone slicing) and the scratch core must *refine* verdicts: whenever
 //!    scratch decides (`Proved`/`Refuted`), persistent returns the same
@@ -37,7 +35,7 @@
 //!    engine on any `Unknown` of its own). A companion property checks
 //!    that clause retention respects frame pops: a constraint asserted in
 //!    a popped frame never influences later verdicts.
-//! 5. **Theory-module refinement fuzzing** — replaying traces whose
+//! 4. **Theory-module refinement fuzzing** — replaying traces whose
 //!    generator emits native difference-constraint chains and cycles
 //!    (`TraceConfig::with_diff_chains`), the engine with the
 //!    difference-logic module enabled must refine the LIA-only reference:
@@ -444,62 +442,20 @@ mod session_equivalence {
 
     #[test]
     fn retraction_matches_the_reference_on_seeded_traces() {
-        use cpcf::SessionStats;
         use randtest::{HeapTrace, TraceConfig};
 
-        // The differential oracle for pop-to-write-point retraction, in the
-        // spirit of the paper's QuickCheck baseline (§5.2): over seeded
+        // The differential oracle for the session's bookkeeping, in the
+        // spirit of the paper's QuickCheck baseline (§5.2): over 200 seeded
         // random heap traces, the session must return exactly the verdicts
         // of the whole-heap reference. Both sides run the scratch solver
-        // core, so the only axis varying is the prove layer's retraction
-        // bookkeeping. That retraction pops to the write-point instead of
-        // re-encoding is pinned by the unit test
-        // `retraction_pops_to_the_write_point_instead_of_reencoding`.
+        // core, so the only axis varying is the prove layer: branch pops,
+        // delta encodings, and the full re-encode by which a rebase retracts
+        // the overwritten location's stale constraints.
         const TRACES: u64 = 200;
         let config = TraceConfig::default();
-        let mut retraction_total = SessionStats::default();
         let mut traces_with_rebases = 0usize;
         for seed in 0..TRACES {
             let trace = HeapTrace::generate(seed, &config);
-            if trace.rebases() > 0 {
-                traces_with_rebases += 1;
-            }
-            let mut retraction = ProverSession::with_config(on_scratch_core());
-            assert_eq!(
-                trace.replay(&mut retraction),
-                trace.replay_reference(on_scratch_core()),
-                "seed {seed}: the retracting session and the reference disagree"
-            );
-            retraction_total.merge(&retraction.stats());
-        }
-        // The corpus must actually exercise the machinery under test.
-        assert!(
-            traces_with_rebases >= TRACES as usize / 10,
-            "only {traces_with_rebases}/{TRACES} traces journalled a rebase"
-        );
-        assert!(
-            retraction_total.retractions > 0,
-            "no trace triggered a retraction: {retraction_total:?}"
-        );
-    }
-
-    #[test]
-    fn persistent_heap_matches_the_deep_clone_shadow_over_200_seeds() {
-        use randtest::{HeapTrace, TraceConfig};
-
-        // The representation-differential oracle for the copy-on-write heap:
-        // `generate_checked` replays every mutation on both the persistent
-        // heap and the deep-clone `ShadowHeap` (the seed semantics), and
-        // panics unless journals, fingerprints, stored values and
-        // write-points stay bit-identical after every single step. On top of
-        // the representation check, the persistent trace's verdicts must
-        // agree between the incremental session and the reference oracle —
-        // i.e. the cheaper snapshots change no answer.
-        const TRACES: u64 = 200;
-        let config = TraceConfig::default();
-        let mut traces_with_rebases = 0usize;
-        for seed in 0..TRACES {
-            let trace = HeapTrace::generate_checked(seed, &config);
             if trace.rebases() > 0 {
                 traces_with_rebases += 1;
             }
@@ -507,13 +463,13 @@ mod session_equivalence {
             assert_eq!(
                 trace.replay(&mut incremental),
                 trace.replay_reference(on_scratch_core()),
-                "seed {seed}: verdicts diverge on the persistent heap"
+                "seed {seed}: the session and the reference disagree"
             );
         }
+        // The corpus must actually exercise the non-monotone path.
         assert!(
             traces_with_rebases >= TRACES as usize / 10,
-            "only {traces_with_rebases}/{TRACES} traces journalled a rebase; \
-             the differential no longer covers the non-monotone path"
+            "only {traces_with_rebases}/{TRACES} traces journalled a rebase"
         );
     }
 
