@@ -32,6 +32,12 @@
 //!   contributes its negative-cycle *explanation* (the inconsistent
 //!   subset) as the blocking clause and the shared lemma instead of blaming
 //!   the whole candidate, so the learnt clause prunes strictly more.
+//! * **Resumed LIA presolve**: a query's cone is usually the previous
+//!   query's cone plus a few atoms. The fast path keeps the LIA presolve of
+//!   the last cone it sent to LIA, keyed by its atom ids
+//!   ([`crate::lia`]'s prefix cache), and a cone whose ids start with
+//!   those only eliminates the new atoms' equalities. Out-of-cone
+//!   component checks neither use nor replace that entry.
 //! * **Per-query cone slicing, maintained with the assertion stack**: the
 //!   active formulas are partitioned into variable-connected components. A
 //!   query only solves the components its assumptions touch; the untouched
@@ -72,7 +78,7 @@ use crate::arena::{Arena, AtomId};
 use crate::cnf::{encode_and_gate, encode_or_gate};
 use crate::formula::Formula;
 use crate::lemmas::{SharedLemma, SharedLemmaPool};
-use crate::lia::LiaResult;
+use crate::lia::{LiaResult, PrefixCache, Resume};
 use crate::model::Model;
 use crate::probes;
 use crate::sat::{BVar, Lit, SatResult as PropResult, SatSolver};
@@ -135,6 +141,9 @@ pub struct TheoryCore {
     /// Memoized verdicts for out-of-cone components, keyed by their sorted
     /// distinct formula-id sets.
     component_cache: HashMap<Vec<u64>, SmtResult>,
+    /// The LIA presolve of the last cone the conjunctive fast path sent to
+    /// LIA, which the next cone extending it resumes from.
+    lia_prefix: PrefixCache,
     /// Arena size at the last stats reset (`atoms_interned` is a delta).
     atoms_at_reset: usize,
     /// The work this core did since the last reset: its own counters
@@ -174,6 +183,7 @@ impl TheoryCore {
             formulas: Vec::new(),
             slicer: ConeSlicer::default(),
             component_cache: HashMap::new(),
+            lia_prefix: PrefixCache::default(),
             atoms_at_reset: 0,
             counts: SolverStats::ZERO,
             reported: SolverStats::ZERO,
@@ -315,7 +325,7 @@ impl TheoryCore {
         let active: Vec<Rc<FormulaInfo>> = self.formulas.clone();
         let result = if assumed.is_empty() {
             // Nothing to slice against: the whole assertion set is the cone.
-            let result = self.check_set(&active, &[]);
+            let result = self.check_set(&active, &[], true);
             match result {
                 SmtResult::Unknown => self.fallback(&active, &[]),
                 decided => decided,
@@ -340,7 +350,7 @@ impl TheoryCore {
         if !slicing.rest.is_empty() {
             self.counts.cone_vars_pruned += slicing.pruned_vars as u64;
         }
-        match self.check_set(&slicing.cone, assumed) {
+        match self.check_set(&slicing.cone, assumed, true) {
             // The cone is a subset of the live assertions, so its
             // inconsistency is the whole set's inconsistency.
             SmtResult::Unsat => SmtResult::Unsat,
@@ -375,7 +385,7 @@ impl TheoryCore {
         if let Some(cached) = self.component_cache.get(&ids) {
             return cached.clone();
         }
-        let result = self.check_set(component, &[]);
+        let result = self.check_set(component, &[], false);
         if self.component_cache.len() >= CACHE_BOUND {
             self.component_cache.clear();
         }
@@ -399,8 +409,16 @@ impl TheoryCore {
 
     /// Decides the conjunction of `active ∪ assumed`: a pure atom
     /// conjunction goes straight to the theory; anything with boolean
-    /// structure runs the lazy SMT loop on the persistent CDCL state.
-    fn check_set(&mut self, active: &[Rc<FormulaInfo>], assumed: &[Rc<FormulaInfo>]) -> SmtResult {
+    /// structure runs the lazy SMT loop on the persistent CDCL state. A
+    /// `cone` check resumes LIA presolve from the previous cone's state and
+    /// leaves its own active part behind for the next one; out-of-cone
+    /// component checks pass `false` and leave that state alone.
+    fn check_set(
+        &mut self,
+        active: &[Rc<FormulaInfo>],
+        assumed: &[Rc<FormulaInfo>],
+        cone: bool,
+    ) -> SmtResult {
         let conjunctive = active
             .iter()
             .chain(assumed)
@@ -417,10 +435,19 @@ impl TheoryCore {
                         .copied()
                 })
                 .collect();
+            let active_atoms: usize = active
+                .iter()
+                .map(|info| info.conjunction.as_deref().expect("checked").len())
+                .sum();
             let dispatched = {
                 let refs: Vec<AtomRef<'_>> =
                     ids.iter().map(|&id| self.arena.atom_ref(id)).collect();
-                dispatch_check(&refs, &self.config)
+                let resume = cone.then_some(Resume {
+                    cache: &mut self.lia_prefix,
+                    ids: &ids,
+                    active: active_atoms,
+                });
+                dispatch_check(&refs, &self.config, resume)
             };
             return match dispatched.result {
                 LiaResult::Sat(values) => {
@@ -536,7 +563,7 @@ impl TheoryCore {
                     let dispatched = {
                         let refs: Vec<AtomRef<'_>> =
                             chosen.iter().map(|&id| self.arena.atom_ref(id)).collect();
-                        dispatch_check(&refs, &self.config)
+                        dispatch_check(&refs, &self.config, None)
                     };
                     match dispatched.result {
                         LiaResult::Sat(values) => {

@@ -14,17 +14,35 @@
 //! * fraction-free Gaussian elimination over the equality constraints (with a
 //!   GCD divisibility test) for fast refutation of inconsistent equality
 //!   chains — the common case for path conditions,
-//! * interval (bounds) propagation over all constraints, and
+//! * an equality-substitution **presolve** that eliminates every variable
+//!   an equality defines with a ±1 coefficient, substituting its
+//!   definition through the other constraints (and reversing the
+//!   eliminations when a model is found),
+//! * interval (bounds) propagation over the remaining constraints, and
 //! * a backtracking, small-values-first model search with forced-assignment
 //!   propagation, which handles disequalities and the product constraints
 //!   introduced by multiplication of two unknowns.
+//!
+//! Presolve is order-preserving: it always eliminates through the first
+//! eligible equality in constraint order and removes it without reordering
+//! the rest. That makes it prefix-compositional — presolving `P ++ Δ`
+//! equals extending the presolved `P` by `Δ` — and the persistent solver
+//! core exploits it: along one symbolic path each query's conjunction is
+//! the previous query's cone plus a few atoms, so the core keeps the
+//! presolved state of the last cone (`PrefixCache`) and each check only
+//! eliminates the new atoms' equalities. The state shares its definitions
+//! and constraints through `Rc`, so resuming copies no expression. A
+//! conjunction without such a prefix (and [`check_problem`], the scratch
+//! engine's path) extends the empty state — one presolve either way.
 //!
 //! The search is complete up to its value bound (±256); when it gives up
 //! it reports [`LiaResult::Unknown`] rather than guessing, which is exactly
 //! the "relative" part of relative completeness.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::rc::Rc;
 
+use crate::arena::AtomId;
 use crate::formula::{Atom, CmpOp};
 use crate::linear::{linearise, LinExpr, Linearised};
 use crate::term::{Term, Var};
@@ -178,35 +196,40 @@ impl LiaProblem {
 
     /// Checks an assignment against every constraint of the problem.
     pub fn satisfied_by(&self, assignment: &BTreeMap<Var, i64>) -> bool {
-        let lookup = |v: Var| assignment.get(&v).copied();
-        for c in &self.linear {
-            let Some(value) = c.expr.eval(&lookup) else {
-                return false;
-            };
-            let holds = match c.op {
-                ConstraintOp::Eq => value == 0,
-                ConstraintOp::Le => value <= 0,
-                ConstraintOp::Ne => value != 0,
-            };
-            if !holds {
-                return false;
-            }
-        }
-        for p in &self.products {
-            let (Some(result), Some(left), Some(right)) = (
-                lookup(p.result),
-                p.left.eval(&lookup),
-                p.right.eval(&lookup),
-            ) else {
-                return false;
-            };
-            match left.checked_mul(right) {
-                Some(product) if product == result => {}
-                _ => return false,
-            }
-        }
-        true
+        satisfies(&self.linear, &self.products, assignment)
     }
+}
+
+/// Checks an assignment against linear and product constraints.
+fn satisfies<C: std::borrow::Borrow<LinearConstraint>>(
+    linear: &[C],
+    products: &[ProductConstraint],
+    assignment: &BTreeMap<Var, i64>,
+) -> bool {
+    let lookup = |v: Var| assignment.get(&v).copied();
+    for c in linear {
+        let c = c.borrow();
+        let Some(value) = c.expr.eval(&lookup) else {
+            return false;
+        };
+        if !constant_holds(c.op, value) {
+            return false;
+        }
+    }
+    for p in products {
+        let (Some(result), Some(left), Some(right)) = (
+            lookup(p.result),
+            p.left.eval(&lookup),
+            p.right.eval(&lookup),
+        ) else {
+            return false;
+        };
+        match left.checked_mul(right) {
+            Some(product) if product == result => {}
+            _ => return false,
+        }
+    }
+    true
 }
 
 /// The linear constraint one atom contributes: both sides flattened (product
@@ -300,111 +323,216 @@ fn flatten(term: &Term, fresh: &mut u32, problem: &mut LiaProblem) -> Result<Lin
 // Equality-substitution presolve.
 // ---------------------------------------------------------------------------
 
-/// The result of presolving: a reduced problem plus the eliminated variables
-/// and the expressions (over the remaining variables at elimination time)
-/// defining them.
-#[derive(Debug, Clone)]
-struct Presolved {
-    problem: LiaProblem,
-    /// `(var, expr)` pairs in elimination order; `var = expr` holds.
-    eliminated: Vec<(Var, LinExpr)>,
+/// One eliminated variable: `var = expr` holds, where `expr` ranges over the
+/// variables still live when `var` was eliminated.
+#[derive(Debug, PartialEq, Eq)]
+struct Definition {
+    var: Var,
+    expr: LinExpr,
 }
 
-/// Eliminates variables defined by equalities with a ±1 coefficient,
-/// substituting them through every other constraint. Returns `None` when a
-/// constraint reduces to a contradiction.
-fn presolve(problem: &LiaProblem) -> Option<Presolved> {
-    let mut problem = problem.clone();
-    let mut eliminated: Vec<(Var, LinExpr)> = Vec::new();
-    // Variables appearing as the result of a product constraint are kept: the
-    // product machinery owns them.
-    let product_results: BTreeSet<Var> = problem.products.iter().map(|p| p.result).collect();
+/// A presolved conjunction: the definitions of the eliminated variables and
+/// the constraints that remain once every definition is substituted.
+///
+/// Elimination is order-preserving — it always takes the first eligible
+/// equality in constraint order (an equality with a ±1 coefficient on a
+/// variable that is not a product result) and removes it without
+/// reordering the rest — so presolving `P ++ Δ` equals presolving `P` and
+/// then [`Presolved::extend`]ing the result by `Δ`. Definitions and
+/// remaining constraints sit behind `Rc`, so a copy of a state copies
+/// pointers, never a [`LinExpr`]: a persistent core keeps the state of the
+/// cone it last checked and resumes from it.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct Presolved {
+    /// Eliminated variables, in elimination order.
+    definitions: Vec<Rc<Definition>>,
+    /// The remaining linear constraints in constraint order, none of them
+    /// constant.
+    linear: Vec<Rc<LinearConstraint>>,
+    /// The product constraints.
+    products: Vec<ProductConstraint>,
+    /// Arithmetic overflow stopped elimination: later constraints are only
+    /// substituted, never eliminated from.
+    stopped: bool,
+    /// Some constraint reduced to a contradiction.
+    infeasible: bool,
+}
 
-    loop {
-        // Check for constant constraints and find a candidate to eliminate.
-        let mut candidate: Option<(usize, Var, LinExpr)> = None;
-        for (index, constraint) in problem.linear.iter().enumerate() {
-            if let Some(value) = constraint.expr.as_constant() {
-                let holds = match constraint.op {
-                    ConstraintOp::Eq => value == 0,
-                    ConstraintOp::Le => value <= 0,
-                    ConstraintOp::Ne => value != 0,
-                };
-                if !holds {
-                    return None;
+/// Whether the constant `value` satisfies `value op 0`.
+fn constant_holds(op: ConstraintOp, value: i64) -> bool {
+    match op {
+        ConstraintOp::Eq => value == 0,
+        ConstraintOp::Le => value <= 0,
+        ConstraintOp::Ne => value != 0,
+    }
+}
+
+impl Presolved {
+    /// Presolves a whole conjunction: [`Presolved::extend`] from the empty
+    /// state, which has no definitions to substitute and so cannot fail.
+    fn new(linear: &[LinearConstraint], products: &[ProductConstraint]) -> Presolved {
+        Presolved::default()
+            .extend(linear, products)
+            .expect("the empty state substitutes nothing")
+    }
+
+    /// This state extended by the constraints `linear` and `products`: each
+    /// is rewritten by the definitions in elimination order and appended,
+    /// then elimination continues. The result equals presolving the whole
+    /// conjunction from scratch. `None` when rewriting a new constraint by
+    /// an existing definition overflows — presolving from scratch would
+    /// have stopped before that definition, so the caller must start over.
+    fn extend(
+        mut self,
+        linear: &[LinearConstraint],
+        products: &[ProductConstraint],
+    ) -> Option<Presolved> {
+        if self.infeasible {
+            return Some(self);
+        }
+        let start = self.linear.len();
+        for constraint in linear {
+            let expr = self.rewrite(&constraint.expr)?;
+            match expr.as_constant() {
+                Some(value) if constant_holds(constraint.op, value) => {}
+                Some(_) => {
+                    self.infeasible = true;
+                    return Some(self);
                 }
-                continue;
-            }
-            if constraint.op != ConstraintOp::Eq || candidate.is_some() {
-                continue;
-            }
-            // Look for a variable with coefficient ±1 not used as a product result.
-            for (var, coeff) in constraint.expr.iter() {
-                if (coeff == 1 || coeff == -1) && !product_results.contains(&var) {
-                    // var = -(expr - coeff·var) / coeff
-                    let mut rest = constraint.expr.clone();
-                    if rest.add_term(var, -coeff).is_none() {
-                        continue;
-                    }
-                    let Some(definition) = rest.checked_scale(-coeff) else {
-                        continue;
-                    };
-                    candidate = Some((index, var, definition));
-                    break;
-                }
+                None => self.linear.push(Rc::new(LinearConstraint {
+                    expr,
+                    op: constraint.op,
+                })),
             }
         }
-        let Some((index, var, definition)) = candidate else {
-            break;
-        };
-        // Two-pass substitution: compute every affected expression first so
-        // arithmetic overflow aborts cleanly without cloning the problem.
-        let Some(()) = (|| {
-            let mut new_linear: Vec<(usize, LinExpr)> = Vec::new();
-            for (i, c) in problem.linear.iter().enumerate() {
-                if i != index && c.expr.coeff(var) != 0 {
-                    new_linear.push((i, substitute_expr(&c.expr, var, &definition)?));
-                }
-            }
-            let mut new_products: Vec<(usize, LinExpr, LinExpr)> = Vec::new();
-            for (i, p) in problem.products.iter().enumerate() {
-                if p.left.coeff(var) != 0 || p.right.coeff(var) != 0 {
-                    new_products.push((
-                        i,
-                        substitute_expr(&p.left, var, &definition)?,
-                        substitute_expr(&p.right, var, &definition)?,
-                    ));
-                }
-            }
-            for (i, expr) in new_linear {
-                problem.linear[i].expr = expr;
-            }
-            for (i, left, right) in new_products {
-                problem.products[i].left = left;
-                problem.products[i].right = right;
-            }
-            Some(())
-        })() else {
-            break;
-        };
-        problem.linear.swap_remove(index);
-        problem.vars.remove(&var);
-        // Drop constraints that became trivially true; contradictions are
-        // kept and detected at the top of the next iteration.
-        problem.linear.retain(|c| match c.expr.as_constant() {
-            Some(value) => match c.op {
-                ConstraintOp::Eq => value != 0,
-                ConstraintOp::Le => value > 0,
-                ConstraintOp::Ne => value == 0,
-            },
-            None => true,
-        });
-        eliminated.push((var, definition));
+        for product in products {
+            let left = self.rewrite(&product.left)?;
+            let right = self.rewrite(&product.right)?;
+            self.products.push(ProductConstraint {
+                result: product.result,
+                left,
+                right,
+            });
+        }
+        if !self.stopped {
+            self.eliminate_from(start);
+        }
+        Some(self)
     }
-    Some(Presolved {
-        problem,
-        eliminated,
-    })
+
+    /// `expr` with every definition substituted in elimination order.
+    fn rewrite(&self, expr: &LinExpr) -> Option<LinExpr> {
+        let mut expr = expr.clone();
+        for definition in &self.definitions {
+            if expr.coeff(definition.var) != 0 {
+                expr = substitute_expr(&expr, definition.var, &definition.expr)?;
+            }
+        }
+        Some(expr)
+    }
+
+    /// The variable an equality defines and its definition: the first
+    /// variable with a ±1 coefficient that is not a product result.
+    fn candidate(&self, constraint: &LinearConstraint) -> Option<(Var, LinExpr)> {
+        if constraint.op != ConstraintOp::Eq {
+            return None;
+        }
+        for (var, coeff) in constraint.expr.iter() {
+            if (coeff == 1 || coeff == -1) && self.products.iter().all(|p| p.result != var) {
+                // var = -(expr - coeff·var) / coeff
+                let mut rest = constraint.expr.clone();
+                if rest.add_term(var, -coeff).is_none() {
+                    continue;
+                }
+                let Some(definition) = rest.checked_scale(-coeff) else {
+                    continue;
+                };
+                return Some((var, definition));
+            }
+        }
+        None
+    }
+
+    /// Eliminates variables until no equality is eligible, given that none
+    /// before `cursor` is.
+    fn eliminate_from(&mut self, mut cursor: usize) {
+        while let Some((index, var, definition)) = self.linear[cursor..]
+            .iter()
+            .enumerate()
+            .find_map(|(offset, constraint)| {
+                let (var, definition) = self.candidate(constraint)?;
+                Some((cursor + offset, var, definition))
+            })
+        {
+            // Rewrite every affected constraint before changing any, so an
+            // overflow stops elimination with the state intact.
+            let (Some(linear), Some(products)) = (
+                self.rewritten_linear(index, var, &definition),
+                self.rewritten_products(var, &definition),
+            ) else {
+                self.stopped = true;
+                return;
+            };
+            cursor = linear.first().map_or(index, |&(first, _)| first.min(index));
+            for (i, expr) in linear {
+                let op = self.linear[i].op;
+                self.linear[i] = Rc::new(LinearConstraint { expr, op });
+            }
+            self.products = products;
+            self.linear.remove(index);
+            // Only rewritten constraints can have become constant, and all
+            // of them sit at or after the cursor.
+            let mut infeasible = false;
+            self.linear.retain(|c| match c.expr.as_constant() {
+                Some(value) => {
+                    infeasible |= !constant_holds(c.op, value);
+                    false
+                }
+                None => true,
+            });
+            self.definitions.push(Rc::new(Definition {
+                var,
+                expr: definition,
+            }));
+            if infeasible {
+                self.infeasible = true;
+                return;
+            }
+        }
+    }
+
+    /// The linear constraints other than `index` that mention `var`,
+    /// rewritten by `var = definition` and paired with their indices.
+    /// `None` on arithmetic overflow.
+    fn rewritten_linear(
+        &self,
+        index: usize,
+        var: Var,
+        definition: &LinExpr,
+    ) -> Option<Vec<(usize, LinExpr)>> {
+        let mut linear = Vec::new();
+        for (i, c) in self.linear.iter().enumerate() {
+            if i != index && c.expr.coeff(var) != 0 {
+                linear.push((i, substitute_expr(&c.expr, var, definition)?));
+            }
+        }
+        Some(linear)
+    }
+
+    /// Every product constraint rewritten by `var = definition`. `None` on
+    /// arithmetic overflow.
+    fn rewritten_products(&self, var: Var, definition: &LinExpr) -> Option<Vec<ProductConstraint>> {
+        self.products
+            .iter()
+            .map(|p| {
+                Some(ProductConstraint {
+                    result: p.result,
+                    left: substitute_expr(&p.left, var, definition)?,
+                    right: substitute_expr(&p.right, var, definition)?,
+                })
+            })
+            .collect()
+    }
 }
 
 fn substitute_expr(expr: &LinExpr, var: Var, definition: &LinExpr) -> Option<LinExpr> {
@@ -843,10 +971,10 @@ const MAX_PROPAGATION_ROUNDS: usize = 4096;
 
 /// Runs propagation to a fixpoint (or the round ceiling). Returns `false`
 /// on conflict.
-fn propagate(problem: &LiaProblem, state: &mut SearchState) -> bool {
+fn propagate(problem: &Residual<'_>, state: &mut SearchState) -> bool {
     for _ in 0..MAX_PROPAGATION_ROUNDS {
         let mut changed = false;
-        for constraint in &problem.linear {
+        for constraint in problem.linear {
             let step = match constraint.op {
                 ConstraintOp::Le => propagate_le(&constraint.expr, state),
                 ConstraintOp::Eq => {
@@ -868,7 +996,7 @@ fn propagate(problem: &LiaProblem, state: &mut SearchState) -> bool {
                 Some(step_changed) => changed |= step_changed,
             }
         }
-        for product in &problem.products {
+        for product in problem.products {
             match propagate_product(product, state) {
                 None => return false,
                 Some(step_changed) => changed |= step_changed,
@@ -956,7 +1084,7 @@ fn spiral(bound: i64) -> impl Iterator<Item = i64> {
     std::iter::once(0).chain((1..=bound).flat_map(|v| [v, -v]))
 }
 
-fn pick_branch_var(problem: &LiaProblem, state: &SearchState) -> Option<Var> {
+fn pick_branch_var(problem: &Residual<'_>, state: &SearchState) -> Option<Var> {
     let mut best: Option<(Var, i128)> = None;
     for &var in &problem.vars {
         if state.assignment.contains_key(&var) {
@@ -976,7 +1104,7 @@ fn pick_branch_var(problem: &LiaProblem, state: &SearchState) -> Option<Var> {
 }
 
 fn search(
-    problem: &LiaProblem,
+    problem: &Residual<'_>,
     state: SearchState,
     budget: &mut u64,
     truncated: &mut bool,
@@ -991,7 +1119,7 @@ fn search(
     }
     match pick_branch_var(problem, &state) {
         None => {
-            if problem.satisfied_by(&state.assignment) {
+            if satisfies(problem.linear, problem.products, &state.assignment) {
                 SearchOutcome::Model(state.assignment)
             } else {
                 SearchOutcome::NoModel
@@ -1038,10 +1166,25 @@ pub fn check_atom_refs(atoms: &[&Atom]) -> LiaResult {
 
 /// [`check_atom_refs`] over atoms with their theory readings: the LIA half
 /// of the dispatcher. Cached readings skip re-flattening non-product atoms.
-pub(crate) fn check_readings(atoms: &[AtomRef<'_>]) -> LiaResult {
-    check_built(LiaProblem::build(
-        atoms.iter().map(|atom| (atom.atom, atom.lia())),
-    ))
+/// With `resume`, presolve resumes from the core's [`PrefixCache`].
+pub(crate) fn check_readings(atoms: &[AtomRef<'_>], resume: Option<Resume<'_>>) -> LiaResult {
+    let problem = match LiaProblem::build(atoms.iter().map(|atom| (atom.atom, atom.lia()))) {
+        Ok(problem) => problem,
+        Err(BuildError::Overflow) => return LiaResult::Unknown,
+    };
+    match resume {
+        // Flattening numbers product variables across the whole
+        // conjunction, so only a product-free prefix presolves the same
+        // inside every conjunction it leads.
+        Some(resume)
+            if atoms[..resume.active]
+                .iter()
+                .all(|atom| atom.lia().is_some()) =>
+        {
+            decide(&problem, || resume.presolve(&problem))
+        }
+        _ => check_problem(&problem),
+    }
 }
 
 fn check_built(problem: Result<LiaProblem, BuildError>) -> LiaResult {
@@ -1053,6 +1196,71 @@ fn check_built(problem: Result<LiaProblem, BuildError>) -> LiaResult {
 
 /// Decides a pre-built problem.
 pub fn check_problem(problem: &LiaProblem) -> LiaResult {
+    decide(problem, || {
+        Presolved::new(&problem.linear, &problem.products)
+    })
+}
+
+/// The presolved active part of the last conjunction a persistent core sent
+/// to LIA, keyed by the atom ids it was built from. A reading depends on
+/// the atom alone and the prefix holds no product atom, so the state is a
+/// function of the ids: it never goes stale, and retractions need not
+/// touch it.
+#[derive(Debug, Default)]
+pub(crate) struct PrefixCache {
+    ids: Vec<AtomId>,
+    state: Option<Presolved>,
+}
+
+/// One conjunction's claim on a [`PrefixCache`]: its atom ids, of which the
+/// first `active` belong to the live assertions (the cone) and the rest to
+/// the query's assumptions.
+pub(crate) struct Resume<'a> {
+    /// The cache to resume from and update.
+    pub cache: &'a mut PrefixCache,
+    /// The conjunction's atom ids, in the order its problem was built.
+    pub ids: &'a [AtomId],
+    /// How many leading ids are the cone's assertions.
+    pub active: usize,
+}
+
+impl Resume<'_> {
+    /// Presolves `problem` (built from `ids`): extends the cached state when
+    /// its ids lead the active part, otherwise presolves the active part
+    /// from scratch; caches that as the new prefix; then extends it by the
+    /// assumptions. Equal to [`Presolved::new`] on the whole problem.
+    fn presolve(self, problem: &LiaProblem) -> Presolved {
+        let Resume { cache, ids, active } = self;
+        let linear = &problem.linear;
+        let resumed = match cache.state.take() {
+            Some(state) if ids[..active].starts_with(&cache.ids) => {
+                state.extend(&linear[cache.ids.len()..active], &[])
+            }
+            _ => None,
+        };
+        if resumed.is_some() {
+            crate::probes::bump(|p| p.lia_prefix_reuses += 1);
+        }
+        let prefix = resumed.unwrap_or_else(|| Presolved::new(&linear[..active], &[]));
+        cache.ids.clear();
+        cache.ids.extend_from_slice(&ids[..active]);
+        cache.state = Some(prefix.clone());
+        prefix
+            .extend(&linear[active..], &problem.products)
+            .unwrap_or_else(|| Presolved::new(linear, &problem.products))
+    }
+}
+
+/// What the model search runs on: a presolved state's remaining
+/// constraints and the problem's variables that were not eliminated.
+struct Residual<'a> {
+    linear: &'a [Rc<LinearConstraint>],
+    products: &'a [ProductConstraint],
+    vars: Vec<Var>,
+}
+
+/// Decides `problem`, with `presolve` producing its presolved state.
+fn decide(problem: &LiaProblem, presolve: impl FnOnce() -> Presolved) -> LiaResult {
     if problem.linear.is_empty() && problem.products.is_empty() {
         return LiaResult::Sat(BTreeMap::new());
     }
@@ -1062,10 +1270,22 @@ pub fn check_problem(problem: &LiaProblem) -> LiaResult {
     // Substitute away variables defined by unit-coefficient equalities. This
     // both detects contradictions like `x = y ∧ x ≠ y` and keeps the search
     // space small for the common equality-chain path conditions.
-    let Some(presolved) = presolve(problem) else {
+    let presolved = presolve();
+    if presolved.infeasible {
         return LiaResult::Unsat;
+    }
+    let mut eliminated: Vec<Var> = presolved.definitions.iter().map(|d| d.var).collect();
+    eliminated.sort_unstable();
+    let reduced = Residual {
+        linear: &presolved.linear,
+        products: &presolved.products,
+        vars: problem
+            .vars
+            .iter()
+            .copied()
+            .filter(|var| eliminated.binary_search(var).is_err())
+            .collect(),
     };
-    let reduced = &presolved.problem;
 
     let state = SearchState {
         assignment: BTreeMap::new(),
@@ -1073,16 +1293,17 @@ pub fn check_problem(problem: &LiaProblem) -> LiaResult {
     };
     let mut budget = NODE_BUDGET;
     let mut truncated = false;
-    match search(reduced, state, &mut budget, &mut truncated) {
+    match search(&reduced, state, &mut budget, &mut truncated) {
         SearchOutcome::Model(mut model) => {
             // Recover eliminated variables in reverse elimination order: each
             // definition refers only to variables still present at its
             // elimination time, which by then have values.
-            for (var, definition) in presolved.eliminated.iter().rev() {
+            for definition in presolved.definitions.iter().rev() {
                 let value = definition
+                    .expr
                     .eval(&|v| model.get(&v).copied().or(Some(0)))
                     .unwrap_or(0);
-                model.insert(*var, value);
+                model.insert(definition.var, value);
             }
             // Make sure every original variable has a value, defaulting to 0
             // for variables the search never needed to constrain.
@@ -1273,6 +1494,146 @@ mod tests {
         match check(&atoms) {
             LiaResult::Sat(model) => assert_eq!(model[&Var::new(0)], 4),
             other => panic!("expected sat, got {other:?}"),
+        }
+    }
+
+    fn linear(atoms: &[Atom]) -> Vec<LinearConstraint> {
+        LiaProblem::from_atoms(atoms).expect("builds").linear
+    }
+
+    #[test]
+    fn extending_a_presolved_prefix_equals_presolving_the_whole() {
+        // 2·x0 + 3·x1 = 7 has no unit coefficient until x1 is defined, so
+        // an equality appended later makes a prefix equality eligible and
+        // elimination must go back into the prefix.
+        let atoms = vec![
+            eq(
+                Term::add(Term::mul(Term::int(2), x(0)), Term::mul(Term::int(3), x(1))),
+                Term::int(7),
+            ),
+            Atom::new(Term::sub(x(2), x(3)), CmpOp::Le, Term::int(5)),
+            eq(x(3), Term::add(x(4), Term::int(1))),
+            Atom::new(x(4), CmpOp::Ne, x(2)),
+            eq(Term::add(x(1), x(0)), Term::mul(Term::int(2), x(5))),
+            eq(x(5), Term::add(x(2), x(6))),
+            Atom::new(Term::add(x(6), x(1)), CmpOp::Ge, Term::int(-4)),
+        ];
+        let all = linear(&atoms);
+        let whole = Presolved::new(&all, &[]);
+        // x1 is defined by the first atom, once x0's definition (from the
+        // fifth) has given it a unit coefficient.
+        let order: Vec<u32> = whole.definitions.iter().map(|d| d.var.index()).collect();
+        assert_eq!(order, [3, 0, 1, 2], "{whole:?}");
+        for split in 0..=all.len() {
+            let extended = Presolved::new(&all[..split], &[])
+                .extend(&all[split..], &[])
+                .expect("no overflow");
+            assert_eq!(extended, whole, "split at {split}");
+        }
+        // An overflow stop composes too: substituting x0's definition into
+        // 3·x0 = x3 overflows, so elimination stops with nothing defined,
+        // and later constraints are only rewritten.
+        let big = i64::MAX / 2;
+        let stopping = vec![
+            eq(x(0), Term::add(Term::mul(Term::int(big), x(1)), x(2))),
+            eq(Term::mul(Term::int(3), x(0)), x(3)),
+            eq(x(4), Term::add(x(5), Term::int(1))),
+        ];
+        let all = linear(&stopping);
+        let whole = Presolved::new(&all, &[]);
+        assert!(whole.stopped && whole.definitions.is_empty(), "{whole:?}");
+        let stopped = Presolved::new(&all[..2], &[]);
+        assert!(stopped.stopped);
+        assert_eq!(stopped.extend(&all[2..], &[]).as_ref(), Some(&whole));
+        // Resuming after x0 was defined overflows while rewriting the new
+        // constraint, where presolving from scratch stopped before defining
+        // x0: `extend` reports it so the caller starts over.
+        assert_eq!(Presolved::new(&all[..1], &[]).extend(&all[1..], &[]), None);
+    }
+
+    /// Checks `atoms` through `cache` with the first `active` as the cone's
+    /// assertions; returns the verdict and whether presolve resumed.
+    fn resume_check(
+        arena: &mut crate::arena::Arena,
+        cache: &mut PrefixCache,
+        atoms: &[Atom],
+        active: usize,
+    ) -> (LiaResult, bool) {
+        let ids: Vec<AtomId> = atoms.iter().map(|atom| arena.intern_atom(atom)).collect();
+        let refs: Vec<AtomRef<'_>> = ids.iter().map(|&id| arena.atom_ref(id)).collect();
+        let before = crate::probes::totals().lia_prefix_reuses;
+        let result = check_readings(
+            &refs,
+            Some(Resume {
+                cache,
+                ids: &ids,
+                active,
+            }),
+        );
+        let reused = crate::probes::totals().lia_prefix_reuses - before;
+        assert_eq!(
+            result,
+            check_atoms(atoms),
+            "resumed and scratch verdicts differ"
+        );
+        (result, reused == 1)
+    }
+
+    #[test]
+    fn a_product_atom_in_the_prefix_disables_reuse() {
+        let mut arena = crate::arena::Arena::new();
+        let mut cache = PrefixCache::default();
+        let product = eq(Term::mul(x(0), x(1)), Term::int(6));
+        let bound = Atom::new(x(0), CmpOp::Ge, Term::int(2));
+        let unit = eq(x(2), Term::add(x(0), Term::int(1)));
+        let query = Atom::new(x(2), CmpOp::Ne, Term::int(3));
+        // A product-free prefix is cached and resumed from.
+        let (_, reused) = resume_check(&mut arena, &mut cache, &[bound.clone(), query.clone()], 1);
+        assert!(!reused);
+        let (_, reused) = resume_check(
+            &mut arena,
+            &mut cache,
+            &[bound.clone(), unit.clone(), query.clone()],
+            2,
+        );
+        assert!(reused, "the product-free prefix is resumed");
+        // With a product atom in the prefix the check neither resumes nor
+        // replaces the cached prefix.
+        let with_product = [bound.clone(), unit.clone(), product, query.clone()];
+        for _ in 0..2 {
+            let (result, reused) = resume_check(&mut arena, &mut cache, &with_product, 3);
+            assert!(!reused, "a prefix holding a product atom is not resumed");
+            assert!(matches!(result, LiaResult::Sat(_)), "{result:?}");
+        }
+        let (_, reused) = resume_check(&mut arena, &mut cache, &[bound, unit, query], 2);
+        assert!(reused, "the cached product-free prefix survived");
+    }
+
+    #[test]
+    fn a_contradictory_prefix_makes_every_extension_unsat() {
+        // x0 = x1 ∧ x0 ≠ x1 passes the equality echelon; presolve refutes it.
+        let prefix = vec![eq(x(0), x(1)), Atom::new(x(0), CmpOp::Ne, x(1))];
+        let state = Presolved::new(&linear(&prefix), &[]);
+        assert!(state.infeasible);
+        let extensions = [
+            vec![],
+            vec![eq(x(2), Term::int(5))],
+            vec![Atom::new(x(1), CmpOp::Le, x(3)), eq(x(3), x(0))],
+        ];
+        for extension in &extensions {
+            let extended = state
+                .clone()
+                .extend(&linear(extension), &[])
+                .expect("no overflow");
+            assert!(extended.infeasible, "{extension:?}");
+        }
+        let mut arena = crate::arena::Arena::new();
+        let mut cache = PrefixCache::default();
+        for extension in &extensions {
+            let mut atoms = prefix.clone();
+            atoms.extend(extension.iter().cloned());
+            let (result, _) = resume_check(&mut arena, &mut cache, &atoms, atoms.len());
+            assert_eq!(result, LiaResult::Unsat, "{atoms:?}");
         }
     }
 

@@ -23,11 +23,14 @@
 //! * [`cnf`] — Tseitin encoding of formulas into clauses over theory atoms
 //!   (the scratch engine's per-check encoder).
 //! * [`lia`] — the general linear-integer-arithmetic theory engine:
-//!   Gaussian elimination over equalities, interval propagation, and a
-//!   small-values-first branch-and-bound model search (which also handles the
-//!   product constraints introduced by multiplying two unknowns). The
-//!   dispatcher calls it for every conjunction outside the difference
-//!   fragment.
+//!   Gaussian elimination over equalities, an equality-substitution
+//!   presolve, interval propagation, and a small-values-first
+//!   branch-and-bound model search (which also handles the product
+//!   constraints introduced by multiplying two unknowns). The dispatcher
+//!   calls it for every conjunction outside the difference fragment.
+//!   Presolve is order-preserving and hence prefix-compositional, so the
+//!   persistent core resumes it from the previous cone's presolved state
+//!   and eliminates only the new atoms' equalities.
 //! * [`dl`] — the incremental difference-logic engine: conjunctions whose
 //!   atoms all normalise to `x − y ≤ c` are decided *exactly* by
 //!   negative-cycle detection over the constraint graph, with

@@ -95,6 +95,10 @@ crate::counters! {
         /// Dispatcher routings to the general LIA module (conjunctions outside
         /// the difference fragment, or everything when the DL gate is off).
         theory_dispatch_lia,
+        /// LIA checks whose presolve resumed from the state the persistent
+        /// core cached for the previous cone, eliminating only the new
+        /// atoms' equalities (zero under [`CoreMode::Scratch`]).
+        lia_prefix_reuses,
         /// Lazy-SMT loops that exhausted `TheoryConfig::max_iterations` and
         /// degraded their verdict to `Unknown`.
         theory_iterations_exhausted,

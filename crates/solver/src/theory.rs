@@ -17,7 +17,7 @@ use std::collections::BTreeMap;
 use crate::cnf::{assert_formula, AtomMap};
 use crate::dl::{classify, DlConstraint, DlSolver};
 use crate::formula::{Atom, Formula};
-use crate::lia::{check_readings, lia_reading, BuildError, LiaResult, LinearConstraint};
+use crate::lia::{check_readings, lia_reading, BuildError, LiaResult, LinearConstraint, Resume};
 use crate::model::Model;
 use crate::probes;
 use crate::sat::{Lit, SatResult as PropResult, SatSolver};
@@ -92,8 +92,14 @@ pub(crate) struct Dispatched {
 /// ([`crate::lia::check_problem`]) otherwise. Both engines only ever refine
 /// each other — on fragment conjunctions DL is exactly complete, so a
 /// verdict LIA could decide is never lost, and conjunctions outside the
-/// fragment take the unchanged LIA path.
-pub(crate) fn dispatch_check(atoms: &[AtomRef<'_>], config: &TheoryConfig) -> Dispatched {
+/// fragment take the unchanged LIA path. `resume` lets a LIA check resume
+/// presolve from a persistent core's cached prefix
+/// ([`crate::lia::PrefixCache`]); the verdict is the same either way.
+pub(crate) fn dispatch_check(
+    atoms: &[AtomRef<'_>],
+    config: &TheoryConfig,
+    resume: Option<Resume<'_>>,
+) -> Dispatched {
     if config.theory_dl && atoms.iter().all(|atom| atom.dl().is_some()) {
         probes::bump(|p| p.dl_checks += 1);
         let mut dl = DlSolver::new();
@@ -122,7 +128,7 @@ pub(crate) fn dispatch_check(atoms: &[AtomRef<'_>], config: &TheoryConfig) -> Di
     }
     probes::bump(|p| p.theory_dispatch_lia += 1);
     Dispatched {
-        result: check_readings(atoms),
+        result: check_readings(atoms, resume),
         explanation: None,
     }
 }
@@ -135,7 +141,7 @@ fn dispatch_fresh(atoms: &[Atom], config: &TheoryConfig) -> Dispatched {
         .zip(&readings)
         .map(|(atom, readings)| AtomRef { atom, readings })
         .collect();
-    dispatch_check(&refs, config)
+    dispatch_check(&refs, config, None)
 }
 
 /// The outcome of an SMT satisfiability check.
@@ -632,7 +638,7 @@ mod tests {
             let reference = dispatch_reference(&atoms, &config);
             let owned: Vec<Atom> = atoms.iter().map(|&atom| atom.clone()).collect();
             assert_eq!(
-                dispatch_check(&cached, &config),
+                dispatch_check(&cached, &config, None),
                 reference,
                 "cached readings: {atoms:?}"
             );

@@ -34,7 +34,10 @@
 //!    sound clauses alone (the persistent core falls back to the scratch
 //!    engine on any `Unknown` of its own). A companion property checks
 //!    that clause retention respects frame pops: a constraint asserted in
-//!    a popped frame never influences later verdicts.
+//!    a popped frame never influences later verdicts. Another grows
+//!    path-condition-shaped conjunctions on one persistent solver, whose
+//!    LIA presolve resumes from the previous cone's state, and holds its
+//!    verdicts and models to the same refinement of the scratch core.
 //! 4. **Theory-module refinement fuzzing** — replaying traces whose
 //!    generator emits native difference-constraint chains and cycles
 //!    (`TraceConfig::with_diff_chains`), the engine with the
@@ -162,6 +165,132 @@ fn validity_is_never_contradicted_by_a_witness() {
             );
         }
     }
+}
+
+/// A path-condition-shaped atom over `x0..x7`: unit and non-unit
+/// equalities, `≤`, `≠`, ground atoms (true or false), coefficients near
+/// `i64::MAX` whose substitution overflows and stops LIA presolve, and
+/// the occasional product of two unknowns (a prefix holding one is never
+/// resumed from).
+fn path_atom(rng: &mut StdRng) -> Formula {
+    fn var(rng: &mut StdRng) -> Term {
+        Term::var(Var::new(rng.gen_range(0u32..8)))
+    }
+    fn small(rng: &mut StdRng) -> Term {
+        Term::int(rng.gen_range(-6i64..=6))
+    }
+    fn scaled(rng: &mut StdRng, coefficients: std::ops::RangeInclusive<i64>) -> Term {
+        Term::mul(Term::int(rng.gen_range(coefficients)), var(rng))
+    }
+    match rng.gen_range(0u32..13) {
+        0..=2 => Formula::eq(var(rng), Term::add(scaled(rng, -3..=3), small(rng))),
+        3 => Formula::eq(
+            Term::add(var(rng), var(rng)),
+            Term::sub(var(rng), small(rng)),
+        ),
+        4 | 5 => Formula::eq(
+            Term::add(scaled(rng, 2..=4), scaled(rng, -4..=-2)),
+            small(rng),
+        ),
+        6 | 7 => Formula::le(Term::add(scaled(rng, -3..=3), var(rng)), small(rng)),
+        8 => Formula::not(Formula::eq(Term::add(var(rng), small(rng)), var(rng))),
+        9 => Formula::atom(small(rng), random_cmp(rng), small(rng)),
+        10 => Formula::eq(
+            var(rng),
+            Term::add(scaled(rng, i64::MAX - 3..=i64::MAX), var(rng)),
+        ),
+        11 => Formula::eq(
+            Term::mul(var(rng), var(rng)),
+            Term::add(var(rng), small(rng)),
+        ),
+        _ => Formula::atom(
+            Term::add(scaled(rng, 2..=3), scaled(rng, i64::MAX / 4..=i64::MAX / 3)),
+            random_cmp(rng),
+            small(rng),
+        ),
+    }
+}
+
+#[test]
+fn lia_prefix_reuse_refines_scratch_over_200_seeds() {
+    // One persistent solver per seed grows a path condition with
+    // `push`/`assert`/`pop` and queries it with `check_assuming`; each
+    // query's LIA presolve resumes from the previous cone's state where the
+    // cone extends it. A scratch solver mirrors every step and presolves
+    // every conjunction from nothing. Wherever scratch decides, the
+    // persistent verdict must be the same (it may decide more: cone
+    // slicing), and every model must satisfy its conjunction.
+    use folic::{CoreMode, SolverConfig};
+
+    let mut reuses = 0u64;
+    let mut decided = 0usize;
+    for seed in 0..200u64 {
+        let mut rng = StdRng::seed_from_u64(0x92E5_0000 + seed);
+        let mut persistent = Solver::new();
+        let mut scratch = Solver::with_config(SolverConfig {
+            core: CoreMode::Scratch,
+            ..SolverConfig::default()
+        });
+        let mut live: Vec<Formula> = Vec::new();
+        let mut marks: Vec<usize> = Vec::new();
+        for step in 0..rng.gen_range(10usize..28) {
+            match rng.gen_range(0u32..10) {
+                0 => {
+                    persistent.push();
+                    scratch.push();
+                    marks.push(live.len());
+                }
+                1 => {
+                    if let Some(mark) = marks.pop() {
+                        persistent.pop();
+                        scratch.pop();
+                        live.truncate(mark);
+                    }
+                }
+                2..=5 => {
+                    let atom = path_atom(&mut rng);
+                    persistent.assert(atom.clone());
+                    scratch.assert(atom.clone());
+                    live.push(atom);
+                }
+                _ => {
+                    let assumed: Vec<Formula> = if rng.gen_bool(0.2) {
+                        Vec::new()
+                    } else {
+                        vec![path_atom(&mut rng)]
+                    };
+                    let mut conjunction = live.clone();
+                    conjunction.extend(assumed.iter().cloned());
+                    let expected = scratch.check_assuming(&assumed);
+                    let answer = persistent.check_assuming(&assumed);
+                    for result in [&expected, &answer] {
+                        if let SmtResult::Sat(model) = result {
+                            assert!(
+                                model.satisfies_all(&conjunction),
+                                "seed {seed} step {step}: model {model} violates {conjunction:?}"
+                            );
+                        }
+                    }
+                    if expected != SmtResult::Unknown {
+                        decided += 1;
+                        assert_eq!(
+                            (answer.is_sat(), answer.is_unsat()),
+                            (expected.is_sat(), expected.is_unsat()),
+                            "seed {seed} step {step}: persistent {answer:?} vs scratch \
+                             {expected:?} on {conjunction:?}"
+                        );
+                    }
+                }
+            }
+        }
+        assert_eq!(scratch.stats().lia_prefix_reuses, 0);
+        reuses += persistent.stats().lia_prefix_reuses;
+    }
+    assert!(decided > 1_000, "only {decided} queries decided");
+    assert!(
+        reuses > 250,
+        "only {reuses} presolves resumed a cached prefix"
+    );
 }
 
 // ---------------------------------------------------------------------------
