@@ -1,7 +1,4 @@
-//! Synthesis of the most general unknown context for an export, and the
-//! instantiation of that context with concrete counterexample inputs.
-
-use std::collections::HashMap;
+//! Synthesis of the most general unknown context for an export.
 
 use crate::syntax::{Expr, Label, Module, Provide};
 
@@ -46,89 +43,4 @@ pub(super) fn context_expression(
         }
     }
     expr
-}
-
-/// Replaces opaque sub-expressions by the bindings' concrete expressions.
-pub fn instantiate(expr: &Expr, bindings: &HashMap<Label, Expr>) -> Expr {
-    match expr {
-        Expr::Opaque(label) => bindings.get(label).cloned().unwrap_or_else(|| expr.clone()),
-        Expr::Var(_)
-        | Expr::Int(_)
-        | Expr::Complex(_, _)
-        | Expr::Bool(_)
-        | Expr::Str(_)
-        | Expr::Nil
-        | Expr::CAny => expr.clone(),
-        Expr::Lam { params, body } => Expr::Lam {
-            params: params.clone(),
-            body: Box::new(instantiate(body, bindings)),
-        },
-        Expr::App(f, args) => Expr::App(
-            Box::new(instantiate(f, bindings)),
-            args.iter().map(|a| instantiate(a, bindings)).collect(),
-        ),
-        Expr::If(c, t, e) => Expr::If(
-            Box::new(instantiate(c, bindings)),
-            Box::new(instantiate(t, bindings)),
-            Box::new(instantiate(e, bindings)),
-        ),
-        Expr::And(es) => Expr::And(es.iter().map(|e| instantiate(e, bindings)).collect()),
-        Expr::Or(es) => Expr::Or(es.iter().map(|e| instantiate(e, bindings)).collect()),
-        Expr::Begin(es) => Expr::Begin(es.iter().map(|e| instantiate(e, bindings)).collect()),
-        Expr::Let {
-            bindings: lets,
-            recursive,
-            body,
-        } => Expr::Let {
-            bindings: lets
-                .iter()
-                .map(|(n, e)| (n.clone(), instantiate(e, bindings)))
-                .collect(),
-            recursive: *recursive,
-            body: Box::new(instantiate(body, bindings)),
-        },
-        Expr::Prim(p, args, label) => Expr::Prim(
-            *p,
-            args.iter().map(|a| instantiate(a, bindings)).collect(),
-            *label,
-        ),
-        Expr::CArrow(doms, rng) => Expr::CArrow(
-            doms.iter().map(|d| instantiate(d, bindings)).collect(),
-            Box::new(instantiate(rng, bindings)),
-        ),
-        Expr::CAnd(es) => Expr::CAnd(es.iter().map(|e| instantiate(e, bindings)).collect()),
-        Expr::COr(es) => Expr::COr(es.iter().map(|e| instantiate(e, bindings)).collect()),
-        Expr::CCons(a, b) => Expr::CCons(
-            Box::new(instantiate(a, bindings)),
-            Box::new(instantiate(b, bindings)),
-        ),
-        Expr::CListOf(c) => Expr::CListOf(Box::new(instantiate(c, bindings))),
-        Expr::COneOf(es) => Expr::COneOf(es.iter().map(|e| instantiate(e, bindings)).collect()),
-        Expr::Mon {
-            contract,
-            value,
-            pos,
-            neg,
-            label,
-        } => Expr::Mon {
-            contract: Box::new(instantiate(contract, bindings)),
-            value: Box::new(instantiate(value, bindings)),
-            pos: pos.clone(),
-            neg: neg.clone(),
-            label: *label,
-        },
-        Expr::StructMake(name, args) => Expr::StructMake(
-            name.clone(),
-            args.iter().map(|a| instantiate(a, bindings)).collect(),
-        ),
-        Expr::StructPred(name, e) => {
-            Expr::StructPred(name.clone(), Box::new(instantiate(e, bindings)))
-        }
-        Expr::StructGet(name, index, e, label) => Expr::StructGet(
-            name.clone(),
-            *index,
-            Box::new(instantiate(e, bindings)),
-            *label,
-        ),
-    }
 }

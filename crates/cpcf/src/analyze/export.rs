@@ -8,9 +8,9 @@ use crate::cex::{reconstruct_bindings, Counterexample};
 use crate::eval::{eval, Ctx, Outcome};
 use crate::heap::{empty_env, Heap};
 use crate::prove::{ProverSession, SessionStats};
-use crate::syntax::{CBlame, Expr, Label, Module, Program, Provide};
+use crate::syntax::{instantiate, CBlame, Expr, Label, Module, Program, Provide};
 
-use super::context::{context_expression, instantiate};
+use super::context::context_expression;
 use super::{AnalyzeOptions, ExportAnalysis, CONTEXT_PARTY};
 
 /// A prover session configured per `options`: shared-cache-backed when the

@@ -13,8 +13,8 @@
 //! The driver is split by concern:
 //!
 //! * [`mod@self`] — options, verdicts and the [`ModuleReport`];
-//! * `context` — most-general-context synthesis and counterexample
-//!   instantiation ([`instantiate`]);
+//! * `context` — most-general-context synthesis (a counterexample's inputs
+//!   are plugged into the context by [`instantiate`]);
 //! * `export` — the single-export analysis and concrete validation;
 //! * `scheduler` — the worker pool sharding per-export analyses across
 //!   threads ([`AnalyzeOptions::workers`]), one long-lived
@@ -25,8 +25,8 @@ mod context;
 mod export;
 mod scheduler;
 
+pub use crate::syntax::instantiate;
 pub use cone::export_cone_hash;
-pub use context::instantiate;
 
 use folic::SharedLemmaPool;
 

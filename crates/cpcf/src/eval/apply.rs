@@ -7,7 +7,7 @@
 
 use folic::Proof;
 
-use crate::heap::{extend_env, CRefinement, Heap, Loc, SVal, Tag};
+use crate::heap::{extend_env, CRefinement, DemonicApp, Heap, Loc, SVal, Tag};
 use crate::syntax::{CBlame, Label};
 
 use super::contracts::{monitor, monitor_args, Parties};
@@ -140,32 +140,22 @@ fn apply_opaque(
         base.refine(function_loc, CRefinement::Is(Tag::Procedure));
     }
 
-    // Memoised result for a previously seen single simple argument: the
+    // Memoised result for a previously seen tuple of simple arguments: the
     // opaque's `case` map (§3.2), which keeps repeated applications to the
-    // same argument consistent.
-    if args.len() == 1 && is_simple(&base, args[0]) {
+    // same arguments consistent.
+    if !args.is_empty() && args.iter().all(|&arg| is_simple(&base, arg)) {
         if let SVal::Opaque { entries, .. } = base.get(function_loc) {
-            if let Some((_, result)) = entries.iter().find(|(a, _)| *a == args[0]) {
+            if let Some((_, result)) = entries.iter().find(|(keys, _)| keys == args) {
                 outcomes.push((Outcome::Val(*result), base));
                 return outcomes;
             }
         }
         let result = base.alloc(SVal::opaque());
-        if let SVal::Opaque {
-            refinements,
-            entries,
-        } = base.get(function_loc).clone()
-        {
-            let mut entries = entries;
-            entries.push((args[0], result));
-            base.set(
-                function_loc,
-                SVal::Opaque {
-                    refinements,
-                    entries,
-                },
-            );
+        let mut function = base.get(function_loc).clone();
+        if let SVal::Opaque { entries, .. } = &mut function {
+            entries.push((args.to_vec(), result));
         }
+        base.set(function_loc, function);
         outcomes.push((Outcome::Val(result), base.clone()));
     } else {
         let result = base.alloc(SVal::opaque());
@@ -175,11 +165,22 @@ fn apply_opaque(
     // Demonic exploration: the unknown function may use its behavioural
     // arguments arbitrarily; errors found that way are real errors of the
     // escaping values' owners. Base values and opaques have no behaviour to
-    // explore, and the result above already covers them.
+    // explore, and the result above already covers them. Each application
+    // is recorded against the opaque function, so a counterexample can
+    // rebuild a context that makes it.
     let havoc_depth = ctx.options.havoc_depth;
     if havoc_depth > 0 {
-        for &arg in args.iter().filter(|&&arg| !is_simple(&base, arg)) {
-            let explored = havoc(ctx, caller, arg, &base, havoc_depth);
+        for (param, &arg) in args.iter().enumerate() {
+            if is_simple(&base, arg) {
+                continue;
+            }
+            let record = Demonic {
+                function: function_loc,
+                arity: args.len(),
+                param,
+                applies_result: false,
+            };
+            let explored = havoc(ctx, arg, &base, havoc_depth, Some(record));
             // An exploration that finished without an error leaves the
             // unknown context to return an unknown value.
             outcomes.extend(then(ctx, explored, |_, _, mut heap| {
@@ -198,16 +199,31 @@ fn is_simple(heap: &Heap, loc: Loc) -> bool {
     )
 }
 
+/// Where [`havoc`] records the applications it performs: against the
+/// opaque function that received the explored value.
+#[derive(Debug, Clone, Copy)]
+struct Demonic {
+    /// The opaque function's location.
+    function: Loc,
+    /// The arity of the call that passed the value.
+    arity: usize,
+    /// The position of the value among that call's arguments.
+    param: usize,
+    /// True once the explored value is the result of a recorded application.
+    applies_result: bool,
+}
+
 /// The demonic context: explores a value that escaped to unknown code.
-/// Procedures are applied to fresh opaque arguments; pairs, boxes and
-/// structs are explored component-wise.
-#[allow(clippy::only_used_in_recursion)] // `caller` names the blamed party for future rules
-pub fn havoc(
+/// Procedures are applied to fresh opaque arguments, and their results
+/// explored in turn; pairs, boxes and structs are explored component-wise.
+/// With `record`, each application along the procedure chain goes on the
+/// heap ([`Heap::record_demonic`]); component exploration is not recorded.
+fn havoc(
     ctx: &mut Ctx,
-    caller: &str,
     loc: Loc,
     heap: &Heap,
     depth: u32,
+    record: Option<Demonic>,
 ) -> Vec<(Outcome, Heap)> {
     if depth == 0 || !ctx.tick() {
         return vec![(Outcome::Val(loc), heap.clone())];
@@ -220,28 +236,43 @@ pub fn havoc(
     if let Some(arity) = arity {
         let mut heap = heap.clone();
         let args: Vec<Loc> = (0..arity).map(|_| heap.alloc(SVal::opaque())).collect();
+        if let Some(record) = record {
+            heap.record_demonic(
+                record.function,
+                DemonicApp {
+                    arity: record.arity,
+                    param: record.param,
+                    args: args.clone(),
+                    applies_result: record.applies_result,
+                },
+            );
+        }
         let results = apply(ctx, "context", loc, &args, &heap, Label(u32::MAX));
+        let record = record.map(|record| Demonic {
+            applies_result: true,
+            ..record
+        });
         return then(ctx, results, |ctx, result, heap| {
-            havoc(ctx, caller, result, &heap, depth - 1)
+            havoc(ctx, result, &heap, depth - 1, record)
         });
     }
     match *heap.get(loc) {
         SVal::Pair(car, cdr) => {
-            let explored = havoc(ctx, caller, car, heap, depth - 1);
+            let explored = havoc(ctx, car, heap, depth - 1, None);
             then(ctx, explored, |ctx, _, heap| {
-                havoc(ctx, caller, cdr, &heap, depth - 1)
+                havoc(ctx, cdr, &heap, depth - 1, None)
             })
         }
         SVal::StructVal { ref fields, .. } => {
             let mut states = vec![(Outcome::Val(loc), heap.clone())];
             for &field in fields {
                 states = then(ctx, states, |ctx, _, heap| {
-                    havoc(ctx, caller, field, &heap, depth - 1)
+                    havoc(ctx, field, &heap, depth - 1, None)
                 });
             }
             states
         }
-        SVal::BoxVal(inner) => havoc(ctx, caller, inner, heap, depth - 1),
+        SVal::BoxVal(inner) => havoc(ctx, inner, heap, depth - 1, None),
         _ => vec![(Outcome::Val(loc), heap.clone())],
     }
 }

@@ -61,6 +61,17 @@ pub(super) fn monitor(
     match heap.get(contract_loc).clone() {
         SVal::Contract(ContractVal::Any) => vec![(Outcome::Val(value_loc), heap.clone())],
         SVal::Contract(ContractVal::Func { doms, rng }) => {
+            // Like Racket's `->`, wrapping checks a known arity up front, so
+            // a function of the wrong arity blames its provider rather than
+            // the first caller.
+            let arity = match heap.get(value_loc) {
+                SVal::Closure { params, .. } => Some(params.len()),
+                SVal::Guarded { doms: inner, .. } => Some(inner.len()),
+                _ => None,
+            };
+            if let Some(arity) = arity.filter(|&arity| arity != doms.len()) {
+                return arity_mismatch(parties, doms.len(), arity, heap);
+            }
             let not_procedure = || Outcome::Err(parties.blame("expected a procedure"));
             match ctx.prover.prove_tag(heap, value_loc, &Tag::Procedure) {
                 Proof::Refuted => vec![(not_procedure(), heap.clone())],
@@ -127,6 +138,21 @@ pub(super) fn monitor(
             }
         }
     }
+}
+
+/// The blame of wrapping a function of `arity` in a `->` of `expected`
+/// domains. Out of line, so the message does not enlarge `monitor`'s
+/// frame on the evaluator's recursion path.
+#[cold]
+#[inline(never)]
+fn arity_mismatch(
+    parties: Parties<'_>,
+    expected: usize,
+    arity: usize,
+    heap: &Heap,
+) -> Vec<(Outcome, Heap)> {
+    let message = format!("expected a procedure of arity {expected}, got arity {arity}");
+    vec![(Outcome::Err(parties.blame(message)), heap.clone())]
 }
 
 /// Monitors each argument of a guarded application against its domain

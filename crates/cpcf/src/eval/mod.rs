@@ -3,10 +3,12 @@
 //! refinement of opaque values and a demonic ("havoc") treatment of values
 //! that escape to the unknown context.
 //!
-//! The typed core (`spcf`) follows the paper's small-step presentation rule
-//! for rule; this crate — which has to handle contracts, structures, boxes
-//! and dynamic typing — uses an equivalent big-step formulation with an
-//! explicit fuel budget, which keeps the many language features manageable.
+//! The paper presents the typed core as a small-step machine; this
+//! evaluator — which has to handle contracts, structures, boxes and dynamic
+//! typing — uses an equivalent big-step formulation with an explicit fuel
+//! budget, which keeps the many language features manageable. It is the
+//! only evaluator: typed SPCF programs (the `spcf` crate) are lowered onto
+//! CPCF and run here.
 //! Each evaluation returns *all* possible outcomes, each paired with the
 //! heap (path condition) it holds in.
 //!
@@ -58,7 +60,7 @@ mod branch;
 mod contracts;
 mod prims;
 
-pub use apply::{apply, havoc};
+pub use apply::apply;
 pub use branch::{refine_to_tag, tag_predicate, truthiness, values_equal};
 use contracts::{monitor, Parties};
 pub use prims::apply_prim;

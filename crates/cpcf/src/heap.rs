@@ -1,11 +1,11 @@
 //! The symbolic heap for CPCF: locations, storeable values, refinements on
 //! opaque values, and first-class contract values.
 //!
-//! Compared to the typed core (the `spcf` crate), values are dynamically
-//! tagged: an opaque value accumulates *tag refinements* (`pair?`,
-//! `procedure?`, `integer?`, …) alongside numeric refinements, and is
-//! structurally refined in place when a tag test determines its shape (an
-//! opaque value known to be a pair becomes a pair of fresh opaque values, as
+//! Compared to the paper's typed core, values are dynamically tagged: an
+//! opaque value accumulates *tag refinements* (`pair?`, `procedure?`,
+//! `integer?`, …) alongside numeric refinements, and is structurally
+//! refined in place when a tag test determines its shape (an opaque value
+//! known to be a pair becomes a pair of fresh opaque values, as
 //! §4.2 of the paper describes for user-defined data structures).
 //!
 //! ## Snapshot representation
@@ -285,9 +285,30 @@ pub enum SVal {
     Opaque {
         /// Refinements learned along the current path.
         refinements: Vec<CRefinement>,
-        /// Memoised `(argument, result)` pairs (the `case` map).
-        entries: Vec<(Loc, Loc)>,
+        /// Memoised `(arguments, result)` pairs (the `case` map), keyed by
+        /// the whole argument tuple.
+        entries: Vec<(Vec<Loc>, Loc)>,
+        /// Applications the demonic context made on this function's behalf
+        /// ([`Heap::record_demonic`]), oldest first. Outside the journal,
+        /// the fingerprint and the encoding: it feeds counterexample
+        /// reconstruction only.
+        demonic: Vec<DemonicApp>,
     },
+}
+
+/// One application the demonic context performed on a behavioural value an
+/// opaque function received (see [`Heap::record_demonic`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DemonicApp {
+    /// How many arguments the opaque function was called with.
+    pub arity: usize,
+    /// Which of those arguments the context applied (the chain's head).
+    pub param: usize,
+    /// The fresh opaque arguments of the application.
+    pub args: Vec<Loc>,
+    /// True when the application applies the previous application's
+    /// result rather than the argument itself.
+    pub applies_result: bool,
 }
 
 impl SVal {
@@ -296,6 +317,7 @@ impl SVal {
         SVal::Opaque {
             refinements: Vec::new(),
             entries: Vec::new(),
+            demonic: Vec::new(),
         }
     }
 
@@ -591,7 +613,21 @@ fn content_hash(value: &SVal) -> u64 {
         SVal::Opaque {
             refinements,
             entries,
-        } => (refinements, entries).hash(&mut hasher),
+            ..
+        } => {
+            // The demonic record is left out, and a unary entry hashes as a
+            // plain `(argument, result)` pair: the fingerprints, and the
+            // store's verdicts keyed by them, are those of unary case maps.
+            refinements.hash(&mut hasher);
+            hasher.write_usize(entries.len());
+            for (args, result) in entries {
+                match args.as_slice() {
+                    [arg] => arg.hash(&mut hasher),
+                    _ => args.hash(&mut hasher),
+                }
+                result.hash(&mut hasher);
+            }
+        }
     }
     hasher.finish()
 }
@@ -604,6 +640,7 @@ fn encodes_formulas(value: &SVal) -> bool {
         SVal::Opaque {
             refinements,
             entries,
+            ..
         } => {
             entries.len() >= 2
                 || refinements
@@ -644,9 +681,11 @@ impl Heap {
     /// Records the locations referenced by a value's memo entries.
     fn note_memo_refs(&mut self, value: &SVal) {
         if let SVal::Opaque { entries, .. } = value {
-            for &(arg, res) in entries {
-                self.memo_refs.insert(arg, ());
-                self.memo_refs.insert(res, ());
+            for (args, res) in entries {
+                for &arg in args {
+                    self.memo_refs.insert(arg, ());
+                }
+                self.memo_refs.insert(*res, ());
             }
         }
     }
@@ -705,10 +744,12 @@ impl Heap {
                 Some(SVal::Opaque {
                     refinements: old_r,
                     entries: old_e,
+                    ..
                 }),
                 SVal::Opaque {
                     refinements: new_r,
                     entries: new_e,
+                    ..
                 },
             ) if new_r.len() >= old_r.len()
                 && new_r[..old_r.len()] == old_r[..]
@@ -855,6 +896,20 @@ impl Heap {
     /// different content into the chain.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
+    }
+
+    /// Records an application the demonic context performed on behalf of
+    /// the opaque function at `function`. Journals nothing: the record
+    /// changes neither the encoding nor the fingerprint.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the location does not hold an opaque value.
+    pub fn record_demonic(&mut self, function: Loc, app: DemonicApp) {
+        match self.entries.get_mut(&function) {
+            Some(SVal::Opaque { demonic, .. }) => demonic.push(app),
+            other => panic!("recording on non-opaque location {function}: {other:?}"),
+        }
     }
 
     /// The refinements on `loc` (empty when not opaque).
@@ -1006,21 +1061,11 @@ mod tests {
         let r = heap.alloc_fresh_opaque();
         // Appending a memo entry via `set` (as apply_opaque does) journals an
         // EntryAdded, not a rebase.
-        if let SVal::Opaque {
-            refinements,
-            entries,
-        } = heap.get(f).clone()
-        {
-            let mut entries = entries;
-            entries.push((a, r));
-            heap.set(
-                f,
-                SVal::Opaque {
-                    refinements,
-                    entries,
-                },
-            );
+        let mut value = heap.get(f).clone();
+        if let SVal::Opaque { entries, .. } = &mut value {
+            entries.push((vec![a], r));
         }
+        heap.set(f, value);
         assert_eq!(
             heap.last_journal_event().unwrap(),
             JournalEvent::EntryAdded(f, 0)
@@ -1052,15 +1097,11 @@ mod tests {
         let f = heap.alloc_fresh_opaque();
         let a = heap.alloc_fresh_opaque();
         let r = heap.alloc_fresh_opaque();
-        if let SVal::Opaque { refinements, .. } = heap.get(f).clone() {
-            heap.set(
-                f,
-                SVal::Opaque {
-                    refinements,
-                    entries: vec![(a, r)],
-                },
-            );
+        let mut value = heap.get(f).clone();
+        if let SVal::Opaque { entries, .. } = &mut value {
+            entries.push((vec![a], r));
         }
+        heap.set(f, value);
         assert_eq!(
             heap.last_journal_event().unwrap(),
             JournalEvent::EntryAdded(f, 0)
@@ -1191,5 +1232,104 @@ mod tests {
         let o = heap.alloc_fresh_opaque();
         heap.refine(o, CRefinement::Is(Tag::Pair));
         assert!(format!("{}", heap.get(o)).contains("pair?"));
+    }
+
+    #[test]
+    fn allocation_is_sequential() {
+        let mut heap = Heap::new();
+        let a = heap.alloc(SVal::Num(Number::Int(1)));
+        let b = heap.alloc(SVal::Num(Number::Int(2)));
+        assert_ne!(a, b);
+        assert_eq!(b.index(), a.index() + 1);
+        assert_eq!(heap.int_at(a), Some(1));
+        assert_eq!(heap.int_at(b), Some(2));
+        assert_eq!(heap.len(), 2);
+        assert_eq!(heap.next_index(), b.index() + 1);
+    }
+
+    #[test]
+    fn opaque_locations_are_reused_per_label() {
+        let mut heap = Heap::new();
+        let first = heap.alloc_opaque(Label(7));
+        let second = heap.alloc_opaque(Label(7));
+        assert_eq!(first, second);
+        let third = heap.alloc_opaque(Label(8));
+        assert_ne!(first, third);
+        assert_eq!(heap.len(), 2, "reuse allocates nothing");
+    }
+
+    #[test]
+    fn refinements_accumulate_without_duplicates() {
+        let mut heap = Heap::new();
+        let loc = heap.alloc_fresh_opaque();
+        let zero = CRefinement::NumCmp(CmpOp::Eq, CSymExpr::int(0));
+        let non_zero = CRefinement::NumCmp(CmpOp::Ne, CSymExpr::int(0));
+        heap.refine(loc, zero.clone());
+        let journal_len = heap.journal_len();
+        heap.refine(loc, zero.clone());
+        assert_eq!(
+            heap.journal_len(),
+            journal_len,
+            "a duplicate journals nothing"
+        );
+        heap.refine(loc, non_zero.clone());
+        assert_eq!(heap.refinements(loc), &[zero, non_zero]);
+    }
+
+    #[test]
+    fn sym_expr_evaluation() {
+        // A symbolic expression over locations denotes the value it computes
+        // from theirs: with l = 58, (- 100 l) is 42. A quotient by zero
+        // denotes no particular value.
+        let mut heap = Heap::new();
+        let l = heap.alloc(SVal::Num(Number::Int(58)));
+        let r = heap.alloc_fresh_opaque();
+        heap.refine(
+            r,
+            CRefinement::NumCmp(
+                CmpOp::Eq,
+                CSymExpr::Sub(Box::new(CSymExpr::int(100)), Box::new(CSymExpr::loc(l))),
+            ),
+        );
+        let q = heap.alloc_fresh_opaque();
+        heap.refine(
+            q,
+            CRefinement::NumCmp(
+                CmpOp::Eq,
+                CSymExpr::Div(Box::new(CSymExpr::int(10)), Box::new(CSymExpr::int(0))),
+            ),
+        );
+        let mut session = crate::prove::ProverSession::new();
+        assert_eq!(
+            session.prove_num(&heap, r, CmpOp::Eq, &CSymExpr::int(42)),
+            folic::Proof::Proved
+        );
+        assert_eq!(
+            session.prove_num(&heap, q, CmpOp::Eq, &CSymExpr::int(0)),
+            folic::Proof::Ambiguous
+        );
+    }
+
+    #[test]
+    fn refinement_holds_checks_relation() {
+        // A numeric relation holds of a concrete value exactly when it is
+        // true of the number.
+        let mut heap = Heap::new();
+        let zero = heap.alloc(SVal::Num(Number::Int(0)));
+        let three = heap.alloc(SVal::Num(Number::Int(3)));
+        let mut session = crate::prove::ProverSession::new();
+        let mut holds = |loc, op| session.prove_num(&heap, loc, op, &CSymExpr::int(0));
+        assert_eq!(holds(zero, CmpOp::Eq), folic::Proof::Proved);
+        assert_eq!(holds(three, CmpOp::Eq), folic::Proof::Refuted);
+        assert_eq!(holds(three, CmpOp::Ne), folic::Proof::Proved);
+    }
+
+    #[test]
+    fn concretise_overwrites_opaque() {
+        let mut heap = Heap::new();
+        let loc = heap.alloc_fresh_opaque();
+        heap.set(loc, SVal::Num(Number::Int(42)));
+        assert_eq!(heap.int_at(loc), Some(42));
+        assert!(!heap.get(loc).is_opaque());
     }
 }

@@ -1,10 +1,11 @@
 //! # cpcf — Contract PCF and soft contract verification with counterexamples
 //!
-//! This crate scales the counterexample-generation technique of *“Relatively
-//! Complete Counterexamples for Higher-Order Programs”* (Nguyễn & Van Horn,
-//! PLDI 2015) from the typed core calculus (see the `spcf` crate) to an
-//! untyped, higher-order language with the features the paper's evaluation
-//! needs (§4–§5):
+//! This crate is the one symbolic evaluator of this reproduction of
+//! *“Relatively Complete Counterexamples for Higher-Order Programs”* (Nguyễn
+//! & Van Horn, PLDI 2015). It scales the counterexample-generation technique
+//! from the typed core calculus to an untyped, higher-order language with the
+//! features the paper's evaluation needs (§4–§5); the typed core itself (the
+//! `spcf` crate) is a front-end that lowers onto this one:
 //!
 //! * dynamic typing with run-time tag tests (`number?`, `procedure?`, …) and
 //!   a slice of the numeric tower including exact complex numbers;
@@ -56,7 +57,11 @@
 //!   `eval::prims` (primitives and symbolic arithmetic). The evaluation
 //!   context ([`Ctx`]) threads the prover session mutably through all of
 //!   them, so neither it nor the option types are `Copy`.
-//! * [`cex`] — counterexample reconstruction from a solver model.
+//! * [`cex`] — counterexample reconstruction from a solver model: numbers
+//!   from the model, case lambdas (at the called arity) from opaque
+//!   functions' memo tables, and contexts that apply the functions they
+//!   received from the demonic applications recorded on the heap
+//!   ([`heap::DemonicApp`]).
 //! * [`analyze`](mod@analyze) — the analysis itself, split into context
 //!   synthesis, per-export analysis and a work-stealing scheduler that
 //!   shards exports across [`AnalyzeOptions::workers`] threads, one

@@ -1,10 +1,10 @@
 //! Reasoning about opaque values: tag-level reasoning done directly on
 //! refinements, numeric reasoning delegated to the first-order solver.
 //!
-//! As in the typed core, only *base values* are ever encoded for the solver
-//! (Fig. 4): numeric refinements become integer formulas, the memo tables of
-//! opaque functions become functionality constraints, and everything
-//! higher-order stays on the semantics side.
+//! As in the paper's typed core, only *base values* are ever encoded for
+//! the solver (Fig. 4): numeric refinements become integer formulas, the
+//! memo tables of opaque functions become functionality constraints, and
+//! everything higher-order stays on the semantics side.
 //!
 //! ## Incremental sessions
 //!
@@ -812,6 +812,7 @@ fn translate_loc(heap: &Heap, loc: Loc, translation: &mut Translation) {
         Some(SVal::Opaque {
             refinements,
             entries,
+            ..
         }) => {
             for refinement in refinements {
                 if let CRefinement::NumCmp(op, rhs) = refinement {
@@ -827,7 +828,7 @@ fn translate_loc(heap: &Heap, loc: Loc, translation: &mut Translation) {
             // equal numeric outputs (only encoded for base-valued pairs).
             for i in 0..entries.len() {
                 for j in (i + 1)..entries.len() {
-                    functionality_formula(heap, entries[i], entries[j], translation);
+                    functionality_formula(heap, &entries[i], &entries[j], translation);
                 }
             }
         }
@@ -852,27 +853,42 @@ fn translate_refinement_at(heap: &Heap, loc: Loc, index: usize, translation: &mu
 /// `index` with every earlier entry of the same opaque function.
 fn translate_entry_at(heap: &Heap, loc: Loc, index: usize, translation: &mut Translation) {
     if let Some(SVal::Opaque { entries, .. }) = heap.try_get(loc) {
-        if let Some(&new_entry) = entries.get(index) {
-            for &old_entry in &entries[..index.min(entries.len())] {
+        if let Some(new_entry) = entries.get(index) {
+            for old_entry in &entries[..index.min(entries.len())] {
                 functionality_formula(heap, old_entry, new_entry, translation);
             }
         }
     }
 }
 
+/// `(a₁ = b₁ ∧ … ∧ aₙ = bₙ) ⇒ r = s` for two memo entries of the same
+/// arity whose arguments and results are all base-valued.
 fn functionality_formula(
     heap: &Heap,
-    (arg_i, res_i): (Loc, Loc),
-    (arg_j, res_j): (Loc, Loc),
+    (args_i, res_i): &(Vec<Loc>, Loc),
+    (args_j, res_j): &(Vec<Loc>, Loc),
     translation: &mut Translation,
 ) {
-    if is_base(heap, arg_i) && is_base(heap, arg_j) && is_base(heap, res_i) && is_base(heap, res_j)
-    {
-        translation.formulas.push(Formula::implies(
-            Formula::eq(Term::var(arg_i.solver_var()), Term::var(arg_j.solver_var())),
-            Formula::eq(Term::var(res_i.solver_var()), Term::var(res_j.solver_var())),
-        ));
+    let all_base = args_i.len() == args_j.len()
+        && args_i
+            .iter()
+            .chain(args_j)
+            .chain([res_i, res_j])
+            .all(|&loc| is_base(heap, loc));
+    if !all_base {
+        return;
     }
+    let premise = Formula::and(
+        args_i
+            .iter()
+            .zip(args_j)
+            .map(|(a, b)| Formula::eq(Term::var(a.solver_var()), Term::var(b.solver_var())))
+            .collect(),
+    );
+    translation.formulas.push(Formula::implies(
+        premise,
+        Formula::eq(Term::var(res_i.solver_var()), Term::var(res_j.solver_var())),
+    ));
 }
 
 fn is_base(heap: &Heap, loc: Loc) -> bool {
@@ -1044,7 +1060,8 @@ mod tests {
             f,
             SVal::Opaque {
                 refinements: vec![CRefinement::Is(Tag::Procedure)],
-                entries: vec![(a, x), (b, y)],
+                entries: vec![(vec![a], x), (vec![b], y)],
+                demonic: Vec::new(),
             },
         );
         let mut session = ProverSession::new();
@@ -1299,7 +1316,8 @@ mod tests {
             f,
             SVal::Opaque {
                 refinements: Vec::new(),
-                entries: vec![(a, r1), (b, r2)],
+                entries: vec![(vec![a], r1), (vec![b], r2)],
+                demonic: Vec::new(),
             },
         );
         let rhs = CSymExpr::loc(b);
@@ -1399,5 +1417,88 @@ mod tests {
             incremental.heap_model(&heap).is_some(),
             reference_heap_model(&heap, SolverConfig::default()).is_some()
         );
+    }
+
+    #[test]
+    fn concrete_values_are_decided() {
+        let mut heap = Heap::new();
+        let l = heap.alloc(SVal::Num(Number::Int(0)));
+        let mut session = ProverSession::new();
+        assert_eq!(
+            session.prove_num(&heap, l, CmpOp::Eq, &CSymExpr::int(0)),
+            Proof::Proved
+        );
+        assert_eq!(
+            session.prove_num(&heap, l, CmpOp::Ne, &CSymExpr::int(0)),
+            Proof::Refuted
+        );
+    }
+
+    #[test]
+    fn unconstrained_opaque_is_ambiguous() {
+        let mut heap = Heap::new();
+        let l = heap.alloc_fresh_opaque();
+        let mut session = ProverSession::new();
+        assert_eq!(
+            session.prove_num(&heap, l, CmpOp::Eq, &CSymExpr::int(0)),
+            Proof::Ambiguous
+        );
+    }
+
+    #[test]
+    fn refinements_inform_the_proof() {
+        let mut heap = Heap::new();
+        let l = heap.alloc_fresh_opaque();
+        heap.refine(l, CRefinement::NumCmp(CmpOp::Ge, CSymExpr::int(1)));
+        let mut session = ProverSession::new();
+        assert_eq!(
+            session.prove_num(&heap, l, CmpOp::Ne, &CSymExpr::int(0)),
+            Proof::Proved
+        );
+        assert_eq!(
+            session.prove_num(&heap, l, CmpOp::Eq, &CSymExpr::int(0)),
+            Proof::Refuted
+        );
+    }
+
+    #[test]
+    fn heap_model_reflects_constraints() {
+        // A memo entry ties the result of `g` at a concrete argument to the
+        // constraints on that result: g 0 = r and 100 - r = 0 force r = 100.
+        let mut heap = Heap::new();
+        let n = heap.alloc(SVal::Num(Number::Int(0)));
+        let r = heap.alloc_fresh_opaque();
+        let g = heap.alloc_fresh_opaque();
+        heap.set(
+            g,
+            SVal::Opaque {
+                refinements: vec![CRefinement::Is(Tag::Procedure)],
+                entries: vec![(vec![n], r)],
+                demonic: Vec::new(),
+            },
+        );
+        let d = heap.alloc_fresh_opaque();
+        heap.refine(
+            d,
+            CRefinement::NumCmp(
+                CmpOp::Eq,
+                CSymExpr::Sub(Box::new(CSymExpr::int(100)), Box::new(CSymExpr::loc(r))),
+            ),
+        );
+        heap.refine(d, CRefinement::NumCmp(CmpOp::Eq, CSymExpr::int(0)));
+        let mut session = ProverSession::new();
+        let model = session.heap_model(&heap).expect("satisfiable heap");
+        assert_eq!(model.value(r.solver_var()), Some(100));
+        assert_eq!(model.value(d.solver_var()), Some(0));
+    }
+
+    #[test]
+    fn contradictory_heap_has_no_model() {
+        let mut heap = Heap::new();
+        let l = heap.alloc_fresh_opaque();
+        heap.refine(l, CRefinement::NumCmp(CmpOp::Eq, CSymExpr::int(0)));
+        heap.refine(l, CRefinement::NumCmp(CmpOp::Ne, CSymExpr::int(0)));
+        let mut session = ProverSession::new();
+        assert!(session.heap_model(&heap).is_none());
     }
 }

@@ -3,6 +3,7 @@
 //! simple module system — the language the paper's soft-contract
 //! verification tool analyses (§4–§5).
 
+use std::collections::HashMap;
 use std::fmt;
 
 /// A source label identifying a potentially-failing site or an opaque value.
@@ -461,6 +462,91 @@ impl Program {
     }
 }
 
+/// Replaces opaque sub-expressions by the bindings' concrete expressions.
+pub fn instantiate(expr: &Expr, bindings: &HashMap<Label, Expr>) -> Expr {
+    match expr {
+        Expr::Opaque(label) => bindings.get(label).cloned().unwrap_or_else(|| expr.clone()),
+        Expr::Var(_)
+        | Expr::Int(_)
+        | Expr::Complex(_, _)
+        | Expr::Bool(_)
+        | Expr::Str(_)
+        | Expr::Nil
+        | Expr::CAny => expr.clone(),
+        Expr::Lam { params, body } => Expr::Lam {
+            params: params.clone(),
+            body: Box::new(instantiate(body, bindings)),
+        },
+        Expr::App(f, args) => Expr::App(
+            Box::new(instantiate(f, bindings)),
+            args.iter().map(|a| instantiate(a, bindings)).collect(),
+        ),
+        Expr::If(c, t, e) => Expr::If(
+            Box::new(instantiate(c, bindings)),
+            Box::new(instantiate(t, bindings)),
+            Box::new(instantiate(e, bindings)),
+        ),
+        Expr::And(es) => Expr::And(es.iter().map(|e| instantiate(e, bindings)).collect()),
+        Expr::Or(es) => Expr::Or(es.iter().map(|e| instantiate(e, bindings)).collect()),
+        Expr::Begin(es) => Expr::Begin(es.iter().map(|e| instantiate(e, bindings)).collect()),
+        Expr::Let {
+            bindings: lets,
+            recursive,
+            body,
+        } => Expr::Let {
+            bindings: lets
+                .iter()
+                .map(|(n, e)| (n.clone(), instantiate(e, bindings)))
+                .collect(),
+            recursive: *recursive,
+            body: Box::new(instantiate(body, bindings)),
+        },
+        Expr::Prim(p, args, label) => Expr::Prim(
+            *p,
+            args.iter().map(|a| instantiate(a, bindings)).collect(),
+            *label,
+        ),
+        Expr::CArrow(doms, rng) => Expr::CArrow(
+            doms.iter().map(|d| instantiate(d, bindings)).collect(),
+            Box::new(instantiate(rng, bindings)),
+        ),
+        Expr::CAnd(es) => Expr::CAnd(es.iter().map(|e| instantiate(e, bindings)).collect()),
+        Expr::COr(es) => Expr::COr(es.iter().map(|e| instantiate(e, bindings)).collect()),
+        Expr::CCons(a, b) => Expr::CCons(
+            Box::new(instantiate(a, bindings)),
+            Box::new(instantiate(b, bindings)),
+        ),
+        Expr::CListOf(c) => Expr::CListOf(Box::new(instantiate(c, bindings))),
+        Expr::COneOf(es) => Expr::COneOf(es.iter().map(|e| instantiate(e, bindings)).collect()),
+        Expr::Mon {
+            contract,
+            value,
+            pos,
+            neg,
+            label,
+        } => Expr::Mon {
+            contract: Box::new(instantiate(contract, bindings)),
+            value: Box::new(instantiate(value, bindings)),
+            pos: pos.clone(),
+            neg: neg.clone(),
+            label: *label,
+        },
+        Expr::StructMake(name, args) => Expr::StructMake(
+            name.clone(),
+            args.iter().map(|a| instantiate(a, bindings)).collect(),
+        ),
+        Expr::StructPred(name, e) => {
+            Expr::StructPred(name.clone(), Box::new(instantiate(e, bindings)))
+        }
+        Expr::StructGet(name, index, e, label) => Expr::StructGet(
+            name.clone(),
+            *index,
+            Box::new(instantiate(e, bindings)),
+            *label,
+        ),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -501,6 +587,20 @@ mod tests {
         let mut count = 0;
         e.walk(&mut |_| count += 1);
         assert_eq!(count, 7);
+    }
+
+    #[test]
+    fn instantiation_replaces_opaques() {
+        let e = Expr::app(Expr::Opaque(Label(1)), vec![Expr::Opaque(Label(2))]);
+        let identity = Expr::lam(vec!["x"], Expr::var("x"));
+        let bindings = HashMap::from([(Label(1), identity.clone())]);
+        let instantiated = instantiate(&e, &bindings);
+        assert_eq!(
+            instantiated,
+            Expr::app(identity, vec![Expr::Opaque(Label(2))]),
+            "bound opaques are replaced; unbound ones stay"
+        );
+        assert_eq!(instantiated.opaque_labels(), vec![Label(2)]);
     }
 
     #[test]

@@ -1,39 +1,32 @@
-//! # spcf — Symbolic PCF with relatively complete counterexamples
+//! # spcf — Symbolic PCF, a typed front-end over cpcf
 //!
-//! This crate implements the core formal model of *“Relatively Complete
-//! Counterexamples for Higher-Order Programs”* (Nguyễn & Van Horn, PLDI
-//! 2015): a heap-based symbolic execution semantics for PCF extended with
-//! opaque (unknown, possibly higher-order) values, together with
-//! counterexample construction from a first-order solver model.
+//! This crate is the typed core of *“Relatively Complete Counterexamples
+//! for Higher-Order Programs”* (Nguyễn & Van Horn, PLDI 2015): PCF over
+//! integers extended with opaque values `•ᵀ`, unknown values of type `T`
+//! (§3). It parses and type-checks programs, and analyses them by lowering
+//! them onto Contract PCF ([`cpcf`]), the untyped language whose symbolic
+//! evaluator, prover and counterexample reconstruction the Table 1 corpus
+//! runs on. There is one evaluator: the typed core is a surface for it.
 //!
 //! ## How it works
 //!
-//! 1. Programs are ordinary PCF terms plus `•ᵀ` (an unknown value of type
-//!    `T`). Every value is allocated in a [`heap::Heap`]; the heap maps each
-//!    location to an upper bound on the value's behaviour and doubles as the
-//!    path condition ([`heap`]).
-//! 2. Reduction ([`step`]) follows the paper's Fig. 2. Applying an unknown
-//!    function *partially solves* for it: a base-typed argument introduces a
-//!    memoising `case` map, a behavioural argument splits into the
-//!    ignore/delay/explore shapes (`AppOpq2`/`AppOpq3`/`AppHavoc`).
-//!    Primitive operations ([`delta`]) refine opaque base values instead of
-//!    blocking on them.
-//! 3. Branch feasibility is decided by the proof relation ([`prove`]), which
-//!    translates the heap to quantifier-free integer formulas ([`translate`])
-//!    and asks the first-order solver ([`folic`]).
-//! 4. When an error state is reached, the same translation produces a model;
-//!    plugging the model back into the heap's function shapes reconstructs a
-//!    concrete, possibly higher-order counterexample ([`cex`]), which is then
-//!    re-executed concretely ([`concrete`]) to confirm the blame (soundness,
-//!    Theorem 1).
-//!
-//! The search is orchestrated by [`engine::Engine`], and programs can be
-//! written in an s-expression surface syntax ([`parse`]).
+//! 1. Programs are written in an s-expression syntax ([`parse`]) and
+//!    type-checked ([`typecheck`]).
+//! 2. [`lower`](fn@lower) turns a program with opaques `•ᵀ¹ … •ᵀᵏ` into a
+//!    module exporting `main`, a function of the opaques, under the contract
+//!    `(-> T₁′ … Tₖ′ any/c)` in which `int` is `integer?` and `T → U` is
+//!    `(-> T′ U′)` (see [`mod@lower`] for every rule).
+//! 3. [`analyze`] runs cpcf's analysis on that module. The unknown context
+//!    supplies opaque arguments, applying the function it receives to fresh
+//!    opaques (the paper's demonic context); at an error, the solver's model
+//!    and the heap's record of those applications reconstruct a concrete,
+//!    possibly higher-order counterexample, which is re-run to confirm the
+//!    blame. Its bindings are keyed by the SPCF opaque labels.
 //!
 //! ## Example: the paper's worked example (§2)
 //!
 //! ```
-//! use spcf::{analyze, parse, Analysis};
+//! use spcf::{analyze, parse, ExportAnalysis};
 //!
 //! // let f (g : int → int) (n : int) = 1 / (100 - (g n)) in (• f)
 //! let program = parse::parse(
@@ -43,8 +36,8 @@
 //! )
 //! .expect("parses");
 //!
-//! match analyze(&program) {
-//!     Analysis::Counterexample(cex) => {
+//! match analyze(&program).expect("type-checks") {
+//!     ExportAnalysis::Counterexample(cex) => {
 //!         // The unknown context applies f to a function returning 100.
 //!         assert!(cex.validated);
 //!         println!("{cex}");
@@ -56,25 +49,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cex;
-pub mod concrete;
-pub mod delta;
-pub mod engine;
-pub mod heap;
+pub mod lower;
 pub mod parse;
 mod pretty;
-pub mod prove;
-pub mod step;
 pub mod syntax;
-pub mod translate;
 pub mod typecheck;
 pub mod types;
 
-pub use cex::{CexOptions, Counterexample};
-pub use engine::{analyze, Analysis, AnalysisOptions, Engine};
-pub use heap::{Heap, Loc, Refinement, Storeable, SymExpr};
-pub use prove::{Proof, Prover};
-pub use step::{State, StepOptions};
-pub use syntax::{Blame, Expr, Label, Op};
+pub use cpcf::{Counterexample, ExportAnalysis};
+pub use lower::{analyze, lower, Lowered};
+pub use syntax::{Expr, Label, Op};
 pub use typecheck::{check_program, type_of, TypeError};
 pub use types::Type;

@@ -27,8 +27,6 @@ impl fmt::Display for Expr {
             }
             Expr::Opaque(ty, label) => write!(f, "(• {ty} #{})", label.0),
             Expr::Fix { name, ty, body } => write!(f, "(fix ({name} : {ty}) {body})"),
-            Expr::Loc(l) => write!(f, "{l}"),
-            Expr::Err(blame) => write!(f, "(error {} {})", blame.op, blame.label),
         }
     }
 }

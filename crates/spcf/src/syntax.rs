@@ -6,14 +6,9 @@
 //! locations that can fail (primitive applications) and opaque values carry
 //! unique [`Label`]s, which is what blame and counterexample reporting refer
 //! back to.
-//!
-//! During evaluation, variables are substituted by heap [`Loc`]ations, so
-//! locations also appear as an (internal) expression form, as in the paper's
-//! answers `A ::= L | err`.
 
 use std::fmt;
 
-use crate::heap::Loc;
 use crate::types::Type;
 
 /// A source label, identifying either an opaque value's source position or a
@@ -126,26 +121,6 @@ impl fmt::Display for Op {
     }
 }
 
-/// An error: blame of a source label for violating a primitive's
-/// precondition (`err_O^L` in the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Blame {
-    /// The blamed source label.
-    pub label: Label,
-    /// The primitive whose precondition was violated.
-    pub op: Op,
-}
-
-impl fmt::Display for Blame {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "error: {} violates precondition of {}",
-            self.label, self.op
-        )
-    }
-}
-
 /// Expressions of Symbolic PCF.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Expr {
@@ -179,10 +154,6 @@ pub enum Expr {
         /// Body.
         body: Box<Expr>,
     },
-    /// A heap location (internal; produced by evaluation).
-    Loc(Loc),
-    /// An error answer (internal; produced by evaluation).
-    Err(Blame),
 }
 
 impl Expr {
@@ -224,179 +195,6 @@ impl Expr {
         Expr::app(Expr::lam(name, ty, body), bound)
     }
 
-    /// True if the expression is an answer (a location or an error).
-    pub fn is_answer(&self) -> bool {
-        matches!(self, Expr::Loc(_) | Expr::Err(_))
-    }
-
-    /// True if the expression is a syntactic value (literal, λ, or opaque).
-    pub fn is_value(&self) -> bool {
-        matches!(self, Expr::Num(_) | Expr::Lam { .. } | Expr::Opaque(_, _))
-    }
-
-    /// Capture-avoiding substitution of a *location* for a variable:
-    /// `[loc/name] self`. Because only locations (which contain no variables)
-    /// are ever substituted, no renaming is required.
-    pub fn subst(&self, name: &str, loc: Loc) -> Expr {
-        match self {
-            Expr::Var(x) => {
-                if x == name {
-                    Expr::Loc(loc)
-                } else {
-                    self.clone()
-                }
-            }
-            Expr::Num(_) | Expr::Opaque(_, _) | Expr::Loc(_) | Expr::Err(_) => self.clone(),
-            Expr::Lam {
-                param,
-                param_ty,
-                body,
-            } => {
-                if param == name {
-                    self.clone()
-                } else {
-                    Expr::Lam {
-                        param: param.clone(),
-                        param_ty: param_ty.clone(),
-                        body: Box::new(body.subst(name, loc)),
-                    }
-                }
-            }
-            Expr::App(f, a) => {
-                Expr::App(Box::new(f.subst(name, loc)), Box::new(a.subst(name, loc)))
-            }
-            Expr::If(c, t, e) => Expr::If(
-                Box::new(c.subst(name, loc)),
-                Box::new(t.subst(name, loc)),
-                Box::new(e.subst(name, loc)),
-            ),
-            Expr::Prim(op, args, label) => Expr::Prim(
-                *op,
-                args.iter().map(|a| a.subst(name, loc)).collect(),
-                *label,
-            ),
-            Expr::Fix {
-                name: rec_name,
-                ty,
-                body,
-            } => {
-                if rec_name == name {
-                    self.clone()
-                } else {
-                    Expr::Fix {
-                        name: rec_name.clone(),
-                        ty: ty.clone(),
-                        body: Box::new(body.subst(name, loc)),
-                    }
-                }
-            }
-        }
-    }
-
-    /// Substitutes an *expression* for a variable. Used when plugging
-    /// reconstructed counterexample values back into the original program;
-    /// the substituted expressions are always closed, so no capture can
-    /// occur.
-    pub fn subst_expr(&self, name: &str, replacement: &Expr) -> Expr {
-        match self {
-            Expr::Var(x) => {
-                if x == name {
-                    replacement.clone()
-                } else {
-                    self.clone()
-                }
-            }
-            Expr::Num(_) | Expr::Opaque(_, _) | Expr::Loc(_) | Expr::Err(_) => self.clone(),
-            Expr::Lam {
-                param,
-                param_ty,
-                body,
-            } => {
-                if param == name {
-                    self.clone()
-                } else {
-                    Expr::Lam {
-                        param: param.clone(),
-                        param_ty: param_ty.clone(),
-                        body: Box::new(body.subst_expr(name, replacement)),
-                    }
-                }
-            }
-            Expr::App(f, a) => Expr::App(
-                Box::new(f.subst_expr(name, replacement)),
-                Box::new(a.subst_expr(name, replacement)),
-            ),
-            Expr::If(c, t, e) => Expr::If(
-                Box::new(c.subst_expr(name, replacement)),
-                Box::new(t.subst_expr(name, replacement)),
-                Box::new(e.subst_expr(name, replacement)),
-            ),
-            Expr::Prim(op, args, label) => Expr::Prim(
-                *op,
-                args.iter()
-                    .map(|a| a.subst_expr(name, replacement))
-                    .collect(),
-                *label,
-            ),
-            Expr::Fix {
-                name: rec_name,
-                ty,
-                body,
-            } => {
-                if rec_name == name {
-                    self.clone()
-                } else {
-                    Expr::Fix {
-                        name: rec_name.clone(),
-                        ty: ty.clone(),
-                        body: Box::new(body.subst_expr(name, replacement)),
-                    }
-                }
-            }
-        }
-    }
-
-    /// Replaces every opaque sub-expression with the expression that
-    /// `lookup` provides for its label (leaving it opaque when `lookup`
-    /// returns `None`). Used to instantiate a program with a counterexample.
-    pub fn instantiate_opaques<F>(&self, lookup: &F) -> Expr
-    where
-        F: Fn(Label) -> Option<Expr>,
-    {
-        match self {
-            Expr::Opaque(_, label) => lookup(*label).unwrap_or_else(|| self.clone()),
-            Expr::Var(_) | Expr::Num(_) | Expr::Loc(_) | Expr::Err(_) => self.clone(),
-            Expr::Lam {
-                param,
-                param_ty,
-                body,
-            } => Expr::Lam {
-                param: param.clone(),
-                param_ty: param_ty.clone(),
-                body: Box::new(body.instantiate_opaques(lookup)),
-            },
-            Expr::App(f, a) => Expr::App(
-                Box::new(f.instantiate_opaques(lookup)),
-                Box::new(a.instantiate_opaques(lookup)),
-            ),
-            Expr::If(c, t, e) => Expr::If(
-                Box::new(c.instantiate_opaques(lookup)),
-                Box::new(t.instantiate_opaques(lookup)),
-                Box::new(e.instantiate_opaques(lookup)),
-            ),
-            Expr::Prim(op, args, label) => Expr::Prim(
-                *op,
-                args.iter().map(|a| a.instantiate_opaques(lookup)).collect(),
-                *label,
-            ),
-            Expr::Fix { name, ty, body } => Expr::Fix {
-                name: name.clone(),
-                ty: ty.clone(),
-                body: Box::new(body.instantiate_opaques(lookup)),
-            },
-        }
-    }
-
     /// Collects the labels of all opaque sub-expressions (with their types).
     pub fn opaque_labels(&self) -> Vec<(Label, Type)> {
         let mut out = Vec::new();
@@ -411,7 +209,7 @@ impl Expr {
                     out.push((*label, ty.clone()));
                 }
             }
-            Expr::Var(_) | Expr::Num(_) | Expr::Loc(_) | Expr::Err(_) => {}
+            Expr::Var(_) | Expr::Num(_) => {}
             Expr::Lam { body, .. } | Expr::Fix { body, .. } => body.collect_opaques(out),
             Expr::App(f, a) => {
                 f.collect_opaques(out);
@@ -428,11 +226,6 @@ impl Expr {
                 }
             }
         }
-    }
-
-    /// True if the expression contains no opaque sub-expressions.
-    pub fn is_concrete(&self) -> bool {
-        self.opaque_labels().is_empty()
     }
 
     /// The labels of the known program portion: every primitive-application
@@ -454,7 +247,7 @@ impl Expr {
                     a.collect_known_labels(out);
                 }
             }
-            Expr::Var(_) | Expr::Num(_) | Expr::Opaque(_, _) | Expr::Loc(_) | Expr::Err(_) => {}
+            Expr::Var(_) | Expr::Num(_) | Expr::Opaque(_, _) => {}
             Expr::Lam { body, .. } | Expr::Fix { body, .. } => body.collect_known_labels(out),
             Expr::App(f, a) => {
                 f.collect_known_labels(out);
@@ -478,20 +271,6 @@ mod tests {
     }
 
     #[test]
-    fn substitution_respects_binding() {
-        // [L0/x] (λx. x) = λx. x  — the inner binder shadows.
-        let inner = Expr::lam("x", Type::Int, Expr::var("x"));
-        assert_eq!(inner.subst("x", Loc::new(0)), inner);
-        // [L0/y] (λx. y) = λx. L0
-        let open = Expr::lam("x", Type::Int, Expr::var("y"));
-        let substituted = open.subst("y", Loc::new(0));
-        match substituted {
-            Expr::Lam { body, .. } => assert_eq!(*body, Expr::Loc(Loc::new(0))),
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
     fn opaque_labels_are_collected_once() {
         let e = Expr::app(
             Expr::Opaque(Type::arrow(Type::Int, Type::Int), sample_label(1)),
@@ -506,7 +285,6 @@ mod tests {
         );
         let labels = e.opaque_labels();
         assert_eq!(labels.len(), 2);
-        assert!(!e.is_concrete());
     }
 
     #[test]
@@ -526,18 +304,6 @@ mod tests {
         let labels = e.known_labels();
         assert!(labels.contains(&sample_label(7)));
         assert!(labels.contains(&sample_label(8)));
-    }
-
-    #[test]
-    fn instantiation_replaces_opaques() {
-        let e = Expr::app(
-            Expr::Opaque(Type::arrow(Type::Int, Type::Int), sample_label(1)),
-            Expr::Num(3),
-        );
-        let instantiated = e.instantiate_opaques(&|label| {
-            (label == sample_label(1)).then(|| Expr::lam("x", Type::Int, Expr::var("x")))
-        });
-        assert!(instantiated.is_concrete());
     }
 
     #[test]

@@ -35,8 +35,6 @@ pub enum TypeError {
         /// Actual argument count.
         found: usize,
     },
-    /// Locations and errors cannot appear in source programs.
-    InternalForm,
 }
 
 impl fmt::Display for TypeError {
@@ -61,7 +59,6 @@ impl fmt::Display for TypeError {
             } => {
                 write!(f, "`{op}` expects {expected} argument(s), got {found}")
             }
-            TypeError::InternalForm => write!(f, "internal form in source program"),
         }
     }
 }
@@ -178,7 +175,6 @@ fn check(expr: &Expr, env: &mut HashMap<String, Vec<Type>>) -> Result<Type, Type
             }
             Ok(Type::Int)
         }
-        Expr::Loc(_) | Expr::Err(_) => Err(TypeError::InternalForm),
     }
 }
 

@@ -4,7 +4,9 @@
 //! (the paper quotes −99..=99), so it never tries `n = 100`; symbolic
 //! execution reads the `100` out of the program's own arithmetic.
 //!
-//! Run with `cargo run --example division_search`.
+//! Run with `cargo run --example division_search`; it exits 1 when the
+//! symbolic analysis misses its validated counterexample or the default
+//! random tester finds the bug after all.
 
 use cpcf::{analyze_source, ExportAnalysis};
 use randtest::{test_source, RandTestConfig};
@@ -20,19 +22,24 @@ fn main() {
 
     // 1. Symbolic analysis.
     let report = analyze_source(PROGRAM).expect("parses");
+    let mut unexpected = false;
     match &report.exports[0].1 {
-        ExportAnalysis::Counterexample(cex) => {
-            println!("symbolic analysis found a counterexample:");
+        ExportAnalysis::Counterexample(cex) if cex.validated => {
+            println!("symbolic analysis found a validated counterexample:");
             for (label, expr) in &cex.bindings {
                 println!("  {label} = {expr:?}");
             }
-            println!("  (validated: {})\n", cex.validated);
+            println!();
         }
-        other => println!("symbolic analysis: {other:?}\n"),
+        other => {
+            println!("symbolic analysis (unexpected!): {other:?}\n");
+            unexpected = true;
+        }
     }
 
     // 2. Random testing with the default small-integer generator.
     let result = test_source(PROGRAM, RandTestConfig::default()).expect("parses");
+    unexpected |= result.found_bug();
     println!(
         "random testing with integers in -99..=99: {}",
         if result.found_bug() {
@@ -56,5 +63,8 @@ fn main() {
         randtest::RandTestResult::Passed { tests } => println!(
             "random testing with integers in -1000..=1000: still nothing after {tests} tests"
         ),
+    }
+    if unexpected {
+        std::process::exit(1);
     }
 }

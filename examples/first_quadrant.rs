@@ -7,7 +7,8 @@
 //! object: a function from messages to values — a first step towards
 //! generating classes and objects as counterexamples, as the paper puts it.
 //!
-//! Run with `cargo run --example first_quadrant`.
+//! Run with `cargo run --example first_quadrant`; it exits 1 when either
+//! interface misses its expected verdict.
 
 use cpcf::{analyze_source, ExportAnalysis};
 
@@ -27,22 +28,32 @@ const STRONG: &str = r#"
 
 fn main() {
     println!("-- interface answering number? (too weak) --");
+    let mut unexpected = false;
     let report = analyze_source(WEAK).expect("parses");
     match &report.exports[0].1 {
-        ExportAnalysis::Counterexample(cex) => {
-            println!("counterexample found ({}):", cex.blame);
+        ExportAnalysis::Counterexample(cex) if cex.validated => {
+            println!("validated counterexample found ({}):", cex.blame);
             for (label, expr) in &cex.bindings {
                 println!("  {label} = {expr:?}");
             }
-            println!("validated: {}\n", cex.validated);
+            println!();
         }
-        other => println!("unexpected: {other:?}\n"),
+        other => {
+            println!("unexpected: {other:?}\n");
+            unexpected = true;
+        }
     }
 
     println!("-- interface answering integer? (strong enough) --");
     let report = analyze_source(STRONG).expect("parses");
     match &report.exports[0].1 {
         ExportAnalysis::Verified => println!("verified: no counterexample exists"),
-        other => println!("unexpected: {other:?}"),
+        other => {
+            println!("unexpected: {other:?}");
+            unexpected = true;
+        }
+    }
+    if unexpected {
+        std::process::exit(1);
     }
 }

@@ -2,7 +2,9 @@
 //! language features, including the property that every reported
 //! counterexample has been validated by concrete re-execution.
 
-use cpcf::{analyze_source, analyze_source_with, AnalyzeOptions, EvalOptions, ExportAnalysis};
+use cpcf::{
+    analyze_source, analyze_source_with, AnalyzeOptions, EvalOptions, ExportAnalysis, Expr,
+};
 
 fn first_verdict(source: &str) -> ExportAnalysis {
     analyze_source(source)
@@ -182,16 +184,113 @@ fn a_module_that_still_branches_is_not_a_validated_counterexample() {
 
 #[test]
 fn a_failure_at_another_site_does_not_validate_a_counterexample() {
-    // The module is safe: the inner difference is always 0. The unary
-    // witness reconstructed for the binary `g` fails in the re-run with an
-    // arity error, not at the reported division, so it confirms nothing.
+    // The module is safe: the inner difference is always 0. Equal argument
+    // tuples share one case-map entry, so it verifies; and a witness whose
+    // re-run fails anywhere but at the reported division confirms nothing.
     let verdict = first_verdict(
         r#"(module m
              (provide [main (-> (-> integer? integer? integer?) integer?)])
              (define (main g) (/ 1 (- 100 (- (g 1 2) (g 1 2))))))"#,
     );
-    assert!(
-        !verdict.counterexample().is_some_and(|cex| cex.validated),
-        "got {verdict:?}"
+    assert!(verdict.is_verified(), "got {verdict:?}");
+}
+
+/// The validated counterexample of a faulty module's only export.
+fn validated_cex(source: &str) -> cpcf::Counterexample {
+    match first_verdict(source) {
+        ExportAnalysis::Counterexample(cex) if cex.validated => cex,
+        other => panic!("expected a validated counterexample, got {other:?}"),
+    }
+}
+
+/// The parameters and body of a reconstructed lambda.
+fn lambda(expr: &Expr) -> (&[String], &Expr) {
+    match expr {
+        Expr::Lam { params, body } => (params, body),
+        other => panic!("expected a lambda, got {other:?}"),
+    }
+}
+
+/// True if some sub-expression satisfies `test`.
+fn contains(expr: &Expr, test: impl Fn(&Expr) -> bool) -> bool {
+    let mut found = false;
+    expr.walk(&mut |e| found |= test(e));
+    found
+}
+
+#[test]
+fn distinct_argument_tuples_are_unrelated() {
+    // A binary case lambda with (g 1 2) - (g 1 3) = 100 breaks the division.
+    let cex = validated_cex(
+        r#"(module m
+             (provide [main (-> (-> integer? integer? integer?) integer?)])
+             (define (main g) (/ 1 (- 100 (- (g 1 2) (g 1 3))))))"#,
     );
+    let (params, body) = lambda(&cex.bindings[0].1);
+    assert_eq!(params.len(), 2, "got {:?}", cex.bindings);
+    assert!(
+        contains(body, |e| matches!(e, Expr::And(_))),
+        "got {body:?}"
+    );
+}
+
+#[test]
+fn a_binary_opaque_function_is_reconstructed_at_its_arity() {
+    let cex = validated_cex(
+        r#"(module m
+             (provide [main (-> (-> integer? integer? integer?) integer?)])
+             (define (main g) (/ 1 (- 100 (g 1 2)))))"#,
+    );
+    let (params, body) = lambda(&cex.bindings[0].1);
+    assert_eq!(params.len(), 2, "got {:?}", cex.bindings);
+    assert!(contains(body, |e| *e == Expr::Int(100)), "got {body:?}");
+}
+
+#[test]
+fn an_arrow_contract_blames_the_provider_of_a_function_of_the_wrong_arity() {
+    // Racket's `->` checks the arity when it wraps: the module promised a
+    // unary function and provided a binary one.
+    let cex =
+        validated_cex(r#"(module m (provide [f (-> integer? integer?)]) (define (f x y) x))"#);
+    assert_eq!(cex.blame.party, "m", "got {cex:?}");
+}
+
+/// True if the reconstructed context is a lambda whose body applies its
+/// (single) parameter.
+fn applies_its_argument(context: &Expr) -> bool {
+    let (params, body) = lambda(context);
+    let param = Expr::var(&params[0]);
+    contains(body, |e| matches!(e, Expr::App(f, _) if **f == param))
+}
+
+#[test]
+fn a_context_that_calls_the_function_it_receives_is_reconstructed() {
+    // The §2 worked example with its unknown context lifted to an export
+    // parameter, and the smallest such context.
+    let sources = [
+        r#"(module m
+             (provide [main (-> (-> (-> (-> integer? integer?) (-> integer? integer?)) integer?) integer?)])
+             (define (main ctx) (ctx (lambda (g) (lambda (n) (/ 1 (- 100 (g n))))))))"#,
+        r#"(module m
+             (provide [main (-> (-> (-> integer? integer?) integer?) integer?)])
+             (define (main ctx) (ctx (lambda (n) (/ 1 (- 100 n))))))"#,
+    ];
+    for source in sources {
+        let cex = validated_cex(source);
+        assert!(
+            applies_its_argument(&cex.bindings[0].1),
+            "{source}: got {:?}",
+            cex.bindings
+        );
+    }
+}
+
+#[test]
+fn the_safe_twin_of_the_lifted_worked_example_verifies() {
+    let verdict = first_verdict(
+        r#"(module m
+             (provide [main (-> (-> (-> (-> integer? integer?) (-> integer? integer?)) integer?) integer?)])
+             (define (main ctx) (ctx (lambda (g) (lambda (n) (/ 1 (- 100 (- (g n) (g n)))))))))"#,
+    );
+    assert!(verdict.is_verified(), "got {verdict:?}");
 }

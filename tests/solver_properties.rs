@@ -401,16 +401,18 @@ mod session_equivalence {
                 if let SVal::Opaque {
                     refinements,
                     entries,
+                    demonic,
                 } = heap.get(f).clone()
                 {
                     let mut entries = entries;
-                    if !entries.iter().any(|(a, _)| *a == arg) {
-                        entries.push((arg, res));
+                    if !entries.iter().any(|(a, _)| a[..] == [arg]) {
+                        entries.push((vec![arg], res));
                         heap.set(
                             f,
                             SVal::Opaque {
                                 refinements,
                                 entries,
+                                demonic,
                             },
                         );
                     }

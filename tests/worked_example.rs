@@ -1,7 +1,11 @@
 //! End-to-end integration tests spanning the workspace crates, centred on
-//! the paper's worked examples.
+//! the paper's worked examples. The SPCF programs go through the typed
+//! front-end (`spcf::lower`) and are analysed by cpcf.
 
-use spcf::{analyze, parse, Analysis, AnalysisOptions, Engine, StepOptions};
+use cpcf::eval::{eval, Ctx, EvalOptions, Outcome};
+use cpcf::heap::{empty_env, Heap};
+use cpcf::{Counterexample, ExportAnalysis, ProverSession};
+use spcf::{analyze, lower, parse};
 
 /// The §2 worked example in the SPCF surface syntax.
 fn worked_example() -> spcf::Expr {
@@ -13,78 +17,130 @@ fn worked_example() -> spcf::Expr {
     .expect("the worked example parses")
 }
 
+/// The verdict on a well-typed SPCF program.
+fn spcf_verdict(program: &spcf::Expr) -> ExportAnalysis {
+    analyze(program).expect("the program type-checks")
+}
+
 #[test]
 fn spcf_worked_example_produces_validated_higher_order_counterexample() {
-    match analyze(&worked_example()) {
-        Analysis::Counterexample(cex) => {
+    match spcf_verdict(&worked_example()) {
+        ExportAnalysis::Counterexample(cex) => {
             assert!(
                 cex.validated,
                 "Theorem 1 made operational: the counterexample re-runs"
             );
-            // The unknown context is the single opaque value of the program.
-            assert_eq!(cex.bindings.len(), 1);
+            // The unknown context is the single opaque value of the program,
+            // and it calls the function it receives.
+            let [(label, cpcf::Expr::Lam { params, body })] = cex.bindings.as_slice() else {
+                panic!("expected one lambda binding, got {:?}", cex.bindings);
+            };
+            assert_eq!(*label, cpcf::Label(0), "keyed by the SPCF label");
+            let mut applies_its_argument = false;
+            body.walk(&mut |e| {
+                applies_its_argument |=
+                    matches!(e, cpcf::Expr::App(f, _) if **f == cpcf::Expr::var(&params[0]));
+            });
+            assert!(applies_its_argument, "got {body:?}");
         }
         other => panic!("expected a counterexample, got {other:?}"),
     }
 }
 
+/// Runs the lowered program's `main` on the counterexample's inputs, through
+/// its contract, as the unknown context would.
+fn run_lowered(program: &spcf::Expr, cex: &Counterexample) -> Vec<Outcome> {
+    let lowered = lower(program).expect("the program type-checks");
+    let module = &lowered.program.modules[0];
+    let mut ctx = Ctx::with_prover(EvalOptions::default(), ProverSession::new());
+    let definition = &module.definitions[0];
+    let loaded = eval(
+        &mut ctx,
+        &empty_env(),
+        &module.name,
+        &definition.body,
+        &Heap::new(),
+    );
+    let [(Outcome::Val(main), heap)] = loaded.as_slice() else {
+        panic!("main evaluates to one value, got {loaded:?}");
+    };
+    ctx.globals.insert(definition.name.clone(), *main);
+    let call = cpcf::Expr::app(
+        cpcf::Expr::Mon {
+            contract: Box::new(module.provides[0].contract.clone()),
+            value: Box::new(cpcf::Expr::var(&definition.name)),
+            pos: module.name.clone(),
+            neg: cpcf::analyze::CONTEXT_PARTY.to_string(),
+            label: cpcf::Label(u32::MAX - 1),
+        },
+        cex.bindings.iter().map(|(_, e)| e.clone()).collect(),
+    );
+    eval(
+        &mut ctx,
+        &empty_env(),
+        cpcf::analyze::CONTEXT_PARTY,
+        &call,
+        heap,
+    )
+    .into_iter()
+    .map(|(outcome, _)| outcome)
+    .collect()
+}
+
 #[test]
 fn spcf_counterexample_reproduces_blame_when_re_executed() {
-    // Soundness, checked explicitly at the integration level: instantiate
-    // the program with the counterexample and run it concretely.
+    // Soundness, checked explicitly at the integration level: plug the
+    // counterexample into the lowered program and run it.
     let program = worked_example();
-    let Analysis::Counterexample(cex) = analyze(&program) else {
+    let ExportAnalysis::Counterexample(cex) = spcf_verdict(&program) else {
         panic!("expected a counterexample");
     };
-    let instantiated = cex.instantiate(&program);
-    assert!(instantiated.is_concrete());
-    let outcome = spcf::concrete::eval(&instantiated, 200_000);
-    assert!(outcome.is_error_with(&cex.blame), "got {outcome:?}");
+    // Exactly one run, blaming the same party at the same site (the
+    // concrete `/` words its message differently).
+    let outcomes = run_lowered(&program, &cex);
+    assert!(
+        matches!(
+            outcomes.as_slice(),
+            [Outcome::Err(blame)] if blame.party == cex.blame.party && blame.label == cex.blame.label
+        ),
+        "got {outcomes:?}"
+    );
 }
 
 #[test]
 fn case_maps_keep_the_path_condition_complete() {
     // f g = 1 / (100 - ((g 0) - (g 0))) never crashes: equal inputs give
-    // equal outputs, so the denominator is always 100. With the case-map
-    // device the zero-denominator branch is refuted outright and the program
-    // verifies; without it (the original SCPCF semantics) the two
-    // applications of `g` are unrelated, the spurious branch survives, and
-    // its "counterexample" fails validation, leaving only a probable-error
-    // report. This is exactly the completeness/precision gap §3.2 motivates.
+    // equal outputs, so the denominator is always 100. The case map relates
+    // the two applications of `g`, the zero-denominator branch is refuted
+    // outright, and the program verifies (§3.2).
     let program = parse::parse(
         "((• (-> (-> (-> int int) int) int))
           (lambda (g : (-> int int))
             (div 1 (- 100 (- (g 0) (g 0))))))",
     )
     .expect("parses");
-
-    let with_maps = Engine::with_options(AnalysisOptions::default()).analyze(&program);
-    assert_eq!(
-        with_maps,
-        Analysis::Verified,
-        "with case maps the zero branch is refuted"
-    );
-
-    let without = Engine::with_options(AnalysisOptions {
-        step: StepOptions {
-            use_case_maps: false,
-        },
-        ..AnalysisOptions::default()
-    })
-    .analyze(&program);
+    let verdict = spcf_verdict(&program);
     assert!(
-        without.counterexample().is_none() && without != Analysis::Verified,
-        "without case maps the spurious path cannot be validated away, got {without:?}"
+        verdict.is_verified(),
+        "with case maps the zero branch is refuted, got {verdict:?}"
     );
 }
 
 #[test]
 fn cpcf_and_spcf_agree_on_the_division_example() {
-    // The same bug expressed in both languages is found by both engines.
+    // The same bug, written in SPCF and as a hand-written cpcf module, has
+    // the same breaking input.
     let spcf_program =
         parse::parse("((lambda (n : int) (div 1 (- 100 n))) (• int))").expect("parses");
-    let spcf_result = analyze(&spcf_program);
-    assert!(matches!(spcf_result, Analysis::Counterexample(_)));
+    let spcf_cex = spcf_verdict(&spcf_program)
+        .counterexample()
+        .cloned()
+        .expect("counterexample");
+    assert!(spcf_cex.validated);
+    assert_eq!(
+        spcf_cex.bindings,
+        vec![(cpcf::Label(2), cpcf::Expr::Int(100))]
+    );
 
     let report = cpcf::analyze_source(
         r#"
@@ -100,7 +156,7 @@ fn cpcf_and_spcf_agree_on_the_division_example() {
 }
 
 /// The verdict on the only export of a cpcf module.
-fn cpcf_verdict(source: &str) -> cpcf::ExportAnalysis {
+fn cpcf_verdict(source: &str) -> ExportAnalysis {
     let report = cpcf::analyze_source(source).expect("parses");
     report.exports.into_iter().next().expect("one export").1
 }
