@@ -18,6 +18,12 @@ const DIV100: &str = r#"
   (define (f n) (/ 1 (- 100 n))))
 "#;
 
+/// The inputs as space-separated s-expressions.
+fn show<'e>(inputs: impl IntoIterator<Item = &'e cpcf::Expr>) -> String {
+    let printed: Vec<String> = inputs.into_iter().map(ToString::to_string).collect();
+    printed.join(" ")
+}
+
 fn main() {
     println!("program: f n = 1 / (100 - n)   (bug requires exactly n = 100)\n");
 
@@ -27,9 +33,8 @@ fn main() {
     let elapsed = start.elapsed();
     match report.first_counterexample() {
         Some(cex) => println!(
-            "symbolic execution : found a validated counterexample in {:?}: {:?}",
-            elapsed,
-            cex.bindings.iter().map(|(_, e)| e).collect::<Vec<_>>()
+            "symbolic execution : found a validated counterexample in {elapsed:?}: {}",
+            show(cex.bindings.iter().map(|(_, e)| e))
         ),
         None => println!("symbolic execution : no counterexample ({elapsed:?})"),
     }
@@ -49,7 +54,8 @@ fn main() {
         let elapsed = start.elapsed();
         match result {
             RandTestResult::Failed { tests, inputs } => println!(
-                "{label}: found a failing input after {tests} tests in {elapsed:?}: {inputs:?}"
+                "{label}: found a failing input after {tests} tests in {elapsed:?}: {}",
+                show(&inputs)
             ),
             RandTestResult::Passed { tests } => {
                 println!("{label}: no failing input after {tests} tests in {elapsed:?}")

@@ -19,7 +19,7 @@ use cpcf::{
 };
 use serde::{JsonObject, Serialize};
 
-use crate::corpus::{BenchProgram, Group};
+use crate::corpus::BenchProgram;
 
 /// Options for a harness run.
 #[derive(Debug, Clone)]
@@ -420,11 +420,6 @@ pub fn run_all(programs: &[BenchProgram], options: &BenchOptions) -> Vec<Program
         .into_iter()
         .map(|slot| slot.expect("every program slot is filled"))
         .collect()
-}
-
-/// Runs every program of a group.
-pub fn run_group(group: Group, options: &BenchOptions) -> Vec<ProgramResult> {
-    run_all(&crate::corpus::group_programs(group), options)
 }
 
 #[cfg(test)]

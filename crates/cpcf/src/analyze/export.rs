@@ -7,11 +7,15 @@ use std::collections::HashMap;
 use crate::cex::{reconstruct_bindings, Counterexample};
 use crate::eval::{eval, Ctx, Outcome};
 use crate::heap::{empty_env, Heap};
-use crate::prove::{ProverSession, SessionStats};
+use crate::prove::{thread_totals, ProverSession, SessionStats};
 use crate::syntax::{instantiate, CBlame, Expr, Label, Module, Program, Provide};
 
 use super::context::context_expression;
 use super::{AnalyzeOptions, ExportAnalysis, CONTEXT_PARTY};
+
+/// The first label of the synthesized context's opaques, above every label
+/// the parser assigns to a corpus-sized program.
+const FIRST_CONTEXT_LABEL: u32 = 500_000;
 
 /// A prover session configured per `options`: shared-cache-backed when the
 /// analysis carries a [`super::SharedVerdictCache`], private otherwise, and
@@ -80,10 +84,15 @@ pub(super) fn analyze_export(
             ctx.prover,
         );
     };
-    let mut next_label = 500_000;
+    let mut next_label = FIRST_CONTEXT_LABEL;
     let context_expr = context_expression(module, provide, options.context_depth, &mut next_label);
     let labels = context_expr.opaque_labels();
+    // Outcomes cut at `max_branches` were never explored: a search that cut
+    // any cannot claim verification. Only this run's cuts count, not those
+    // of the validation re-runs below.
+    let truncations_before = thread_totals().branch_truncations;
     let outcomes = eval(&mut ctx, &empty_env(), CONTEXT_PARTY, &context_expr, &heap);
+    let truncated = thread_totals().branch_truncations > truncations_before;
 
     let mut stats = SessionStats::default();
     let mut probable: Option<CBlame> = None;
@@ -137,7 +146,7 @@ pub(super) fn analyze_export(
     stats.merge(&ctx.prover.stats());
     let verdict = if let Some(blame) = probable {
         ExportAnalysis::ProbableError(blame)
-    } else if saw_timeout {
+    } else if saw_timeout || truncated {
         ExportAnalysis::Exhausted
     } else {
         ExportAnalysis::Verified
@@ -176,4 +185,62 @@ fn validate(
                 && blame.label == counterexample.blame.label
     );
     (confirmed, ctx.prover.stats())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::parse::{parse_expr, parse_program};
+
+    /// Analyzes the only export of `source`, prints its validated
+    /// counterexample, reads the printed bindings back and re-validates
+    /// them: the re-run must blame the same party at the same label.
+    fn printed_bindings_still_blame(source: &str) {
+        let (program, _) = parse_program(source).expect("parses");
+        let module = program.modules.last().expect("one module");
+        let provide = &module.provides[0];
+        let options = AnalyzeOptions::default();
+        let (verdict, _, _) =
+            analyze_export(&program, module, provide, &options, new_session(&options));
+        let ExportAnalysis::Counterexample(cex) = verdict else {
+            panic!("expected a counterexample, got {verdict:?}");
+        };
+        assert!(cex.validated, "{cex}");
+        let printed = cex.to_string();
+        let (_, inputs) = printed.split_once("breaking inputs:\n").expect("inputs");
+        let bindings: Vec<(Label, Expr)> = inputs
+            .lines()
+            .zip(&cex.bindings)
+            .map(|(line, (label, _))| {
+                let (name, expr) = line.trim().split_once(" = ").expect("binding line");
+                assert_eq!(name, label.to_string());
+                let expr = parse_expr(expr).unwrap_or_else(|e| panic!("{line}: {e}"));
+                (*label, expr)
+            })
+            .collect();
+        assert_eq!(bindings.len(), cex.bindings.len(), "{printed}");
+        let reread = Counterexample { bindings, ..cex };
+        let mut next_label = FIRST_CONTEXT_LABEL;
+        let context = context_expression(module, provide, options.context_depth, &mut next_label);
+        let (confirmed, _) = validate(&program, &context, &reread, &options);
+        assert!(confirmed, "the printed bindings no longer blame: {printed}");
+    }
+
+    #[test]
+    fn printed_context_of_the_worked_example_still_blames() {
+        printed_bindings_still_blame(
+            r#"(module m
+                 (provide [main (-> (-> (-> (-> integer? integer?) (-> integer? integer?)) integer?) integer?)])
+                 (define (main ctx) (ctx (lambda (g) (lambda (n) (/ 1 (- 100 (g n))))))))"#,
+        );
+    }
+
+    #[test]
+    fn printed_binary_case_lambda_still_blames() {
+        printed_bindings_still_blame(
+            r#"(module m
+                 (provide [main (-> (-> integer? integer? integer?) integer?)])
+                 (define (main g) (/ 1 (- 100 (- (g 1 2) (g 1 3))))))"#,
+        );
+    }
 }

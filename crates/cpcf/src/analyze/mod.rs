@@ -136,7 +136,9 @@ pub enum ExportAnalysis {
     /// An error was reached symbolically but no concrete counterexample
     /// could be confirmed.
     ProbableError(CBlame),
-    /// The evaluation budget was exhausted before the space was covered.
+    /// The evaluation budget was exhausted before the space was covered:
+    /// the fuel ran out, or outcome branches were cut at
+    /// [`EvalOptions::max_branches`].
     Exhausted,
 }
 

@@ -36,7 +36,7 @@ impl std::fmt::Display for Counterexample {
         writeln!(f, "{}", self.blame)?;
         writeln!(f, "breaking inputs:")?;
         for (label, expr) in &self.bindings {
-            writeln!(f, "  {label} = {expr:?}")?;
+            writeln!(f, "  {label} = {expr}")?;
         }
         Ok(())
     }

@@ -846,15 +846,6 @@ impl Heap {
         self.journal.len()
     }
 
-    /// The journal entry at `position` (0-based, oldest first).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `position >= journal_len()`.
-    pub fn journal_entry(&self, position: usize) -> JournalEntry {
-        self.journal.entry(position)
-    }
-
     /// Iterates the journal suffix starting at `from` (inclusive), oldest
     /// first. `from` values at or beyond the length yield nothing. This is
     /// the accessor incremental consumers use to read the delta between a

@@ -805,6 +805,30 @@ mod tests {
     }
 
     #[test]
+    fn printed_expressions_read_back() {
+        // A fresh parser numbers labels in reading order, which printing
+        // keeps, so the re-read expression is equal, labels included.
+        for source in [
+            "(λ (x y) ((x (λ (z) (if (equal? z 0) 100 0))) y))",
+            "(let ([a 1] [b -2]) (letrec ([f (λ (n) (f n))]) (begin a b)))",
+            "(and #t (or #f \"s\") '() 3-4i 0+1i)",
+            "(-> (and/c integer? (λ (r) (> r 0))) (or/c (cons/c any/c any/c) (listof integer?)))",
+            "(one-of/c 1 2)",
+            "car",
+            "(cond [(zero? x) 1] [else (+ x (- 1) (* 2 3))])",
+        ] {
+            let expr = parse_expr(source).expect("parses");
+            let printed = expr.to_string();
+            let reread = parse_expr(&printed).unwrap_or_else(|e| panic!("{printed}: {e}"));
+            assert_eq!(reread, expr, "{source} printed as {printed}");
+        }
+        assert_eq!(
+            parse_expr("(λ (x) ((x 1) 2))").expect("parses").to_string(),
+            "(λ (x) ((x 1) 2))"
+        );
+    }
+
+    #[test]
     fn lambda_and_application_parse() {
         let e = parse_expr("((lambda (x y) (+ x y)) 1 2)").expect("parses");
         match e {

@@ -235,11 +235,6 @@ impl SharedVerdictCache {
         self.inner.persist.is_some()
     }
 
-    /// The persistent store backing this cache, if any.
-    pub fn backing_store(&self) -> Option<&crate::store::AnalysisStore> {
-        self.inner.persist.as_ref()
-    }
-
     fn shard(&self, key: &CacheKey) -> &Mutex<HashMap<CacheKey, (u32, Proof)>> {
         &self.inner.shards[(key.0 as usize) % CACHE_SHARDS]
     }

@@ -71,7 +71,8 @@ pub enum Prim {
     Cdr,
     /// `equal?`
     Equal,
-    /// `assert` — blames when given `#f` or `0`.
+    /// `assert` — blames when given `#f`, the only false value (Racket
+    /// truthiness: `0` passes), and otherwise returns its argument.
     Assert,
     /// `error` — unconditionally blames.
     Raise,
@@ -401,6 +402,82 @@ impl Expr {
     }
 }
 
+/// Writes `(head item …)`, or `(item …)` when `head` is empty.
+fn write_form<'e>(
+    f: &mut fmt::Formatter<'_>,
+    head: &str,
+    items: impl IntoIterator<Item = &'e Expr>,
+) -> fmt::Result {
+    write!(f, "({head}")?;
+    let mut first = head.is_empty();
+    for item in items {
+        if !first {
+            f.write_str(" ")?;
+        }
+        first = false;
+        write!(f, "{item}")?;
+    }
+    f.write_str(")")
+}
+
+/// Prints the expression as an s-expression that [`crate::parse_expr`]
+/// reads back to the same expression up to source labels (the parser
+/// assigns fresh ones). Struct forms read back only where their struct is
+/// declared; a struct accessor prints its field by index (`point-#0`) and
+/// a contract monitor as `(mon pos neg contract value)`, forms the surface
+/// syntax does not have.
+impl fmt::Display for Expr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Expr::Var(name) => f.write_str(name),
+            Expr::Int(n) => write!(f, "{n}"),
+            Expr::Complex(re, im) => write!(f, "{re}{im:+}i"),
+            Expr::Bool(b) => f.write_str(if *b { "#t" } else { "#f" }),
+            Expr::Str(s) => write!(f, "\"{s}\""),
+            Expr::Nil => f.write_str("'()"),
+            Expr::Lam { params, body } => write!(f, "(λ ({}) {body})", params.join(" ")),
+            Expr::App(function, args) => {
+                write_form(f, "", std::iter::once(&**function).chain(args))
+            }
+            Expr::If(c, t, e) => write!(f, "(if {c} {t} {e})"),
+            Expr::And(es) => write_form(f, "and", es),
+            Expr::Or(es) => write_form(f, "or", es),
+            Expr::Begin(es) => write_form(f, "begin", es),
+            Expr::Let {
+                bindings,
+                recursive,
+                body,
+            } => {
+                f.write_str(if *recursive { "(letrec (" } else { "(let (" })?;
+                for (index, (name, value)) in bindings.iter().enumerate() {
+                    let sep = if index == 0 { "" } else { " " };
+                    write!(f, "{sep}[{name} {value}]")?;
+                }
+                write!(f, ") {body})")
+            }
+            Expr::Prim(prim, args, _) => write_form(f, prim.name(), args),
+            Expr::Opaque(_) => f.write_str("•"),
+            Expr::CArrow(doms, rng) => write_form(f, "->", doms.iter().chain([&**rng])),
+            Expr::CAnd(es) => write_form(f, "and/c", es),
+            Expr::COr(es) => write_form(f, "or/c", es),
+            Expr::CCons(car, cdr) => write!(f, "(cons/c {car} {cdr})"),
+            Expr::CListOf(c) => write!(f, "(listof {c})"),
+            Expr::COneOf(es) => write_form(f, "one-of/c", es),
+            Expr::CAny => f.write_str("any/c"),
+            Expr::Mon {
+                contract,
+                value,
+                pos,
+                neg,
+                ..
+            } => write!(f, "(mon {pos} {neg} {contract} {value})"),
+            Expr::StructMake(name, args) => write_form(f, name, args),
+            Expr::StructPred(name, e) => write!(f, "({name}? {e})"),
+            Expr::StructGet(name, index, e, _) => write!(f, "({name}-#{index} {e})"),
+        }
+    }
+}
+
 /// A struct type declaration `(struct name (field …))`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StructDef {
@@ -453,12 +530,6 @@ impl Program {
     /// Finds a module by name.
     pub fn module(&self, name: &str) -> Option<&Module> {
         self.modules.iter().find(|m| m.name == name)
-    }
-
-    /// Counts the source lines of the original text (set by the parser); a
-    /// convenience for the Table 1 harness.
-    pub fn all_definitions(&self) -> impl Iterator<Item = &Definition> + '_ {
-        self.modules.iter().flat_map(|m| m.definitions.iter())
     }
 }
 

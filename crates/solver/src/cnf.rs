@@ -11,11 +11,10 @@ use std::collections::HashMap;
 use crate::formula::{Atom, Formula};
 use crate::sat::{BVar, Lit, SatSolver};
 
-/// Bidirectional mapping between theory atoms and boolean variables.
+/// Mapping from theory atoms to boolean variables.
 #[derive(Debug, Default)]
 pub struct AtomMap {
     by_atom: HashMap<Atom, BVar>,
-    by_var: HashMap<BVar, Atom>,
 }
 
 impl AtomMap {
@@ -32,14 +31,7 @@ impl AtomMap {
         }
         let var = sat.new_var();
         self.by_atom.insert(atom.clone(), var);
-        self.by_var.insert(var, atom.clone());
         var
-    }
-
-    /// The atom associated with a boolean variable, if the variable encodes a
-    /// theory atom (auxiliary Tseitin variables do not).
-    pub fn atom_for(&self, var: BVar) -> Option<&Atom> {
-        self.by_var.get(&var)
     }
 
     /// Number of registered atoms.

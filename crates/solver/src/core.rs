@@ -169,14 +169,10 @@ pub struct TheoryCore {
 impl TheoryCore {
     /// Creates an empty core.
     pub fn new(config: TheoryConfig) -> Self {
-        let mut sat = SatSolver::new();
-        if let Some(limit) = config.sat_reduce_limit {
-            sat.set_reduce_limit(limit);
-        }
         TheoryCore {
             config,
             arena: Arena::new(),
-            sat,
+            sat: SatSolver::new(),
             atom_lit: HashMap::new(),
             analyzed: HashMap::new(),
             next_formula_id: 0,

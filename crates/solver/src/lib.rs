@@ -16,10 +16,9 @@
 //! * [`arena`] — the hash-consing arena interning terms and atoms into ids,
 //!   with per-node variable sets and negations cached.
 //! * [`sat`] — a CDCL propositional solver (watched literals, first-UIP
-//!   learning, activity-ordered branching over a lazy binary heap,
-//!   LBD-scored learnt clauses with periodic clause-database reduction,
-//!   Luby-sequence restarts, solving under assumptions with an optional
-//!   restricted branching set).
+//!   learning into one never-reduced clause arena, activity-ordered
+//!   branching over a lazy binary heap, phase saving, no restarts, solving
+//!   under assumptions with an optional restricted branching set).
 //! * [`cnf`] — Tseitin encoding of formulas into clauses over theory atoms
 //!   (the scratch engine's per-check encoder).
 //! * [`lia`] — the general linear-integer-arithmetic theory engine:

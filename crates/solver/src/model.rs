@@ -22,11 +22,6 @@ impl Model {
         Model::default()
     }
 
-    /// Creates a model from an explicit assignment.
-    pub fn from_map(values: BTreeMap<Var, i64>) -> Self {
-        Model { values }
-    }
-
     /// The value of `var`, if assigned.
     pub fn value(&self, var: Var) -> Option<i64> {
         self.values.get(&var).copied()

@@ -4,9 +4,9 @@
 //! [`crate::theory`]. It implements the standard conflict-driven clause
 //! learning architecture: two-watched-literal unit propagation, first-UIP
 //! conflict analysis, activity-based decision heuristics (a VSIDS variant),
-//! phase saving and geometric restarts. Clause deletion is not implemented —
-//! the formulas produced by symbolic execution are small enough that the
-//! learned-clause database stays modest.
+//! and phase saving. It neither restarts nor deletes clauses: the formulas
+//! produced by symbolic execution are small enough that the learned-clause
+//! database stays modest.
 
 mod solver;
 mod types;

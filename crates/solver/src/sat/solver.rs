@@ -2,73 +2,21 @@
 //!
 //! The search follows the MiniSat lineage: two-watched-literal propagation,
 //! first-UIP conflict analysis with VSIDS variable activities, phase saving,
-//! and assumption-based solving. On top of that baseline the solver keeps
-//! learnt clauses in their own arena scored by LBD (literal block distance)
-//! and activity, periodically reduces the learnt database (glue clauses with
-//! LBD ≤ 2 and locked reason clauses are always kept), restarts on the Luby
-//! sequence, and picks decision variables from an activity-ordered binary
-//! heap with lazy removal instead of a linear scan.
+//! and assumption-based solving, with decision variables picked from an
+//! activity-ordered binary heap with lazy removal. Problem, theory and learnt
+//! clauses share one arena and are never deleted, and the search never
+//! restarts: a cold run of the whole Table-1 corpus has fewer than two
+//! hundred conflicts, too few for restarts or learnt-database reduction to
+//! pay.
 
 use super::types::{BVar, Lit, SatResult};
 use crate::solver::SolverStats;
 
 const UNASSIGNED: u8 = 2;
 
-/// Restart interval base: the i-th restart happens after
-/// `RESTART_BASE · luby(i)` conflicts.
-const RESTART_BASE: u64 = 100;
-
-/// Initial learnt-database size that triggers a reduction.
-const REDUCE_FIRST: usize = 2000;
-
-/// How much the reduction trigger grows after each reduction.
-const REDUCE_STEP: usize = 500;
-
-/// Learnt clauses with an LBD at or below this are "glue" and never deleted.
-const GLUE_LBD: u32 = 2;
-
-#[derive(Debug, Clone)]
-struct Clause {
-    lits: Vec<Lit>,
-}
-
-/// A learnt clause: literals plus the reduction-relevant scores.
-#[derive(Debug, Clone)]
-struct LearntClause {
-    lits: Vec<Lit>,
-    /// Bumped whenever the clause takes part in conflict analysis.
-    activity: f64,
-    /// Literal block distance at learning time (number of distinct decision
-    /// levels among the literals). Low LBD ≈ high quality.
-    lbd: u32,
-}
-
-/// Reference to a clause in either arena: original clauses and learnt
-/// clauses live in separate vectors, distinguished by the tag bit.
+/// Index of a clause in the solver's clause arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct ClauseRef(u32);
-
-const LEARNT_BIT: u32 = 1 << 31;
-
-impl ClauseRef {
-    fn original(index: usize) -> Self {
-        debug_assert!(index < LEARNT_BIT as usize);
-        ClauseRef(index as u32)
-    }
-
-    fn learnt(index: usize) -> Self {
-        debug_assert!(index < LEARNT_BIT as usize);
-        ClauseRef(index as u32 | LEARNT_BIT)
-    }
-
-    fn is_learnt(self) -> bool {
-        self.0 & LEARNT_BIT != 0
-    }
-
-    fn index(self) -> usize {
-        (self.0 & !LEARNT_BIT) as usize
-    }
-}
 
 /// Activity-ordered binary max-heap over variable indices (MiniSat's
 /// `VarOrder`). Assigned variables are removed lazily: they stay in the heap
@@ -183,21 +131,6 @@ impl VarOrder {
     }
 }
 
-/// The i-th element of the Luby sequence (0-indexed): 1, 1, 2, 1, 1, 2, 4, …
-fn luby(mut x: u64) -> u64 {
-    let (mut size, mut seq) = (1u64, 0u32);
-    while size < x + 1 {
-        seq += 1;
-        size = 2 * size + 1;
-    }
-    while size - 1 != x {
-        size = (size - 1) / 2;
-        seq -= 1;
-        x %= size;
-    }
-    1 << seq
-}
-
 /// A conflict-driven clause-learning SAT solver.
 ///
 /// ```
@@ -218,10 +151,10 @@ fn luby(mut x: u64) -> u64 {
 /// ```
 #[derive(Debug)]
 pub struct SatSolver {
-    /// Original (problem and theory) clauses; never deleted.
-    clauses: Vec<Clause>,
-    /// Learnt clauses, subject to periodic database reduction.
-    learnts: Vec<LearntClause>,
+    /// Literals of every clause with two or more literals (problem, theory
+    /// and learnt alike), indexed by [`ClauseRef`]; never deleted. The first
+    /// two literals of each clause are its watches.
+    clauses: Vec<Vec<Lit>>,
     /// Watch lists indexed by literal code.
     watches: Vec<Vec<ClauseRef>>,
     /// Current assignment per variable: 0 = false, 1 = true, 2 = unassigned.
@@ -241,8 +174,6 @@ pub struct SatSolver {
     /// VSIDS-style activity per variable.
     activity: Vec<f64>,
     var_inc: f64,
-    /// Clause-activity increment for learnt clauses.
-    cla_inc: f64,
     /// Decision-variable heap (rebuilt per solve from the eligible set).
     order: VarOrder,
     /// Variables eligible for free branching in the current solve call.
@@ -251,14 +182,12 @@ pub struct SatSolver {
     seen: Vec<bool>,
     /// Variables marked in `seen`, for O(marked) clearing.
     seen_list: Vec<u32>,
-    /// Learnt-database size that triggers the next reduction.
-    reduce_limit: usize,
     /// Set when an empty clause has been added.
     trivially_unsat: bool,
     /// Unit clauses queued before solving (asserted at level 0).
     pending_units: Vec<Lit>,
     /// The search counters of the most recent solve (decisions,
-    /// propagations, conflicts, learnt and deleted clauses, restarts).
+    /// propagations, conflicts, learnt clauses).
     stats: SolverStats,
 }
 
@@ -273,7 +202,6 @@ impl SatSolver {
     pub fn new() -> Self {
         SatSolver {
             clauses: Vec::new(),
-            learnts: Vec::new(),
             watches: Vec::new(),
             assign: Vec::new(),
             phase: Vec::new(),
@@ -284,12 +212,10 @@ impl SatSolver {
             qhead: 0,
             activity: Vec::new(),
             var_inc: 1.0,
-            cla_inc: 1.0,
             order: VarOrder::default(),
             eligible: Vec::new(),
             seen: Vec::new(),
             seen_list: Vec::new(),
-            reduce_limit: REDUCE_FIRST,
             trivially_unsat: false,
             pending_units: Vec::new(),
             stats: SolverStats::ZERO,
@@ -310,18 +236,7 @@ impl SatSolver {
     /// theory clauses alike; unit clauses are absorbed into the level-0
     /// assignment and not counted).
     pub fn num_clauses(&self) -> usize {
-        self.clauses.len() + self.learnts.len()
-    }
-
-    /// Number of learnt clauses currently retained.
-    pub fn num_learnt_clauses(&self) -> usize {
-        self.learnts.len()
-    }
-
-    /// Overrides the learnt-database size that triggers the next reduction.
-    /// Exposed so tests can force reductions on small formulas.
-    pub fn set_reduce_limit(&mut self, limit: usize) {
-        self.reduce_limit = limit.max(1);
+        self.clauses.len()
     }
 
     /// Allocates a fresh boolean variable.
@@ -364,20 +279,23 @@ impl SatSolver {
             0 => self.trivially_unsat = true,
             1 => self.pending_units.push(lits[0]),
             _ => {
-                let cref = ClauseRef::original(self.clauses.len());
-                self.watches[lits[0].code()].push(cref);
-                self.watches[lits[1].code()].push(cref);
-                self.clauses.push(Clause { lits });
+                self.attach(lits);
             }
         }
     }
 
+    /// Appends a clause of two or more literals to the arena, watching its
+    /// first two literals.
+    fn attach(&mut self, lits: Vec<Lit>) -> ClauseRef {
+        let cref = ClauseRef(u32::try_from(self.clauses.len()).expect("clause index fits u32"));
+        self.watches[lits[0].code()].push(cref);
+        self.watches[lits[1].code()].push(cref);
+        self.clauses.push(lits);
+        cref
+    }
+
     fn lits_of(&self, cref: ClauseRef) -> &[Lit] {
-        if cref.is_learnt() {
-            &self.learnts[cref.index()].lits
-        } else {
-            &self.clauses[cref.index()].lits
-        }
+        &self.clauses[cref.0 as usize]
     }
 
     fn value_lit(&self, lit: Lit) -> u8 {
@@ -439,11 +357,7 @@ impl SatSolver {
                     // Disjoint field borrows: the clause arena mutably (to
                     // reorder watches), the assignment read-only.
                     let assign = &self.assign;
-                    let lits = if cref.is_learnt() {
-                        &mut self.learnts[cref.index()].lits
-                    } else {
-                        &mut self.clauses[cref.index()].lits
-                    };
+                    let lits = &mut self.clauses[cref.0 as usize];
                     let value_of = |l: Lit| {
                         let v = assign[l.var().index() as usize];
                         if v == UNASSIGNED {
@@ -521,28 +435,6 @@ impl SatSolver {
         self.order.bumped(var as u32, &self.activity);
     }
 
-    fn bump_clause(&mut self, index: usize) {
-        self.learnts[index].activity += self.cla_inc;
-        if self.learnts[index].activity > 1e20 {
-            for clause in &mut self.learnts {
-                clause.activity *= 1e-20;
-            }
-            self.cla_inc *= 1e-20;
-        }
-    }
-
-    /// Literal block distance of a clause: number of distinct decision
-    /// levels among its literals (computed before backtracking).
-    fn compute_lbd(&self, lits: &[Lit]) -> u32 {
-        let mut levels: Vec<u32> = lits
-            .iter()
-            .map(|l| self.level[l.var().index() as usize])
-            .collect();
-        levels.sort_unstable();
-        levels.dedup();
-        levels.len() as u32
-    }
-
     /// First-UIP conflict analysis. Returns the learned clause and the level
     /// to backtrack to. Uses the solver's persistent `seen` buffer and reads
     /// clause literals in place (no per-resolution clone).
@@ -558,9 +450,6 @@ impl SatSolver {
         let current_level = self.decision_level();
 
         loop {
-            if cref.is_learnt() {
-                self.bump_clause(cref.index());
-            }
             let skip_first = lit.is_some();
             let clause_len = self.lits_of(cref).len();
             for position in 0..clause_len {
@@ -621,81 +510,6 @@ impl SatSolver {
             self.level[learned[1].var().index() as usize]
         };
         (learned, backtrack_level)
-    }
-
-    /// Attaches a learnt clause (≥ 2 literals) with the given LBD.
-    fn learn_clause(&mut self, lits: Vec<Lit>, lbd: u32) -> ClauseRef {
-        let cref = ClauseRef::learnt(self.learnts.len());
-        self.watches[lits[0].code()].push(cref);
-        self.watches[lits[1].code()].push(cref);
-        self.learnts.push(LearntClause {
-            lits,
-            activity: self.cla_inc,
-            lbd,
-        });
-        cref
-    }
-
-    /// True when the clause is the reason of its asserting literal and
-    /// therefore must survive reduction.
-    fn is_locked(&self, index: usize) -> bool {
-        let var = self.learnts[index].lits[0].var().index() as usize;
-        self.assign[var] != UNASSIGNED && self.reason[var] == Some(ClauseRef::learnt(index))
-    }
-
-    /// Reduces the learnt database: glue clauses (LBD ≤ 2) and locked
-    /// clauses are kept unconditionally, then the lower-activity half of the
-    /// rest is deleted. Watches and reasons are remapped to the compacted
-    /// arena.
-    fn reduce_db(&mut self) {
-        let count = self.learnts.len();
-        let mut deletable: Vec<usize> = (0..count)
-            .filter(|&i| self.learnts[i].lbd > GLUE_LBD && !self.is_locked(i))
-            .collect();
-        deletable.sort_by(|&a, &b| {
-            self.learnts[a]
-                .activity
-                .partial_cmp(&self.learnts[b].activity)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
-        let target = deletable.len() / 2;
-        if target == 0 {
-            return;
-        }
-        let mut delete = vec![false; count];
-        for &index in &deletable[..target] {
-            delete[index] = true;
-        }
-        let mut remap = vec![u32::MAX; count];
-        let mut kept: Vec<LearntClause> = Vec::with_capacity(count - target);
-        for (index, clause) in self.learnts.drain(..).enumerate() {
-            if !delete[index] {
-                remap[index] = kept.len() as u32;
-                kept.push(clause);
-            }
-        }
-        self.learnts = kept;
-        self.stats.clauses_deleted += target as u64;
-        for list in &mut self.watches {
-            list.retain_mut(|cref| {
-                if cref.is_learnt() {
-                    let new_index = remap[cref.index()];
-                    if new_index == u32::MAX {
-                        return false;
-                    }
-                    *cref = ClauseRef::learnt(new_index as usize);
-                }
-                true
-            });
-        }
-        for cref in self.reason.iter_mut().flatten() {
-            if cref.is_learnt() {
-                let new_index = remap[cref.index()];
-                debug_assert_ne!(new_index, u32::MAX, "locked clause deleted");
-                *cref = ClauseRef::learnt(new_index as usize);
-            }
-        }
     }
 
     fn backtrack_to(&mut self, target_level: u32) {
@@ -776,10 +590,6 @@ impl SatSolver {
         if self.propagate().is_some() {
             return SatResult::Unsat;
         }
-        if self.learnts.len() >= self.reduce_limit {
-            self.reduce_db();
-            self.reduce_limit += REDUCE_STEP;
-        }
 
         // Branching eligibility and the decision heap for this call. The
         // heap is built from the eligible set only — O(eligible) instead of
@@ -812,22 +622,14 @@ impl SatSolver {
             }
         }
 
-        let mut completed_restarts = 0u64;
-        let mut conflicts_until_restart = RESTART_BASE * luby(completed_restarts);
-        let mut conflicts_since_restart = 0u64;
-
         loop {
             match self.propagate() {
                 Some(conflict) => {
                     self.stats.conflicts += 1;
-                    conflicts_since_restart += 1;
                     if self.decision_level() == 0 {
                         return SatResult::Unsat;
                     }
                     let (learned, backtrack_level) = self.analyze(conflict);
-                    // LBD uses assignment levels, so compute it before they
-                    // are unwound.
-                    let lbd = self.compute_lbd(&learned);
                     self.backtrack_to(backtrack_level);
                     self.stats.learnt_clauses += 1;
                     let asserting = learned[0];
@@ -836,27 +638,14 @@ impl SatSolver {
                             return SatResult::Unsat;
                         }
                     } else {
-                        let cref = self.learn_clause(learned, lbd);
+                        let cref = self.attach(learned);
                         if !self.enqueue(asserting, Some(cref)) {
                             return SatResult::Unsat;
                         }
                     }
                     self.var_inc *= 1.05;
-                    self.cla_inc *= 1.001;
                 }
                 None => {
-                    if conflicts_since_restart >= conflicts_until_restart {
-                        conflicts_since_restart = 0;
-                        completed_restarts += 1;
-                        conflicts_until_restart = RESTART_BASE * luby(completed_restarts);
-                        self.stats.restarts_luby += 1;
-                        self.backtrack_to(0);
-                        if self.learnts.len() >= self.reduce_limit {
-                            self.reduce_db();
-                            self.reduce_limit += REDUCE_STEP;
-                        }
-                        continue;
-                    }
                     // Establish the assumptions, in order, before any free
                     // branching (backtracking may have unassigned some). An
                     // assumption already false here is implied false by the
@@ -1067,13 +856,6 @@ mod tests {
     }
 
     #[test]
-    fn luby_sequence_prefix_is_correct() {
-        let expected = [1u64, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8];
-        let actual: Vec<u64> = (0..expected.len() as u64).map(luby).collect();
-        assert_eq!(actual, expected);
-    }
-
-    #[test]
     fn var_order_pops_highest_activity_with_index_ties() {
         let mut activity = vec![0.0f64; 5];
         activity[3] = 2.0;
@@ -1107,10 +889,9 @@ mod tests {
     }
 
     #[test]
-    fn reduction_keeps_verdicts_and_fires() {
-        // A conflict-heavy unsat family: pigeonhole with 6 pigeons, 5 holes.
-        // With a tiny reduction limit the learnt database must be reduced at
-        // least once, and the verdict must stay Unsat.
+    fn pigeonhole_six_pigeons_five_holes_is_unsat() {
+        // A conflict-heavy unsat family: over a hundred conflicts, every
+        // learnt clause kept in the one arena.
         let mut solver = SatSolver::new();
         let pigeons = 6usize;
         let holes = 5usize;
@@ -1134,14 +915,7 @@ mod tests {
                 }
             }
         }
-        solver.set_reduce_limit(20);
         assert_eq!(solver.solve(), SatResult::Unsat);
-        assert!(
-            solver.stats().clauses_deleted > 0,
-            "reduction should have fired: {:?}",
-            solver.stats()
-        );
-        assert!(solver.stats().restarts_luby > 0, "restarts should fire");
     }
 
     #[test]

@@ -72,10 +72,6 @@ crate::counters! {
         /// Learnt clauses produced by first-UIP conflict analysis across all
         /// CDCL checks.
         learnt_clauses,
-        /// Learnt clauses discarded by clause-database reduction.
-        clauses_deleted,
-        /// Luby-sequence restarts performed by the CDCL search.
-        restarts_luby,
         /// Theory lemmas this solver published into a shared lemma pool that
         /// the pool had not seen before (zero without a pool; see
         /// [`Solver::set_lemma_pool`]).

@@ -180,11 +180,6 @@ impl SmtResult {
 pub struct TheoryConfig {
     /// Theory-check iterations before giving up.
     pub max_iterations: u32,
-    /// Overrides the learnt-database size that first triggers a clause-DB
-    /// reduction in the CDCL core (`None` keeps the built-in threshold).
-    /// A tiny limit forces reductions even on small formulas, which is how
-    /// the differential tests check that deletion never changes verdicts.
-    pub sat_reduce_limit: Option<usize>,
     /// Whether the dispatcher may route difference-fragment conjunctions to
     /// the difference-logic engine ([`crate::dl`]; default: on). `false`
     /// reproduces the pre-DL engine exactly: the LIA-only reference the
@@ -196,7 +191,6 @@ impl Default for TheoryConfig {
     fn default() -> Self {
         TheoryConfig {
             max_iterations: 256,
-            sat_reduce_limit: None,
             theory_dl: true,
         }
     }
@@ -220,9 +214,6 @@ pub fn check_conjunction_counted(
     }
 
     let mut sat = SatSolver::new();
-    if let Some(limit) = config.sat_reduce_limit {
-        sat.set_reduce_limit(limit);
-    }
     let mut atom_map = AtomMap::new();
     for formula in formulas {
         assert_formula(&mut sat, &mut atom_map, formula);

@@ -28,7 +28,7 @@ fn main() {
         ExportAnalysis::Counterexample(cex) => {
             println!("the contract is too weak — counterexample ({}):", cex.blame);
             for (label, expr) in &cex.bindings {
-                println!("  {label} = {expr:?}");
+                println!("  {label} = {expr}");
             }
             let has_complex = cex.bindings.iter().any(|(_, e)| {
                 let mut found = false;

@@ -27,7 +27,7 @@ fn main() {
         ExportAnalysis::Counterexample(cex) if cex.validated => {
             println!("symbolic analysis found a validated counterexample:");
             for (label, expr) in &cex.bindings {
-                println!("  {label} = {expr:?}");
+                println!("  {label} = {expr}");
             }
             println!();
         }
@@ -57,9 +57,12 @@ fn main() {
     };
     let result = test_source(PROGRAM, widened).expect("parses");
     match result {
-        randtest::RandTestResult::Failed { tests, inputs } => println!(
-            "random testing with integers in -1000..=1000: found the bug after {tests} tests: {inputs:?}"
-        ),
+        randtest::RandTestResult::Failed { tests, inputs } => {
+            println!(
+            "random testing with integers in -1000..=1000: found the bug after {tests} tests: {}",
+            inputs.iter().map(ToString::to_string).collect::<Vec<_>>().join(" ")
+        )
+        }
         randtest::RandTestResult::Passed { tests } => println!(
             "random testing with integers in -1000..=1000: still nothing after {tests} tests"
         ),

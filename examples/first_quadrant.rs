@@ -34,7 +34,7 @@ fn main() {
         ExportAnalysis::Counterexample(cex) if cex.validated => {
             println!("validated counterexample found ({}):", cex.blame);
             for (label, expr) in &cex.bindings {
-                println!("  {label} = {expr:?}");
+                println!("  {label} = {expr}");
             }
             println!();
         }

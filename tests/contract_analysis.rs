@@ -294,3 +294,50 @@ fn the_safe_twin_of_the_lifted_worked_example_verifies() {
     );
     assert!(verdict.is_verified(), "got {verdict:?}");
 }
+
+#[test]
+fn assert_blames_only_false() {
+    // Racket truthiness: `0` is a true value, so only `#f` fails an assert.
+    let verdict = first_verdict(
+        r#"(module m (provide [f (-> integer? integer?)]) (define (f n) (assert 0)))"#,
+    );
+    assert!(verdict.is_verified(), "got {verdict:?}");
+    validated_cex(r#"(module m (provide [f (-> integer? integer?)]) (define (f n) (assert #f)))"#);
+}
+
+#[test]
+fn a_search_cut_at_max_branches_is_exhausted_not_verified() {
+    // The divisor is 0 only when all six arguments are non-positive: one
+    // path among 2⁶. Cutting outcome lists at 8 or 32 branches drops it,
+    // which must not read as `Verified`; at 64 the search reaches it.
+    let source = r#"(module m
+         (provide [main (-> integer? integer? integer? integer? integer? integer? integer?)])
+         (define (main p q r s t u)
+           (/ 1 (+ (if (> p 0) 1 0) (if (> q 0) 1 0) (if (> r 0) 1 0)
+                   (if (> s 0) 1 0) (if (> t 0) 1 0) (if (> u 0) 1 0)))))"#;
+    let verdict_at = |max_branches| {
+        let options = AnalyzeOptions {
+            eval: EvalOptions {
+                fuel: 3000,
+                max_branches,
+                havoc_depth: 2,
+                ..EvalOptions::default()
+            },
+            context_depth: 2,
+            ..AnalyzeOptions::default()
+        };
+        let report = analyze_source_with(source, &options).expect("parses");
+        report.exports.into_iter().next().expect("one export").1
+    };
+    for max_branches in [8, 32] {
+        let verdict = verdict_at(max_branches);
+        assert!(
+            matches!(verdict, ExportAnalysis::Exhausted),
+            "max_branches {max_branches}: got {verdict:?}"
+        );
+    }
+    match verdict_at(64) {
+        ExportAnalysis::Counterexample(cex) if cex.validated => {}
+        other => panic!("max_branches 64: expected a validated counterexample, got {other:?}"),
+    }
+}
