@@ -40,11 +40,16 @@
 //!   component checks neither use nor replace that entry.
 //! * **Per-query cone slicing, maintained with the assertion stack**: the
 //!   active formulas are partitioned into variable-connected components. A
-//!   query only solves the components its assumptions touch; the untouched
-//!   components are checked separately — with their verdicts memoized
-//!   across queries — only when a model must be produced, and a query about
-//!   one heap location never pays for the propositional search of
-//!   unrelated locations' constraints. The components live in a union–find
+//!   query only searches the components its assumptions touch, so a query
+//!   about one heap location never pays for the propositional search of
+//!   unrelated locations' constraints. When the cone is satisfiable, the
+//!   untouched components are checked separately, with their verdicts
+//!   memoized across queries. A model query ([`TheoryCore::check`]) checks
+//!   all of them and merges their models; a verdict-only query
+//!   ([`TheoryCore::check_verdict`], behind `Solver::check_valid` and
+//!   `Solver::prove`) checks only those holding a formula asserted since
+//!   the last `Sat` answer, because the rest lie in a prefix already shown
+//!   satisfiable (`components_vouched`). The components live in a union–find
 //!   over dense variable nodes (union by size, no path compression, an undo
 //!   trail) that `assert` extends and `truncate`/`clear` roll back, so a
 //!   check only links its assumptions, reads off each live formula's root,
@@ -61,12 +66,15 @@
 //! whenever the sliced/persistent pipeline cannot decide a check
 //! (`Unknown`), it falls back to the scratch engine on the full formula
 //! set, so its answers can only be *more* decided than the scratch
-//! engine's, never different on decided verdicts — `Sat` answers carry a
-//! model verified against every live formula, and `Unsat` answers follow
-//! from sound clauses alone. The fallback rarely fires on the Table-1
-//! corpus and changes no verdict there, but without it the persistent core
-//! loses heap models the scratch engine finds (the 200-seed refinement
-//! property in `tests/solver_properties.rs` fails), so it stays.
+//! engine's, never different on decided verdicts — a model query's `Sat`
+//! answer carries a model verified against every live formula, a
+//! verdict-only query's `Sat` rests on a cone model verified against the
+//! cone and a satisfiable verdict for every other component, and `Unsat`
+//! answers follow from sound clauses alone. The fallback rarely fires on
+//! the Table-1 corpus and changes no verdict there, but without it the
+//! persistent core loses heap models the scratch engine finds (the
+//! 200-seed refinement property in `tests/solver_properties.rs` fails), so
+//! it stays.
 //! [`crate::CoreMode::Scratch`] runs the scratch engine on every check; it
 //! is the reference those differential tests pin.
 
@@ -138,6 +146,11 @@ pub struct TheoryCore {
     formulas: Vec<Rc<FormulaInfo>>,
     /// The variable-connected components of the live assertions.
     slicer: ConeSlicer,
+    /// Length of the longest live prefix known to be satisfiable: the live
+    /// length at the last `Sat` answer, lowered by retraction. Every subset
+    /// of that prefix is satisfiable, so a verdict-only check skips the
+    /// out-of-cone components that lie entirely inside it.
+    known_sat: usize,
     /// Memoized verdicts for out-of-cone components, keyed by their sorted
     /// distinct formula-id sets.
     component_cache: HashMap<Vec<u64>, SmtResult>,
@@ -178,6 +191,7 @@ impl TheoryCore {
             next_formula_id: 0,
             formulas: Vec::new(),
             slicer: ConeSlicer::default(),
+            known_sat: 0,
             component_cache: HashMap::new(),
             lia_prefix: PrefixCache::default(),
             atoms_at_reset: 0,
@@ -240,6 +254,7 @@ impl TheoryCore {
     pub fn truncate(&mut self, len: usize) {
         self.slicer.truncate(len);
         self.formulas.truncate(len);
+        self.known_sat = self.known_sat.min(len);
     }
 
     /// Retracts every assertion while keeping the interned atoms, the
@@ -248,6 +263,7 @@ impl TheoryCore {
     pub fn clear(&mut self) {
         self.slicer.truncate(0);
         self.formulas.clear();
+        self.known_sat = 0;
     }
 
     /// Memoized per-formula analysis.
@@ -315,8 +331,21 @@ impl TheoryCore {
     /// Checks satisfiability of the live assertions together with
     /// `assumptions`, returning the verdict and the counters accumulated
     /// since the previous check (so atoms interned by the assertions in
-    /// between are reported too).
+    /// between are reported too). A `Sat` answer carries a model verified
+    /// against every live formula and every assumption.
     pub fn check(&mut self, assumptions: &[Formula]) -> (SmtResult, SolverStats) {
+        self.check_for(assumptions, true)
+    }
+
+    /// [`TheoryCore::check`] for a caller that reads only the verdict: the
+    /// model of a `Sat` answer covers just the assumptions' cone, and
+    /// out-of-cone components inside the satisfiable prefix are not
+    /// re-checked.
+    pub fn check_verdict(&mut self, assumptions: &[Formula]) -> (SmtResult, SolverStats) {
+        self.check_for(assumptions, false)
+    }
+
+    fn check_for(&mut self, assumptions: &[Formula], want_model: bool) -> (SmtResult, SolverStats) {
         let assumed: Vec<Rc<FormulaInfo>> = assumptions.iter().map(|f| self.analyze(f)).collect();
         let active: Vec<Rc<FormulaInfo>> = self.formulas.clone();
         let result = if assumed.is_empty() {
@@ -327,20 +356,35 @@ impl TheoryCore {
                 decided => decided,
             }
         } else {
-            self.check_sliced(&active, &assumed)
+            self.check_sliced(&active, &assumed, want_model)
         };
+        if result.is_sat() {
+            self.known_sat = active.len();
+        }
         let now = self.stats();
         let delta = now.since(&self.reported);
         self.reported = now;
         (result, delta)
     }
 
-    /// The sliced check: solve the assumptions' dependency cone, and touch
-    /// the unrelated components only if a model must be produced.
+    /// The sliced check: solve the assumptions' dependency cone first. The
+    /// unrelated components only decide whether the cone's `Sat` extends to
+    /// the whole set; their verdicts are memoized because they do not
+    /// depend on the query. Components are variable-disjoint, so the cone's
+    /// verified model and a satisfiable verdict per component make the
+    /// whole set satisfiable.
+    ///
+    /// With `want_model`, every component is checked, the component models
+    /// are merged into the cone's, and the result is re-verified against
+    /// every live formula. Without it, only components holding a formula
+    /// asserted since the last `Sat` answer (at or past `known_sat`) are
+    /// checked; the rest are subsets of a satisfiable set
+    /// (`components_vouched`), and the answer carries the cone's model.
     fn check_sliced(
         &mut self,
         active: &[Rc<FormulaInfo>],
         assumed: &[Rc<FormulaInfo>],
+        want_model: bool,
     ) -> SmtResult {
         let slicing = self.slicer.slice(active, assumed);
         if !slicing.rest.is_empty() {
@@ -352,16 +396,23 @@ impl TheoryCore {
             SmtResult::Unsat => SmtResult::Unsat,
             SmtResult::Unknown => self.fallback(active, assumed),
             SmtResult::Sat(mut model) => {
-                // A model must also cover the out-of-cone components; their
-                // verdicts are memoized because they do not depend on the
-                // query. Components are variable-disjoint, so the models
-                // merge without conflicts.
-                for component in &slicing.rest {
+                for (component, &newest) in slicing.rest.iter().zip(&slicing.newest) {
+                    if !want_model && newest < self.known_sat {
+                        self.counts.components_vouched += 1;
+                        continue;
+                    }
                     match self.check_component(component) {
-                        SmtResult::Sat(part) => model.extend(part.iter()),
+                        SmtResult::Sat(part) => {
+                            if want_model {
+                                model.extend(part.iter());
+                            }
+                        }
                         SmtResult::Unsat => return SmtResult::Unsat,
                         SmtResult::Unknown => return self.fallback(active, assumed),
                     }
+                }
+                if !want_model {
+                    return SmtResult::Sat(model);
                 }
                 match self.finish_model(model, active, assumed) {
                     SmtResult::Sat(model) => SmtResult::Sat(model),
@@ -374,19 +425,18 @@ impl TheoryCore {
     /// Checks one out-of-cone component, memoizing its verdict by content
     /// (the sorted distinct formula ids — an exact key, since an aliased
     /// `Unsat` would flow into a verdict without any witness check).
-    fn check_component(&mut self, component: &[Rc<FormulaInfo>]) -> SmtResult {
+    fn check_component(&mut self, component: &[Rc<FormulaInfo>]) -> &SmtResult {
         let mut ids: Vec<u64> = component.iter().map(|info| info.id).collect();
         ids.sort_unstable();
         ids.dedup();
-        if let Some(cached) = self.component_cache.get(&ids) {
-            return cached.clone();
+        if !self.component_cache.contains_key(&ids) {
+            let result = self.check_set(component, &[], false);
+            if self.component_cache.len() >= CACHE_BOUND {
+                self.component_cache.clear();
+            }
+            self.component_cache.insert(ids.clone(), result);
         }
-        let result = self.check_set(component, &[], false);
-        if self.component_cache.len() >= CACHE_BOUND {
-            self.component_cache.clear();
-        }
-        self.component_cache.insert(ids, result.clone());
-        result
+        &self.component_cache[&ids]
     }
 
     /// The authoritative answer when the persistent pipeline is stuck: run
@@ -785,11 +835,13 @@ impl TheoryCore {
 
 /// The outcome of cone slicing: the formulas inside the assumptions'
 /// dependency cone (in assertion order), the out-of-cone formulas grouped
-/// into variable-connected components (in order of first appearance), and
-/// how many variables the slicing excluded from the query's search.
+/// into variable-connected components (in order of first appearance), the
+/// stack index of each component's newest formula, and how many variables
+/// the slicing excluded from the query's search.
 struct Slicing {
     cone: Vec<Rc<FormulaInfo>>,
     rest: Vec<Vec<Rc<FormulaInfo>>>,
+    newest: Vec<usize>,
     pruned_vars: usize,
 }
 
@@ -914,8 +966,9 @@ impl ConeSlicer {
         }
         let mut cone = Vec::new();
         let mut rest: Vec<Vec<Rc<FormulaInfo>>> = Vec::new();
+        let mut newest = Vec::new();
         let mut pruned_vars = 0;
-        for info in active {
+        for (index, info) in active.iter().enumerate() {
             let Some(&first) = info.nodes.first() else {
                 cone.push(Rc::clone(info));
                 continue;
@@ -928,8 +981,12 @@ impl ConeSlicer {
                     classified.push(root);
                     pruned_vars += self.size[root as usize] as usize;
                     rest.push(vec![Rc::clone(info)]);
+                    newest.push(index);
                 }
-                group => rest[group as usize].push(Rc::clone(info)),
+                group => {
+                    rest[group as usize].push(Rc::clone(info));
+                    newest[group as usize] = index;
+                }
             }
         }
         for root in classified {
@@ -939,6 +996,7 @@ impl ConeSlicer {
         Slicing {
             cone,
             rest,
+            newest,
             pruned_vars,
         }
     }
@@ -1024,6 +1082,115 @@ mod tests {
         let model = result.model().expect("satisfiable");
         assert_eq!(model.value(Var::new(0)), Some(3));
         assert_eq!(model.value(Var::new(7)), Some(11), "out-of-cone var solved");
+    }
+
+    /// The verdict of the scratch engine over `core`'s live assertions and
+    /// `assumptions`, rebuilt from nothing.
+    fn scratch_verdict(core: &TheoryCore, assumptions: &[Formula]) -> SmtResult {
+        let formulas: Vec<Formula> = core
+            .formulas
+            .iter()
+            .map(|info| info.formula.clone())
+            .chain(assumptions.iter().cloned())
+            .collect();
+        check_conjunction_counted(&formulas, &TheoryConfig::default()).0
+    }
+
+    #[test]
+    fn verdict_checks_vouch_only_for_the_satisfiable_prefix() {
+        let mut core = core();
+        core.assert(&Formula::ge(x(0), Term::int(0)));
+        core.assert(&Formula::le(x(0), Term::int(10)));
+        core.assert(&Formula::eq(x(5), Term::int(4)));
+        let negated_goal = [Formula::lt(x(0), Term::int(100))];
+        let (result, stats) = core.check_verdict(&negated_goal);
+        assert!(result.is_sat());
+        assert_eq!(stats.components_vouched, 0, "nothing answered Sat yet");
+        // Nothing new since that answer: x5's island is vouched for.
+        let (result, stats) = core.check_verdict(&negated_goal);
+        assert!(result.is_sat());
+        assert_eq!(stats.components_vouched, 1);
+        // A contradictory island asserted after the last `Sat` answer is
+        // checked, and refutes the whole set.
+        core.assert(&Formula::eq(x(7), Term::int(1)));
+        core.assert(&Formula::eq(x(7), Term::int(2)));
+        assert!(scratch_verdict(&core, &negated_goal).is_unsat());
+        let (result, stats) = core.check_verdict(&negated_goal);
+        assert!(result.is_unsat(), "the fresh x7 island is contradictory");
+        assert_eq!(stats.components_vouched, 1, "only x5's island");
+    }
+
+    #[test]
+    fn a_retracted_prefix_vouches_for_nothing() {
+        let mut core = core();
+        core.assert(&Formula::ge(x(0), Term::int(0)));
+        core.assert(&Formula::eq(x(7), Term::int(1)));
+        let mark = core.len();
+        core.assert(&Formula::ge(x(7), Term::int(0)));
+        let negated_goal = [Formula::lt(x(0), Term::int(100))];
+        assert!(core.check_verdict(&negated_goal).0.is_sat());
+        // Pop below the satisfiable length and re-assert a contradiction at
+        // the popped index: the x7 island now ends at a stack index the
+        // last `Sat` answer saw holding a different formula.
+        core.truncate(mark);
+        core.assert(&Formula::eq(x(7), Term::int(2)));
+        assert!(scratch_verdict(&core, &negated_goal).is_unsat());
+        let (result, stats) = core.check_verdict(&negated_goal);
+        assert!(result.is_unsat());
+        assert_eq!(stats.components_vouched, 0);
+        // The same after a whole-stack rebase.
+        core.clear();
+        core.assert(&Formula::ge(x(0), Term::int(0)));
+        core.assert(&Formula::eq(x(7), Term::int(1)));
+        core.assert(&Formula::eq(x(7), Term::int(2)));
+        assert!(core.check_verdict(&negated_goal).0.is_unsat());
+    }
+
+    #[test]
+    fn solver_validity_queries_match_a_rebuilt_scratch_solver() {
+        use crate::solver::{CoreMode, Proof, Solver, SolverConfig, Validity};
+        let stack = [
+            Formula::ge(x(0), Term::int(0)),
+            Formula::le(x(0), Term::int(10)),
+            Formula::eq(x(5), Term::int(4)),
+        ];
+        let contradiction = [
+            Formula::eq(x(7), Term::int(1)),
+            Formula::eq(x(7), Term::int(2)),
+        ];
+        let goal = Formula::ge(x(0), Term::int(100));
+        let mut solver = Solver::new();
+        for formula in &stack {
+            solver.assert(formula.clone());
+        }
+        assert_eq!(solver.check_valid(&goal), Validity::Invalid);
+        assert_eq!(solver.prove(&goal), Proof::Refuted);
+        assert!(solver.stats().components_vouched > 0);
+        // Model queries after a verdict-only `Sat` still cover every
+        // out-of-cone component.
+        let model = solver
+            .check_assuming(&[Formula::not(goal.clone())])
+            .model()
+            .cloned()
+            .expect("satisfiable");
+        assert_eq!(model.value(Var::new(5)), Some(4), "out-of-cone var solved");
+        solver.push();
+        for formula in &contradiction {
+            solver.assert(formula.clone());
+        }
+        let mut scratch = Solver::with_config(SolverConfig {
+            core: CoreMode::Scratch,
+            ..SolverConfig::default()
+        });
+        for formula in solver.assertions() {
+            scratch.assert(formula.clone());
+        }
+        assert_eq!(scratch.check_valid(&goal), Validity::Valid);
+        assert_eq!(scratch.prove(&goal), Proof::Proved);
+        assert_eq!(solver.check_valid(&goal), Validity::Valid);
+        assert_eq!(solver.prove(&goal), Proof::Proved);
+        solver.pop();
+        assert_eq!(solver.check_valid(&goal), Validity::Invalid);
     }
 
     #[test]
@@ -1155,7 +1322,7 @@ mod tests {
     fn brute_force_slice(
         active: &[Rc<FormulaInfo>],
         assumed: &[Rc<FormulaInfo>],
-    ) -> (Vec<u64>, Vec<Vec<u64>>, usize) {
+    ) -> (Vec<u64>, Vec<Vec<u64>>, Vec<usize>, usize) {
         let mut components: Vec<HashSet<Var>> = active
             .iter()
             .chain(assumed)
@@ -1187,9 +1354,9 @@ mod tests {
             .flat_map(|info| info.vars.iter().map(|&var| component_of(var)))
             .collect();
         let mut cone = Vec::new();
-        let mut rest: Vec<(usize, Vec<u64>)> = Vec::new();
+        let mut rest: Vec<(usize, Vec<u64>, usize)> = Vec::new();
         let mut pruned: HashSet<Var> = HashSet::new();
-        for info in active {
+        for (index, info) in active.iter().enumerate() {
             let Some(&first) = info.vars.first() else {
                 cone.push(info.id);
                 continue;
@@ -1200,14 +1367,18 @@ mod tests {
                 continue;
             }
             pruned.extend(info.vars.iter().copied());
-            match rest.iter_mut().find(|(c, _)| *c == component) {
-                Some((_, group)) => group.push(info.id),
-                None => rest.push((component, vec![info.id])),
+            match rest.iter_mut().find(|(c, _, _)| *c == component) {
+                Some((_, group, newest)) => {
+                    group.push(info.id);
+                    *newest = index;
+                }
+                None => rest.push((component, vec![info.id], index)),
             }
         }
         (
             cone,
-            rest.into_iter().map(|(_, group)| group).collect(),
+            rest.iter().map(|(_, group, _)| group.clone()).collect(),
+            rest.iter().map(|&(_, _, newest)| newest).collect(),
             pruned.len(),
         )
     }
@@ -1252,6 +1423,7 @@ mod tests {
                                 .iter()
                                 .map(|group| ids(group))
                                 .collect::<Vec<_>>(),
+                            slicing.newest.clone(),
                             slicing.pruned_vars,
                         );
                         assert_eq!(got, brute_force_slice(&active, &assumed));
@@ -1266,6 +1438,39 @@ mod tests {
                 assert_eq!(core.slicer.marks.len(), core.len());
             }
         }
+    }
+
+    #[test]
+    fn verdict_checks_agree_with_the_scratch_engine_over_random_stacks() {
+        let mut rng = Rng(0x0dd5_c0de);
+        let mut vouched = 0;
+        for _run in 0..40 {
+            let mut core = core();
+            for _step in 0..16 {
+                match rng.below(8) {
+                    0..=3 => {
+                        let formula = random_formula(&mut rng);
+                        core.assert(&formula);
+                    }
+                    4 => {
+                        let len = rng.below(core.len() as u64 + 1) as usize;
+                        core.truncate(len);
+                    }
+                    _ => {
+                        let assumptions = [random_formula(&mut rng)];
+                        let (result, stats) = core.check_verdict(&assumptions);
+                        vouched += stats.components_vouched;
+                        let expected = scratch_verdict(&core, &assumptions);
+                        if !matches!(result, SmtResult::Unknown)
+                            && !matches!(expected, SmtResult::Unknown)
+                        {
+                            assert_eq!(result.is_sat(), expected.is_sat());
+                        }
+                    }
+                }
+            }
+        }
+        assert!(vouched > 0, "the prefix vouched for some component");
     }
 
     #[test]

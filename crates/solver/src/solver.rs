@@ -69,6 +69,11 @@ crate::counters! {
         /// Variables excluded from queries' searches by cone slicing (zero
         /// under [`CoreMode::Scratch`]).
         cone_vars_pruned,
+        /// Out-of-cone components a verdict-only check ([`Solver::check_valid`],
+        /// [`Solver::prove`]) skipped because they lie inside a prefix of the
+        /// assertion stack already answered `Sat` (zero under
+        /// [`CoreMode::Scratch`]).
+        components_vouched,
         /// Learnt clauses produced by first-UIP conflict analysis across all
         /// CDCL checks.
         learnt_clauses,
@@ -296,8 +301,10 @@ impl Solver {
     }
 
     /// Runs one counted satisfiability check of the current assertions
-    /// together with `assumptions`.
-    fn run_check(&self, assumptions: &[Formula]) -> SmtResult {
+    /// together with `assumptions`. Without `want_model`, a `Sat` answer's
+    /// model need not cover the whole assertion set (see
+    /// [`TheoryCore::check_verdict`]).
+    fn run_check(&self, assumptions: &[Formula], want_model: bool) -> SmtResult {
         let start = Instant::now();
         let mut stats = self.stats.get();
         // Theory-layer events (dispatch decisions, DL work, ceiling hits)
@@ -321,7 +328,11 @@ impl Solver {
                     self.assertions.len(),
                     "core assertions out of sync with the solver's"
                 );
-                core.check(assumptions)
+                if want_model {
+                    core.check(assumptions)
+                } else {
+                    core.check_verdict(assumptions)
+                }
             }
         };
         stats.merge(&engine_stats);
@@ -339,20 +350,24 @@ impl Solver {
 
     /// Checks satisfiability of the current assertions.
     pub fn check(&self) -> SmtResult {
-        self.run_check(&[])
+        self.run_check(&[], true)
     }
 
     /// Checks satisfiability of the current assertions together with the
     /// given `assumptions`, without changing the assertion stack — the
     /// `check-sat-assuming` entry point for branch-local queries.
     pub fn check_assuming(&self, assumptions: &[Formula]) -> SmtResult {
-        self.run_check(assumptions)
+        self.run_check(assumptions, true)
     }
 
     /// Determines whether `formula` is valid under the current assertions:
-    /// valid iff `assertions ∧ ¬formula` is unsatisfiable.
+    /// valid iff `assertions ∧ ¬formula` is unsatisfiable. The check reads
+    /// only the verdict, so a satisfiable `assertions ∧ ¬formula` builds no
+    /// whole-set model: assertion components outside the query's cone that
+    /// an earlier `Sat` answer already covered are not re-checked
+    /// ([`SolverStats::components_vouched`]).
     pub fn check_valid(&self, formula: &Formula) -> Validity {
-        match self.check_assuming(&[Formula::not(formula.clone())]) {
+        match self.run_check(&[Formula::not(formula.clone())], false) {
             SmtResult::Unsat => Validity::Valid,
             SmtResult::Sat(_) => Validity::Invalid,
             SmtResult::Unknown => Validity::Unknown,
@@ -361,11 +376,14 @@ impl Solver {
 
     /// Convenience three-valued query used by the paper's proof relation
     /// (Fig. 5): does the heap prove, refute, or leave ambiguous the goal?
+    /// Both of its checks read only the verdict, like
+    /// [`Solver::check_valid`]: a `Sat` inside them builds no whole-set
+    /// model.
     pub fn prove(&self, goal: &Formula) -> Proof {
         match self.check_valid(goal) {
             Validity::Valid => Proof::Proved,
             Validity::Unknown => Proof::Ambiguous,
-            Validity::Invalid => match self.check_assuming(std::slice::from_ref(goal)) {
+            Validity::Invalid => match self.run_check(std::slice::from_ref(goal), false) {
                 SmtResult::Unsat => Proof::Refuted,
                 SmtResult::Sat(_) => Proof::Ambiguous,
                 SmtResult::Unknown => Proof::Ambiguous,
