@@ -394,20 +394,17 @@ pub fn run_all(programs: &[BenchProgram], options: &BenchOptions) -> Vec<Program
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
-                std::thread::Builder::new()
-                    .stack_size(cpcf::WORKER_STACK_BYTES)
-                    .spawn_scoped(scope, || {
-                        let mut rows = Vec::new();
-                        loop {
-                            let index = next.fetch_add(1, Ordering::SeqCst);
-                            let Some(program) = programs.get(index) else {
-                                break;
-                            };
-                            rows.push((index, run_program(program, options)));
-                        }
-                        rows
-                    })
-                    .expect("spawn bench worker")
+                scope.spawn(|| {
+                    let mut rows = Vec::new();
+                    loop {
+                        let index = next.fetch_add(1, Ordering::SeqCst);
+                        let Some(program) = programs.get(index) else {
+                            break;
+                        };
+                        rows.push((index, run_program(program, options)));
+                    }
+                    rows
+                })
             })
             .collect();
         for handle in handles {

@@ -5,9 +5,9 @@
 use std::collections::HashMap;
 
 use crate::cex::{reconstruct_bindings, Counterexample};
-use crate::eval::{eval, Ctx, Outcome};
+use crate::eval::{eval, Ctx, Machine, Outcome};
 use crate::heap::{empty_env, Heap};
-use crate::prove::{thread_totals, ProverSession, SessionStats};
+use crate::prove::{ProverSession, SessionStats};
 use crate::syntax::{instantiate, CBlame, Expr, Label, Module, Program, Provide};
 
 use super::context::context_expression;
@@ -87,58 +87,46 @@ pub(super) fn analyze_export(
     let mut next_label = FIRST_CONTEXT_LABEL;
     let context_expr = context_expression(module, provide, options.context_depth, &mut next_label);
     let labels = context_expr.opaque_labels();
-    // Outcomes cut at `max_branches` were never explored: a search that cut
-    // any cannot claim verification. Only this run's cuts count, not those
-    // of the validation re-runs below.
-    let truncations_before = thread_totals().branch_truncations;
-    let outcomes = eval(&mut ctx, &empty_env(), CONTEXT_PARTY, &context_expr, &heap);
-    let truncated = thread_totals().branch_truncations > truncations_before;
-
+    // The search validates each module blame as it reaches it and stops at
+    // the first confirmed one. States dropped at `max_branches` were never
+    // explored, so a search that dropped any cannot claim verification.
+    let mut machine = Machine::evaluate(&ctx, &empty_env(), CONTEXT_PARTY, &context_expr, &heap);
     let mut stats = SessionStats::default();
     let mut probable: Option<CBlame> = None;
     let mut saw_timeout = false;
-    for (outcome, branch_heap) in &outcomes {
+    while let Some((outcome, branch_heap)) = machine.next_outcome(&mut ctx) {
         match outcome {
             Outcome::Timeout => saw_timeout = true,
             Outcome::Err(blame) if blame.party == module.name => {
-                match reconstruct_bindings(&mut ctx.prover, branch_heap, &labels) {
-                    None => {
-                        if probable.is_none() {
-                            probable = Some(blame.clone());
-                        }
+                let Some(bindings) = reconstruct_bindings(&mut ctx.prover, &branch_heap, &labels)
+                else {
+                    probable.get_or_insert(blame);
+                    continue;
+                };
+                let mut counterexample = Counterexample {
+                    blame,
+                    bindings,
+                    validated: false,
+                };
+                if options.validate {
+                    let (confirmed, validation_stats) =
+                        validate(program, &context_expr, &counterexample, options);
+                    stats.merge(&validation_stats);
+                    if !confirmed {
+                        probable.get_or_insert(counterexample.blame);
+                        continue;
                     }
-                    Some(bindings) => {
-                        let mut counterexample = Counterexample {
-                            blame: blame.clone(),
-                            bindings,
-                            validated: false,
-                        };
-                        if options.validate {
-                            let (confirmed, validation_stats) =
-                                validate(program, &context_expr, &counterexample, options);
-                            stats.merge(&validation_stats);
-                            if confirmed {
-                                counterexample.validated = true;
-                                stats.merge(&ctx.prover.stats());
-                                return (
-                                    ExportAnalysis::Counterexample(counterexample),
-                                    stats,
-                                    ctx.prover,
-                                );
-                            }
-                            if probable.is_none() {
-                                probable = Some(blame.clone());
-                            }
-                        } else {
-                            stats.merge(&ctx.prover.stats());
-                            return (
-                                ExportAnalysis::Counterexample(counterexample),
-                                stats,
-                                ctx.prover,
-                            );
-                        }
+                    counterexample.validated = true;
+                    if machine.has_pending() {
+                        stats.first_cex_stops += 1;
                     }
                 }
+                stats.merge(&ctx.prover.stats());
+                return (
+                    ExportAnalysis::Counterexample(counterexample),
+                    stats,
+                    ctx.prover,
+                );
             }
             _ => {}
         }
@@ -146,7 +134,7 @@ pub(super) fn analyze_export(
     stats.merge(&ctx.prover.stats());
     let verdict = if let Some(blame) = probable {
         ExportAnalysis::ProbableError(blame)
-    } else if saw_timeout || truncated {
+    } else if saw_timeout || machine.dropped() > 0 {
         ExportAnalysis::Exhausted
     } else {
         ExportAnalysis::Verified

@@ -3,12 +3,14 @@
 //! For every contracted export of a module, the analyzer synthesizes the
 //! most general unknown context allowed by the contract — opaque arguments
 //! for every `->` domain, iterated when the range is itself a function
-//! contract — and runs the symbolic evaluator. Errors blamed on the module
-//! are candidate violations; for each one the heap's model is used to
-//! reconstruct concrete inputs, the program is re-run concretely, and only a
-//! confirmed blame is reported as a counterexample (otherwise the export is
-//! flagged as a *probable* violation, exactly like the paper's tool when the
-//! solver cannot produce a model).
+//! contract — and runs the symbolic evaluator's search on it. Each error
+//! blamed on the module is a candidate violation, checked as soon as the
+//! search reaches it: the heap's model is used to reconstruct concrete
+//! inputs, the program is re-run concretely, and the first confirmed blame
+//! ends the search and is reported as a counterexample. An unconfirmed one
+//! is remembered and the search goes on; if nothing is confirmed, the
+//! export is flagged as a *probable* violation, exactly like the paper's
+//! tool when the solver cannot produce a model.
 //!
 //! The driver is split by concern:
 //!
@@ -93,12 +95,6 @@ pub fn default_workers() -> usize {
         .map_or(1, |n| if n == 0 { 0 } else { n.clamp(1, 64) })
 }
 
-/// Stack size of analysis worker threads. The symbolic evaluator recurses
-/// natively, so workers get the 8 MiB a main thread has rather than the
-/// 2 MiB spawned-thread default: sharding an analysis must not overflow
-/// where the sequential run would not.
-pub const WORKER_STACK_BYTES: usize = 8 << 20;
-
 /// Resolves a requested worker count to an actual one: `0` ("auto") becomes
 /// the machine's available parallelism (1 when that cannot be determined),
 /// any other value is taken as-is.
@@ -136,9 +132,9 @@ pub enum ExportAnalysis {
     /// An error was reached symbolically but no concrete counterexample
     /// could be confirmed.
     ProbableError(CBlame),
-    /// The evaluation budget was exhausted before the space was covered:
-    /// the fuel ran out, or outcome branches were cut at
-    /// [`EvalOptions::max_branches`].
+    /// The search ended before the space was covered, with no error found:
+    /// the fuel ran out on some path ([`EvalOptions::fuel`]), or a state was
+    /// dropped at the queue bound ([`EvalOptions::max_branches`]).
     Exhausted,
 }
 

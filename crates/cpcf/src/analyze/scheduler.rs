@@ -116,14 +116,7 @@ pub(super) fn run_exports(
         // `Sync`, so scoped threads borrow them directly.
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..worker_count)
-                .map(|_| {
-                    std::thread::Builder::new()
-                        .stack_size(super::WORKER_STACK_BYTES)
-                        .spawn_scoped(scope, || {
-                            worker_loop(program, module, options, pending, &next)
-                        })
-                        .expect("spawn analysis worker")
-                })
+                .map(|_| scope.spawn(|| worker_loop(program, module, options, pending, &next)))
                 .collect();
             for handle in handles {
                 let outcome = handle.join().expect("analysis worker panicked");

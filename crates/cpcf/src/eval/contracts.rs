@@ -5,14 +5,16 @@
 //! copy-on-write `Heap::clone`; each branch then writes only its own path's
 //! refinements, sharing the rest of the state structurally.
 
+use std::rc::Rc;
+
 use folic::Proof;
 
 use crate::heap::{CRefinement, ContractVal, Heap, Loc, SVal, Tag};
 use crate::syntax::{CBlame, Label};
 
-use super::apply::apply;
 use super::branch::{refine_to_tag, truthiness, values_equal};
-use super::{sequence, then, Ctx, Outcome};
+use super::machine::{Control, Frame, Kont, Out};
+use super::{Ctx, Outcome};
 
 /// Unrolling bound for `listof` contracts on opaque values.
 const LISTOF_DEPTH: u32 = 3;
@@ -20,16 +22,16 @@ const LISTOF_DEPTH: u32 = 3;
 /// The blame triple of a monitor: the party blamed when the value breaks
 /// the contract (`pos`), the party blamed when its context does (`neg`),
 /// and the monitor's label.
-#[derive(Debug, Clone, Copy)]
-pub(super) struct Parties<'a> {
-    pub(super) pos: &'a str,
-    pub(super) neg: &'a str,
+#[derive(Debug, Clone)]
+pub(super) struct Parties {
+    pub(super) pos: Rc<str>,
+    pub(super) neg: Rc<str>,
     pub(super) label: Label,
 }
 
-impl<'a> Parties<'a> {
+impl Parties {
     /// The triple for the contract's domain, where the roles are swapped.
-    pub(super) fn swapped(self) -> Parties<'a> {
+    pub(super) fn swapped(self) -> Parties {
         Parties {
             pos: self.neg,
             neg: self.pos,
@@ -38,280 +40,351 @@ impl<'a> Parties<'a> {
     }
 
     /// Blames the positive party.
-    fn blame(self, message: impl Into<String>) -> CBlame {
-        CBlame {
+    fn blame(&self, message: impl Into<String>) -> Outcome {
+        Outcome::Err(CBlame {
             party: self.pos.to_string(),
             message: message.into(),
             label: self.label,
-        }
+        })
     }
 }
 
-/// Monitors the value at `value_loc` against the contract at `contract_loc`.
-pub(super) fn monitor(
+/// One monitoring step: the value at `value_loc` against the contract at
+/// `contract_loc`.
+pub(super) fn monitor_step(
     ctx: &mut Ctx,
     contract_loc: Loc,
     value_loc: Loc,
-    parties: Parties<'_>,
-    heap: &Heap,
-) -> Vec<(Outcome, Heap)> {
-    if !ctx.tick() {
-        return vec![(Outcome::Timeout, heap.clone())];
-    }
+    parties: Parties,
+    heap: Heap,
+    kont: Kont,
+    out: &mut Out,
+) {
     match heap.get(contract_loc).clone() {
-        SVal::Contract(ContractVal::Any) => vec![(Outcome::Val(value_loc), heap.clone())],
+        SVal::Contract(ContractVal::Any) => out.done(Outcome::Val(value_loc), heap, kont),
         SVal::Contract(ContractVal::Func { doms, rng }) => {
-            // Like Racket's `->`, wrapping checks a known arity up front, so
-            // a function of the wrong arity blames its provider rather than
-            // the first caller.
-            let arity = match heap.get(value_loc) {
-                SVal::Closure { params, .. } => Some(params.len()),
-                SVal::Guarded { doms: inner, .. } => Some(inner.len()),
-                _ => None,
-            };
-            if let Some(arity) = arity.filter(|&arity| arity != doms.len()) {
-                return arity_mismatch(parties, doms.len(), arity, heap);
-            }
-            let not_procedure = || Outcome::Err(parties.blame("expected a procedure"));
-            match ctx.prover.prove_tag(heap, value_loc, &Tag::Procedure) {
-                Proof::Refuted => vec![(not_procedure(), heap.clone())],
-                proof => {
-                    let mut outcomes = Vec::new();
-                    if proof == Proof::Ambiguous {
-                        let mut no = heap.clone();
-                        no.refine(value_loc, CRefinement::IsNot(Tag::Procedure));
-                        outcomes.push((not_procedure(), no));
-                    }
-                    let mut yes = heap.clone();
-                    if proof == Proof::Ambiguous {
-                        yes.refine(value_loc, CRefinement::Is(Tag::Procedure));
-                    }
-                    let guarded = yes.alloc(SVal::Guarded {
-                        doms,
-                        rng,
-                        inner: value_loc,
-                        pos: parties.pos.to_string(),
-                        neg: parties.neg.to_string(),
-                        label: parties.label,
-                    });
-                    outcomes.push((Outcome::Val(guarded), yes));
-                    outcomes
-                }
-            }
+            let outcomes = monitor_function(ctx, doms, rng, value_loc, &parties, &heap);
+            out.outcomes(outcomes, &kont);
         }
         SVal::Contract(ContractVal::And(parts)) => {
-            monitor_all(ctx, &parts, value_loc, parties, heap)
+            monitor_all(parts.into(), 0, value_loc, parties, heap, kont, out)
         }
-        SVal::Contract(ContractVal::Or(parts)) => monitor_or(ctx, &parts, value_loc, parties, heap),
-        SVal::Contract(ContractVal::Cons(car_contract, cdr_contract)) => {
-            monitor_pair(ctx, car_contract, cdr_contract, value_loc, parties, heap)
+        SVal::Contract(ContractVal::Or(parts)) => {
+            monitor_or(parts.into(), 0, value_loc, parties, heap, kont, out)
         }
-        SVal::Contract(ContractVal::ListOf(element)) => {
-            monitor_listof(ctx, element, value_loc, parties, heap, LISTOF_DEPTH)
-        }
+        SVal::Contract(ContractVal::Cons(car_contract, cdr_contract)) => monitor_pair(
+            ctx,
+            car_contract,
+            cdr_contract,
+            value_loc,
+            parties,
+            heap,
+            kont,
+            out,
+        ),
+        SVal::Contract(ContractVal::ListOf(element)) => monitor_listof(
+            ctx,
+            element,
+            value_loc,
+            parties,
+            LISTOF_DEPTH,
+            heap,
+            kont,
+            out,
+        ),
         SVal::Contract(ContractVal::OneOf(options)) => {
-            monitor_one_of(&options, value_loc, parties, heap)
+            out.outcomes(monitor_one_of(&options, value_loc, &parties, &heap), &kont)
         }
         SVal::Contract(ContractVal::Flat(predicate)) => {
-            monitor_flat(ctx, predicate, value_loc, parties, heap)
+            monitor_flat(predicate, value_loc, parties, heap, kont, out)
         }
         // A procedure used directly as a contract is a flat contract.
         SVal::Closure { .. } | SVal::Guarded { .. } => {
-            monitor_flat(ctx, contract_loc, value_loc, parties, heap)
+            monitor_flat(contract_loc, value_loc, parties, heap, kont, out)
         }
         // A literal value as a contract means equality with that value.
         other_value => {
-            let not_literal =
-                || Outcome::Err(parties.blame(format!("expected the literal {other_value}")));
-            match values_equal(heap, contract_loc, value_loc) {
-                Some(true) => vec![(Outcome::Val(value_loc), heap.clone())],
-                Some(false) => vec![(not_literal(), heap.clone())],
+            let not_literal = || parties.blame(format!("expected the literal {other_value}"));
+            match values_equal(&heap, contract_loc, value_loc) {
+                Some(true) => out.done(Outcome::Val(value_loc), heap, kont),
+                Some(false) => out.done(not_literal(), heap, kont),
                 None => {
                     // Opaque value: branch on taking the literal's value.
                     let mut yes = heap.clone();
                     yes.set(value_loc, other_value.clone());
-                    vec![
-                        (Outcome::Val(value_loc), yes),
-                        (not_literal(), heap.clone()),
-                    ]
+                    out.done(Outcome::Val(value_loc), yes, kont.clone());
+                    out.done(not_literal(), heap, kont);
                 }
             }
         }
     }
 }
 
-/// The blame of wrapping a function of `arity` in a `->` of `expected`
-/// domains. Out of line, so the message does not enlarge `monitor`'s
-/// frame on the evaluator's recursion path.
-#[cold]
-#[inline(never)]
-fn arity_mismatch(
-    parties: Parties<'_>,
-    expected: usize,
-    arity: usize,
-    heap: &Heap,
-) -> Vec<(Outcome, Heap)> {
-    let message = format!("expected a procedure of arity {expected}, got arity {arity}");
-    vec![(Outcome::Err(parties.blame(message)), heap.clone())]
-}
-
-/// Monitors each argument of a guarded application against its domain
-/// contract, then continues with the monitored argument locations.
-pub(super) fn monitor_args<K>(
+/// Wraps a procedure in a function contract, after checking that it is one
+/// and, when its arity is known, that the arity matches.
+fn monitor_function(
     ctx: &mut Ctx,
-    doms: &[Loc],
-    args: &[Loc],
-    parties: Parties<'_>,
-    heap: &Heap,
-    k: K,
-) -> Vec<(Outcome, Heap)>
-where
-    K: FnMut(&mut Ctx, Vec<Loc>, Heap) -> Vec<(Outcome, Heap)>,
-{
-    let step = |ctx: &mut Ctx, i: usize, heap: &Heap| monitor(ctx, doms[i], args[i], parties, heap);
-    sequence(ctx, doms.len(), heap.clone(), usize::MAX, step, k)
-}
-
-fn monitor_all(
-    ctx: &mut Ctx,
-    contracts: &[Loc],
+    doms: Vec<Loc>,
+    rng: Loc,
     value_loc: Loc,
-    parties: Parties<'_>,
+    parties: &Parties,
     heap: &Heap,
 ) -> Vec<(Outcome, Heap)> {
-    match contracts.split_first() {
-        None => vec![(Outcome::Val(value_loc), heap.clone())],
-        Some((first, rest)) => {
-            let outcomes = monitor(ctx, *first, value_loc, parties, heap);
-            then(ctx, outcomes, |ctx, next_value, heap| {
-                monitor_all(ctx, rest, next_value, parties, &heap)
-            })
+    // Like Racket's `->`, wrapping checks a known arity up front, so a
+    // function of the wrong arity blames its provider rather than the
+    // first caller.
+    let arity = match heap.get(value_loc) {
+        SVal::Closure { params, .. } => Some(params.len()),
+        SVal::Guarded { doms: inner, .. } => Some(inner.len()),
+        _ => None,
+    };
+    if let Some(arity) = arity.filter(|&arity| arity != doms.len()) {
+        let message = format!(
+            "expected a procedure of arity {}, got arity {arity}",
+            doms.len()
+        );
+        return vec![(parties.blame(message), heap.clone())];
+    }
+    let not_procedure = || parties.blame("expected a procedure");
+    match ctx.prover.prove_tag(heap, value_loc, &Tag::Procedure) {
+        Proof::Refuted => vec![(not_procedure(), heap.clone())],
+        proof => {
+            let mut outcomes = Vec::new();
+            if proof == Proof::Ambiguous {
+                let mut no = heap.clone();
+                no.refine(value_loc, CRefinement::IsNot(Tag::Procedure));
+                outcomes.push((not_procedure(), no));
+            }
+            let mut yes = heap.clone();
+            if proof == Proof::Ambiguous {
+                yes.refine(value_loc, CRefinement::Is(Tag::Procedure));
+            }
+            let guarded = yes.alloc(SVal::Guarded {
+                doms,
+                rng,
+                inner: value_loc,
+                pos: parties.pos.to_string(),
+                neg: parties.neg.to_string(),
+                label: parties.label,
+            });
+            outcomes.push((Outcome::Val(guarded), yes));
+            outcomes
         }
     }
 }
 
+/// `and/c`: monitors the value against `parts[next..]` in turn, each part
+/// receiving the value the previous one returned.
+pub(super) fn monitor_all(
+    parts: Rc<[Loc]>,
+    next: usize,
+    value_loc: Loc,
+    parties: Parties,
+    heap: Heap,
+    kont: Kont,
+    out: &mut Out,
+) {
+    let Some(&contract) = parts.get(next) else {
+        return out.done(Outcome::Val(value_loc), heap, kont);
+    };
+    let kont = if next + 1 < parts.len() {
+        kont.push(Frame::MonAnd {
+            parts,
+            next: next + 1,
+            parties: parties.clone(),
+        })
+    } else {
+        kont
+    };
+    let control = Control::Monitor {
+        contract,
+        value: value_loc,
+        parties,
+    };
+    out.run(control, heap, kont);
+}
+
+/// `or/c`: monitors the value against `parts[next]` under a frame that
+/// tries the later alternatives if it fails; blames once none is left.
 fn monitor_or(
-    ctx: &mut Ctx,
-    contracts: &[Loc],
+    parts: Rc<[Loc]>,
+    next: usize,
     value_loc: Loc,
-    parties: Parties<'_>,
-    heap: &Heap,
-) -> Vec<(Outcome, Heap)> {
-    match contracts.split_first() {
-        None => vec![(
-            Outcome::Err(parties.blame("none of the or/c alternatives hold")),
-            heap.clone(),
-        )],
-        Some((first, rest)) => {
-            // A branch where the first alternative succeeds, and branches
-            // where it fails and the rest are tried.
-            let mut out = Vec::new();
-            for (outcome, branch_heap) in monitor(ctx, *first, value_loc, parties, heap) {
-                match outcome {
-                    Outcome::Err(_) => {
-                        out.extend(monitor_or(ctx, rest, value_loc, parties, &branch_heap))
-                    }
-                    other => out.push((other, branch_heap)),
-                }
-            }
-            out
-        }
-    }
+    parties: Parties,
+    heap: Heap,
+    kont: Kont,
+    out: &mut Out,
+) {
+    let Some(&contract) = parts.get(next) else {
+        let blame = parties.blame("none of the or/c alternatives hold");
+        return out.done(blame, heap, kont);
+    };
+    let control = Control::Monitor {
+        contract,
+        value: value_loc,
+        parties: parties.clone(),
+    };
+    let frame = Frame::MonOr {
+        parts,
+        next: next + 1,
+        value: value_loc,
+        parties,
+    };
+    out.run(control, heap, kont.push(frame));
 }
 
+/// An error reached the `or/c` frame `frame`: try the next alternative in
+/// the error's heap.
+pub(super) fn or_caught(frame: Frame, heap: Heap, kont: Kont, out: &mut Out) {
+    let Frame::MonOr {
+        parts,
+        next,
+        value,
+        parties,
+    } = frame
+    else {
+        unreachable!("errors unwind to or/c frames only")
+    };
+    monitor_or(parts, next, value, parties, heap, kont, out);
+}
+
+#[allow(clippy::too_many_arguments)]
 fn monitor_pair(
     ctx: &mut Ctx,
     car_contract: Loc,
     cdr_contract: Loc,
     value_loc: Loc,
-    parties: Parties<'_>,
-    heap: &Heap,
-) -> Vec<(Outcome, Heap)> {
-    let not_pair = || Outcome::Err(parties.blame("expected a pair"));
-    // The branches where the value is a pair, and those where it is not.
-    let branches = match heap.get(value_loc) {
-        SVal::Pair(..) => vec![(Outcome::Val(value_loc), heap.clone())],
-        SVal::Opaque { .. } => match ctx.prover.prove_tag(heap, value_loc, &Tag::Pair) {
-            Proof::Refuted => vec![(not_pair(), heap.clone())],
+    parties: Parties,
+    heap: Heap,
+    kont: Kont,
+    out: &mut Out,
+) {
+    // The branch where the value is a pair, and the one where it is not.
+    let (yes, no) = match heap.get(value_loc) {
+        SVal::Pair(..) => (Some(heap), None),
+        SVal::Opaque { .. } => match ctx.prover.prove_tag(&heap, value_loc, &Tag::Pair) {
+            Proof::Refuted => (None, Some(heap)),
             _ => {
                 let mut yes = heap.clone();
                 refine_to_tag(ctx, &mut yes, value_loc, &Tag::Pair);
-                let mut no = heap.clone();
+                let mut no = heap;
                 no.refine(value_loc, CRefinement::IsNot(Tag::Pair));
-                vec![(Outcome::Val(value_loc), yes), (not_pair(), no)]
+                (Some(yes), Some(no))
             }
         },
-        _ => vec![(not_pair(), heap.clone())],
+        _ => (None, Some(heap)),
     };
-    then(ctx, branches, |ctx, _, heap| {
-        let SVal::Pair(car, cdr) = *heap.get(value_loc) else {
-            unreachable!("a pair branch holds a pair")
-        };
-        let car_outcomes = monitor(ctx, car_contract, car, parties, &heap);
-        then(ctx, car_outcomes, |ctx, _, car_heap| {
-            let cdr_outcomes = monitor(ctx, cdr_contract, cdr, parties, &car_heap);
-            then(ctx, cdr_outcomes, |_, _, heap| {
-                vec![(Outcome::Val(value_loc), heap)]
-            })
-        })
-    })
+    if let Some(heap) = yes {
+        monitor_car(
+            car_contract,
+            cdr_contract,
+            value_loc,
+            parties.clone(),
+            heap,
+            kont.clone(),
+            out,
+        );
+    }
+    if let Some(heap) = no {
+        out.done(parties.blame("expected a pair"), heap, kont);
+    }
 }
 
-fn monitor_listof(
-    ctx: &mut Ctx,
-    element_contract: Loc,
+/// `cons/c` on a pair: monitors the car, then (in a frame) the cdr.
+fn monitor_car(
+    car_contract: Loc,
+    cdr_contract: Loc,
     value_loc: Loc,
-    parties: Parties<'_>,
-    heap: &Heap,
+    parties: Parties,
+    heap: Heap,
+    kont: Kont,
+    out: &mut Out,
+) {
+    let SVal::Pair(car, cdr) = *heap.get(value_loc) else {
+        unreachable!("a pair branch holds a pair")
+    };
+    let frame = Frame::PairCdr {
+        contract: cdr_contract,
+        cdr,
+        value: value_loc,
+        parties: parties.clone(),
+    };
+    let control = Control::Monitor {
+        contract: car_contract,
+        value: car,
+        parties,
+    };
+    out.run(control, heap, kont.push(frame));
+}
+
+/// `listof`: monitors each element of the list at `value_loc`, unrolling an
+/// opaque list `depth` more times, then returns the list.
+#[allow(clippy::too_many_arguments)]
+pub(super) fn monitor_listof(
+    ctx: &mut Ctx,
+    element: Loc,
+    value_loc: Loc,
+    parties: Parties,
     depth: u32,
-) -> Vec<(Outcome, Heap)> {
-    let not_list = || Outcome::Err(parties.blame("expected a proper list"));
+    heap: Heap,
+    kont: Kont,
+    out: &mut Out,
+) {
+    let not_list = |parties: &Parties| parties.blame("expected a proper list");
     match *heap.get(value_loc) {
-        SVal::Nil => vec![(Outcome::Val(value_loc), heap.clone())],
+        SVal::Nil => out.done(Outcome::Val(value_loc), heap, kont),
         SVal::Pair(car, cdr) => {
-            let car_outcomes = monitor(ctx, element_contract, car, parties, heap);
-            then(ctx, car_outcomes, |ctx, _, car_heap| {
-                let rest = monitor_listof(ctx, element_contract, cdr, parties, &car_heap, depth);
-                then(ctx, rest, |_, _, heap| {
-                    vec![(Outcome::Val(value_loc), heap)]
-                })
-            })
+            let frame = Frame::ListRest {
+                element,
+                cdr,
+                value: value_loc,
+                parties: parties.clone(),
+                depth,
+            };
+            let control = Control::Monitor {
+                contract: element,
+                value: car,
+                parties,
+            };
+            out.run(control, heap, kont.push(frame));
         }
         SVal::Opaque { .. } => {
             if depth == 0 {
                 // Assume the rest of the unknown list is empty.
-                let mut heap = heap.clone();
+                let mut heap = heap;
                 heap.set(value_loc, SVal::Nil);
-                return vec![(Outcome::Val(value_loc), heap)];
+                return out.done(Outcome::Val(value_loc), heap, kont);
             }
             // Branch: the unknown value is '() / a pair / not a list at all.
             let mut nil_heap = heap.clone();
             nil_heap.set(value_loc, SVal::Nil);
             let mut pair_heap = heap.clone();
             refine_to_tag(ctx, &mut pair_heap, value_loc, &Tag::Pair);
-            let mut bad_heap = heap.clone();
+            let mut bad_heap = heap;
             bad_heap.refine(value_loc, CRefinement::IsNot(Tag::Pair));
             bad_heap.refine(value_loc, CRefinement::IsNot(Tag::Null));
-            let mut out = vec![(Outcome::Val(value_loc), nil_heap)];
-            out.extend(monitor_listof(
+            out.done(Outcome::Val(value_loc), nil_heap, kont.clone());
+            let bad = not_list(&parties);
+            monitor_listof(
                 ctx,
-                element_contract,
+                element,
                 value_loc,
                 parties,
-                &pair_heap,
                 depth - 1,
-            ));
-            out.push((not_list(), bad_heap));
-            out
+                pair_heap,
+                kont.clone(),
+                out,
+            );
+            out.done(bad, bad_heap, kont);
         }
-        _ => vec![(not_list(), heap.clone())],
+        _ => out.done(not_list(&parties), heap, kont),
     }
 }
 
 fn monitor_one_of(
     options: &[Loc],
     value_loc: Loc,
-    parties: Parties<'_>,
+    parties: &Parties,
     heap: &Heap,
 ) -> Vec<(Outcome, Heap)> {
     let mut out = Vec::new();
@@ -331,36 +404,50 @@ fn monitor_one_of(
     }
     if all_decided_false || !out.is_empty() {
         let blame = parties.blame("value is not one of the allowed literals");
-        out.push((Outcome::Err(blame), heap.clone()));
+        out.push((blame, heap.clone()));
     }
     out
 }
 
+/// A flat contract: applies the predicate, then [`flat_result`].
 fn monitor_flat(
-    ctx: &mut Ctx,
     predicate: Loc,
     value_loc: Loc,
-    parties: Parties<'_>,
-    heap: &Heap,
-) -> Vec<(Outcome, Heap)> {
-    let results = apply(
-        ctx,
-        parties.pos,
-        predicate,
-        &[value_loc],
-        heap,
-        parties.label,
-    );
-    then(ctx, results, |ctx, result, heap| {
-        truthiness(ctx, &heap, result)
-            .into_iter()
-            .map(|(holds, truth_heap)| match holds {
-                true => (Outcome::Val(value_loc), truth_heap),
-                false => (
-                    Outcome::Err(parties.blame("flat contract violated")),
-                    truth_heap,
-                ),
-            })
-            .collect()
-    })
+    parties: Parties,
+    heap: Heap,
+    kont: Kont,
+    out: &mut Out,
+) {
+    let control = Control::Apply {
+        function: predicate,
+        args: vec![value_loc],
+        caller: parties.pos.clone(),
+        label: parties.label,
+    };
+    let frame = Frame::FlatResult {
+        value: value_loc,
+        parties,
+    };
+    out.run(control, heap, kont.push(frame));
+}
+
+/// A flat contract's predicate returned `result`: the value passes where
+/// it is truthy and is blamed where it is `#f`.
+pub(super) fn flat_result(
+    ctx: &mut Ctx,
+    result: Loc,
+    value_loc: Loc,
+    parties: Parties,
+    heap: Heap,
+    kont: Kont,
+    out: &mut Out,
+) {
+    for (holds, heap) in truthiness(ctx, &heap, result) {
+        let outcome = if holds {
+            Outcome::Val(value_loc)
+        } else {
+            parties.blame("flat contract violated")
+        };
+        out.done(outcome, heap, kont.clone());
+    }
 }

@@ -1,44 +1,49 @@
-//! The symbolic evaluator for CPCF: non-deterministic big-step evaluation
-//! over the symbolic heap, with contract monitoring, blame, structural
-//! refinement of opaque values and a demonic ("havoc") treatment of values
-//! that escape to the unknown context.
+//! The symbolic evaluator for CPCF: a worklist machine over the symbolic
+//! heap, with contract monitoring, blame, structural refinement of opaque
+//! values and a demonic ("havoc") treatment of values that escape to the
+//! unknown context. It is the only evaluator: typed SPCF programs (the
+//! `spcf` crate) are lowered onto CPCF and run here.
 //!
-//! The paper presents the typed core as a small-step machine; this
-//! evaluator — which has to handle contracts, structures, boxes and dynamic
-//! typing — uses an equivalent big-step formulation with an explicit fuel
-//! budget, which keeps the many language features manageable. It is the
-//! only evaluator: typed SPCF programs (the `spcf` crate) are lowered onto
-//! CPCF and run here.
-//! Each evaluation returns *all* possible outcomes, each paired with the
-//! heap (path condition) it holds in.
+//! **The machine.** A state is a control (code and its environment, an
+//! application, a monitor or a demonic exploration), an explicit
+//! continuation and a heap (which carries the path condition). A step
+//! charges one unit of [`EvalOptions::fuel`] for its control and yields one
+//! outcome per branch; the outcomes return into the continuation's frames
+//! until the next control, which becomes a queued successor state. Nothing
+//! recurses natively with the program, so the native stack stays flat
+//! whatever the fuel. The frames are the continuations of the evaluation
+//! rules: the rest of an `if`, `and` or `or`; an operation waiting for its
+//! next operand (application, primitives, struct and contract forms,
+//! monitors, `let`); a guarded function's argument and range monitors; the
+//! demonic context's next exploration; and the sequencing of `and/c`,
+//! `or/c`, `cons/c`, `listof` and flat contracts. The `or/c` frame is the
+//! one handler: an error unwinds to it, and the next alternative is tried.
+//!
+//! **The search.** The queue pops the state with the fewest charged steps
+//! on its path, the newest among equals, so sibling paths advance together
+//! and an error a few steps deep is reached before a deep recursion beside
+//! it uses up the fuel. [`EvalOptions::max_branches`] bounds the queued
+//! states (with the one being stepped); a successor past the bound is
+//! dropped and counted in `branch_truncations`, and the analysis of an
+//! export that dropped one cannot read `Verified`. [`eval`] runs the
+//! machine to completion and returns every final outcome; the analysis
+//! drives it one final outcome at a time and stops at the first validated
+//! counterexample.
 //!
 //! Every state split below — truthiness, tag predicates, contract branches,
-//! the demonic context — forks the machine state with `heap.clone()`.
-//! `Heap::clone` is an O(1) *snapshot* of a persistent copy-on-write
-//! structure (see [`crate::heap`]), so the evaluator branches freely: the
-//! old representation deep-copied the entire store and the O(path-length)
-//! constraint journal at each of these sites, which made splitting the
-//! dominant cost on deep paths.
-//!
-//! Every step is sequenced by one rule: a step yields a list of
-//! `(outcome, heap)` states, errors and timeouts pass through unchanged,
-//! and each normal value is continued. `then` is that rule for one outcome
-//! list. `sequence` applies it left to right over a list of steps and hands
-//! the continuation the values in order; argument lists (`bind_list`) and a
-//! guarded function's domain monitors both run through it. `bind` is `eval`
-//! followed by `then`. An outcome list is cut at
-//! [`EvalOptions::max_branches`] in exactly three places: `eval`'s result,
-//! and the continuation lists built by `bind` and by `bind_list`'s steps.
-//! Each cut bumps the `branch_truncations` counter.
+//! the demonic context — forks the heap with `heap.clone()`, an O(1)
+//! *snapshot* of a persistent copy-on-write structure (see [`crate::heap`]).
+//! Code is compiled once into shared nodes ([`Code`]), so a state, a frame
+//! or a closure points into it at the cost of a reference count.
 //!
 //! The evaluator is split by concern:
 //!
-//! * [`mod@self`] — the expression dispatcher, the sequencing combinators
-//!   (`then`, `sequence`, `bind`, `bind_list`) and the short-circuiting
-//!   forms;
+//! * [`mod@self`] — the entry point ([`eval`]) and the expression step;
+//! * `machine` — states, frames, delivery of outcomes and the queue;
+//! * `code` — the compiled form of expressions;
 //! * `branch` — truthiness, tag predicates and structural refinement: the
 //!   places where one symbolic state splits into several;
-//! * [`apply`] — function application, including the demonic treatment of
+//! * `apply` — function application, including the demonic treatment of
 //!   opaque functions and escaped values;
 //! * `contracts` — contract monitoring and blame assignment;
 //! * `prims` — primitive operations and symbolic arithmetic.
@@ -49,23 +54,27 @@
 //! `Copy`, and neither are the options that configure it).
 
 use std::collections::HashMap;
+use std::rc::Rc;
 
-use crate::heap::{extend_env, Env, Heap, Loc, SVal};
-use crate::numeric::Number;
+use crate::heap::{extend_env, ContractVal, Env, Heap, Loc, SVal, Tag};
 use crate::prove::ProverSession;
 use crate::syntax::{CBlame, Expr, Label, StructDef};
 
 mod apply;
 mod branch;
+mod code;
 mod contracts;
+mod machine;
 mod prims;
 
-pub use apply::apply;
 pub use branch::{refine_to_tag, tag_predicate, truthiness, values_equal};
-use contracts::{monitor, Parties};
+pub use code::Code;
+use code::{Node, Op, Operation};
+use contracts::Parties;
+pub(crate) use machine::Machine;
+use machine::{Control, Frame, Kont, Out};
 pub use prims::apply_prim;
 
-use crate::heap::{ContractVal, Tag};
 use folic::SolverConfig;
 
 /// A single outcome of evaluation.
@@ -100,9 +109,15 @@ impl Outcome {
 /// Evaluation options.
 #[derive(Debug, Clone)]
 pub struct EvalOptions {
-    /// Total fuel (recursive evaluation steps) for one analysis run.
+    /// Total fuel for one evaluation: each machine step (evaluating an
+    /// expression, applying a function, monitoring a contract or exploring
+    /// an escaped value) costs one unit, on whichever path it runs. A path
+    /// that finds the fuel gone ends in [`Outcome::Timeout`].
     pub fuel: u64,
-    /// Maximum number of outcome branches kept at any point.
+    /// The most states the search holds at once: those queued plus the one
+    /// being stepped. A successor past the bound is dropped (and counted in
+    /// `branch_truncations`), so an analysis that drops one reports
+    /// `Exhausted`, not `Verified`.
     pub max_branches: usize,
     /// How deep the demonic context explores escaped structured values.
     pub havoc_depth: u32,
@@ -180,13 +195,13 @@ impl Ctx {
     }
 }
 
-/// Counts one cut of an outcome list to `max_branches`.
+/// Counts one state dropped at the `max_branches` bound.
 #[cold]
 fn note_truncation() {
     crate::prove::bump_thread(|c| c.branch_truncations += 1);
 }
 
-/// All outcomes of evaluating `expr`.
+/// All outcomes of evaluating `expr`: runs the machine to completion.
 pub fn eval(
     ctx: &mut Ctx,
     env: &Env,
@@ -194,180 +209,236 @@ pub fn eval(
     expr: &Expr,
     heap: &Heap,
 ) -> Vec<(Outcome, Heap)> {
-    if !ctx.tick() {
-        return vec![(Outcome::Timeout, heap.clone())];
-    }
-    let mut results = eval_inner(ctx, env, owner, expr, heap);
-    if results.len() > ctx.options.max_branches {
-        results.truncate(ctx.options.max_branches);
-        note_truncation();
-    }
-    results
+    let mut machine = Machine::evaluate(ctx, env, owner, expr, heap);
+    std::iter::from_fn(|| machine.next_outcome(ctx)).collect()
 }
 
-fn eval_inner(
+/// One evaluation step: `code` in `env`, continued by `kont`.
+fn eval_step(
     ctx: &mut Ctx,
-    env: &Env,
-    owner: &str,
-    expr: &Expr,
-    heap: &Heap,
-) -> Vec<(Outcome, Heap)> {
-    match expr {
-        Expr::Int(n) => alloc_value(heap, SVal::Num(Number::Int(*n))),
-        Expr::Complex(re, im) => alloc_value(heap, SVal::Num(Number::complex(*re, *im))),
-        Expr::Bool(b) => alloc_value(heap, SVal::Bool(*b)),
-        Expr::Str(s) => alloc_value(heap, SVal::Str(s.clone())),
-        Expr::Nil => alloc_value(heap, SVal::Nil),
-        Expr::Opaque(label) => {
-            let mut heap = heap.clone();
+    code: &Code,
+    env: Env,
+    owner: Rc<str>,
+    heap: Heap,
+    kont: Kont,
+    out: &mut Out,
+) {
+    match &*code.0 {
+        Node::Const(value) => out.outcomes(alloc_value(&heap, value.clone()), &kont),
+        Node::Opaque(label) => {
+            let mut heap = heap;
             let loc = heap.alloc_opaque(*label);
-            vec![(Outcome::Val(loc), heap)]
+            out.done(Outcome::Val(loc), heap, kont);
         }
-        Expr::Var(name) => match env
-            .get(name)
-            .copied()
-            .or_else(|| ctx.globals.get(name).copied())
-        {
-            Some(loc) => vec![(Outcome::Val(loc), heap.clone())],
-            None => vec![(
-                Outcome::Err(CBlame {
+        Node::Var(name) => {
+            let outcome = match env.get(name).or_else(|| ctx.globals.get(name)) {
+                Some(&loc) => Outcome::Val(loc),
+                None => Outcome::Err(CBlame {
                     party: owner.to_string(),
                     message: format!("unbound variable `{name}`"),
                     label: Label(u32::MAX),
                 }),
-                heap.clone(),
-            )],
-        },
-        Expr::Lam { params, body } => alloc_value(
-            heap,
-            SVal::Closure {
-                params: params.clone(),
-                body: (**body).clone(),
-                env: env.clone(),
-                owner: owner.to_string(),
-            },
-        ),
-        Expr::If(condition, then_branch, else_branch) => {
-            bind(ctx, env, owner, condition, heap, |ctx, loc, heap| {
-                truthiness(ctx, &heap, loc)
-                    .into_iter()
-                    .flat_map(|(is_true, branch_heap)| {
-                        let branch = if is_true { then_branch } else { else_branch };
-                        eval(ctx, env, owner, branch, &branch_heap)
-                    })
-                    .collect()
-            })
-        }
-        Expr::And(parts) => eval_and(ctx, env, owner, parts, heap),
-        Expr::Or(parts) => eval_or(ctx, env, owner, parts, heap),
-        Expr::Begin(parts) => eval_begin(ctx, env, owner, parts, heap),
-        Expr::Let {
-            bindings,
-            recursive,
-            body,
-        } => eval_let(ctx, env, owner, bindings, *recursive, body, heap),
-        Expr::App(function, args) => bind(ctx, env, owner, function, heap, |ctx, f_loc, heap| {
-            bind_list(ctx, env, owner, args, &heap, |ctx, arg_locs, heap| {
-                apply(ctx, owner, f_loc, &arg_locs, &heap, Label(u32::MAX))
-            })
-        }),
-        Expr::Prim(prim, args, label) => {
-            bind_list(ctx, env, owner, args, heap, |ctx, arg_locs, heap| {
-                apply_prim(ctx, owner, *prim, &arg_locs, &heap, *label)
-            })
-        }
-        Expr::StructMake(name, args) => {
-            bind_list(ctx, env, owner, args, heap, |_, arg_locs, heap| {
-                let mut heap = heap;
-                let loc = heap.alloc(SVal::StructVal {
-                    tag: name.clone(),
-                    fields: arg_locs,
-                });
-                vec![(Outcome::Val(loc), heap)]
-            })
-        }
-        Expr::StructPred(name, inner) => bind(ctx, env, owner, inner, heap, |ctx, loc, heap| {
-            tag_predicate(ctx, &heap, loc, &Tag::Struct(name.clone()))
-        }),
-        Expr::StructGet(name, index, inner, label) => {
-            let field_count = ctx.structs.get(name).map(|d| d.fields.len()).unwrap_or(0);
-            let name = name.clone();
-            let index = *index;
-            let label = *label;
-            bind(ctx, env, owner, inner, heap, move |ctx, loc, heap| {
-                branch::struct_project(ctx, owner, &heap, loc, &name, index, field_count, label)
-            })
-        }
-        // Contract combinators evaluate to contract values.
-        Expr::CAny => alloc_value(heap, SVal::Contract(ContractVal::Any)),
-        Expr::CArrow(doms, rng) => bind_list(ctx, env, owner, doms, heap, |ctx, dom_locs, heap| {
-            bind(ctx, env, owner, rng, &heap, |_, rng_loc, heap| {
-                let mut heap = heap;
-                let loc = heap.alloc(SVal::Contract(ContractVal::Func {
-                    doms: dom_locs.clone(),
-                    rng: rng_loc,
-                }));
-                vec![(Outcome::Val(loc), heap)]
-            })
-        }),
-        Expr::CAnd(parts) => bind_list(ctx, env, owner, parts, heap, |_, locs, heap| {
-            let mut heap = heap;
-            let loc = heap.alloc(SVal::Contract(ContractVal::And(locs)));
-            vec![(Outcome::Val(loc), heap)]
-        }),
-        Expr::COr(parts) => bind_list(ctx, env, owner, parts, heap, |_, locs, heap| {
-            let mut heap = heap;
-            let loc = heap.alloc(SVal::Contract(ContractVal::Or(locs)));
-            vec![(Outcome::Val(loc), heap)]
-        }),
-        Expr::CCons(car, cdr) => bind(ctx, env, owner, car, heap, |ctx, car_loc, heap| {
-            bind(ctx, env, owner, cdr, &heap, |_, cdr_loc, heap| {
-                let mut heap = heap;
-                let loc = heap.alloc(SVal::Contract(ContractVal::Cons(car_loc, cdr_loc)));
-                vec![(Outcome::Val(loc), heap)]
-            })
-        }),
-        Expr::CListOf(element) => bind(ctx, env, owner, element, heap, |_, element_loc, heap| {
-            let mut heap = heap;
-            let loc = heap.alloc(SVal::Contract(ContractVal::ListOf(element_loc)));
-            vec![(Outcome::Val(loc), heap)]
-        }),
-        Expr::COneOf(parts) => bind_list(ctx, env, owner, parts, heap, |_, locs, heap| {
-            let mut heap = heap;
-            let loc = heap.alloc(SVal::Contract(ContractVal::OneOf(locs)));
-            vec![(Outcome::Val(loc), heap)]
-        }),
-        Expr::Mon {
-            contract,
-            value,
-            pos,
-            neg,
-            label,
-        } => {
-            let parties = Parties {
-                pos,
-                neg,
-                label: *label,
             };
-            bind(
-                ctx,
+            out.done(outcome, heap, kont);
+        }
+        Node::Lam(params, body) => {
+            let closure = SVal::Closure {
+                params: params.clone(),
+                body: body.clone(),
                 env,
                 owner,
-                contract,
+            };
+            out.outcomes(alloc_value(&heap, closure), &kont);
+        }
+        Node::If(condition, then, otherwise) => {
+            let frame = Frame::If {
+                then: then.clone(),
+                otherwise: otherwise.clone(),
+                env: env.clone(),
+                owner: owner.clone(),
+            };
+            out.run(
+                Control::Eval(condition.clone(), env, owner),
                 heap,
-                |ctx, contract_loc, heap| {
-                    bind(ctx, env, owner, value, &heap, |ctx, value_loc, heap| {
-                        monitor(ctx, contract_loc, value_loc, parties, &heap)
-                    })
-                },
-            )
+                kont.push(frame),
+            );
+        }
+        // An empty `and` is true and an empty `or` false.
+        Node::Junction(and, parts) if parts.is_empty() => {
+            out.outcomes(alloc_value(&heap, SVal::Bool(*and)), &kont)
+        }
+        Node::Junction(and, parts) => eval_part(*and, parts, 0, &env, &owner, heap, &kont, out),
+        Node::Op(operation) => {
+            let mut heap = heap;
+            let mut env = env;
+            if let Op::Let {
+                names,
+                recursive: true,
+                ..
+            } = &operation.op
+            {
+                // Placeholder locations bind every name in every right-hand
+                // side; they are overwritten with the values at the end.
+                let placeholders: Vec<(String, Loc)> = names
+                    .iter()
+                    .map(|name| (name.clone(), heap.alloc(SVal::opaque())))
+                    .collect();
+                env = extend_env(&env, placeholders);
+            }
+            operands(
+                ctx,
+                operation.clone(),
+                Vec::new(),
+                env,
+                owner,
+                heap,
+                kont,
+                out,
+            );
         }
     }
 }
 
-// ---------------------------------------------------------------------------
-// Plumbing helpers
-// ---------------------------------------------------------------------------
+/// Evaluates `parts[index]` of an `and` (or, when `and` is false, an
+/// `or`) under a frame for the parts after it; the last part's value is
+/// the form's.
+#[allow(clippy::too_many_arguments)]
+fn eval_part(
+    and: bool,
+    parts: &Rc<[Code]>,
+    index: usize,
+    env: &Env,
+    owner: &Rc<str>,
+    heap: Heap,
+    kont: &Kont,
+    out: &mut Out,
+) {
+    let kont = if index + 1 < parts.len() {
+        kont.push(Frame::Junction {
+            and,
+            parts: parts.clone(),
+            next: index + 1,
+            env: env.clone(),
+            owner: owner.clone(),
+        })
+    } else {
+        kont.clone()
+    };
+    let control = Control::Eval(parts[index].clone(), env.clone(), owner.clone());
+    out.run(control, heap, kont);
+}
+
+/// Continues an operation whose first `done.len()` operands have values:
+/// evaluates the next operand, or acts once all have.
+#[allow(clippy::too_many_arguments)]
+fn operands(
+    ctx: &mut Ctx,
+    operation: Rc<Operation>,
+    done: Vec<Loc>,
+    env: Env,
+    owner: Rc<str>,
+    heap: Heap,
+    kont: Kont,
+    out: &mut Out,
+) {
+    let Some(next) = operation.operands.get(done.len()) else {
+        return finish(ctx, &operation.op, done, env, owner, heap, kont, out);
+    };
+    let control = Control::Eval(next.clone(), env.clone(), owner.clone());
+    let frame = Frame::Operands {
+        operation: operation.clone(),
+        done,
+        env,
+        owner,
+    };
+    out.run(control, heap, kont.push(frame));
+}
+
+/// Acts on an operation's operand values.
+#[allow(clippy::too_many_arguments)]
+fn finish(
+    ctx: &mut Ctx,
+    op: &Op,
+    values: Vec<Loc>,
+    env: Env,
+    owner: Rc<str>,
+    heap: Heap,
+    kont: Kont,
+    out: &mut Out,
+) {
+    let contract = |value| alloc_value(&heap, SVal::Contract(value));
+    let outcomes = match op {
+        Op::App => {
+            let control = Control::Apply {
+                function: values[0],
+                args: values[1..].to_vec(),
+                caller: owner,
+                label: Label(u32::MAX),
+            };
+            return out.run(control, heap, kont);
+        }
+        Op::Begin => match values.last() {
+            Some(&last) => vec![(Outcome::Val(last), heap)],
+            None => alloc_value(&heap, SVal::Nil),
+        },
+        Op::Prim(prim, label) => apply_prim(ctx, &owner, *prim, &values, &heap, *label),
+        Op::StructMake(name) => alloc_value(
+            &heap,
+            SVal::StructVal {
+                tag: name.clone(),
+                fields: values,
+            },
+        ),
+        Op::StructPred(name) => tag_predicate(ctx, &heap, values[0], &Tag::Struct(name.clone())),
+        Op::StructGet(name, index, label) => {
+            let field_count = ctx.structs.get(name).map_or(0, |d| d.fields.len());
+            let (loc, index, label) = (values[0], *index, *label);
+            branch::struct_project(ctx, &owner, &heap, loc, name, index, field_count, label)
+        }
+        Op::Arrow => {
+            let (rng, doms) = values.split_last().expect("an arrow has a range");
+            contract(ContractVal::Func {
+                doms: doms.to_vec(),
+                rng: *rng,
+            })
+        }
+        Op::AndC => contract(ContractVal::And(values)),
+        Op::OrC => contract(ContractVal::Or(values)),
+        Op::ConsC => contract(ContractVal::Cons(values[0], values[1])),
+        Op::ListOfC => contract(ContractVal::ListOf(values[0])),
+        Op::OneOfC => contract(ContractVal::OneOf(values)),
+        Op::Mon { pos, neg, label } => {
+            let control = Control::Monitor {
+                contract: values[0],
+                value: values[1],
+                parties: Parties {
+                    pos: pos.clone(),
+                    neg: neg.clone(),
+                    label: *label,
+                },
+            };
+            return out.run(control, heap, kont);
+        }
+        Op::Let {
+            names,
+            recursive,
+            body,
+        } => {
+            let mut heap = heap;
+            let env = if *recursive {
+                for (name, value_loc) in names.iter().zip(&values) {
+                    let value = heap.get(*value_loc).clone();
+                    heap.set(env[name], value);
+                }
+                env
+            } else {
+                extend_env(&env, names.iter().cloned().zip(values))
+            };
+            return out.run(Control::Eval(body.clone(), env, owner), heap, kont);
+        }
+    };
+    out.outcomes(outcomes, &kont);
+}
 
 /// Allocates a value in a clone of the heap and returns it as the single
 /// outcome.
@@ -375,217 +446,4 @@ pub(crate) fn alloc_value(heap: &Heap, value: SVal) -> Vec<(Outcome, Heap)> {
     let mut heap = heap.clone();
     let loc = heap.alloc(value);
     vec![(Outcome::Val(loc), heap)]
-}
-
-/// Continues every normal outcome with `k`; errors and timeouts pass
-/// through unchanged. This is the evaluator's one sequencing rule.
-fn then<K>(ctx: &mut Ctx, outcomes: Vec<(Outcome, Heap)>, k: K) -> Vec<(Outcome, Heap)>
-where
-    K: FnMut(&mut Ctx, Loc, Heap) -> Vec<(Outcome, Heap)>,
-{
-    then_upto(ctx, outcomes, usize::MAX, k)
-}
-
-/// [`then`], but stops (and counts a truncation) once `limit` outcomes have
-/// been collected.
-fn then_upto<K>(
-    ctx: &mut Ctx,
-    outcomes: Vec<(Outcome, Heap)>,
-    limit: usize,
-    mut k: K,
-) -> Vec<(Outcome, Heap)>
-where
-    K: FnMut(&mut Ctx, Loc, Heap) -> Vec<(Outcome, Heap)>,
-{
-    let mut out = Vec::new();
-    for (outcome, heap) in outcomes {
-        if out.len() >= limit {
-            note_truncation();
-            break;
-        }
-        match outcome {
-            Outcome::Val(loc) => out.extend(k(ctx, loc, heap)),
-            other => out.push((other, heap)),
-        }
-    }
-    out
-}
-
-/// Runs `step(0)`, …, `step(len - 1)` left to right, each in the heap of a
-/// normal outcome of the one before, and continues with `k` on the list of
-/// their values. Each step's continuations are cut at `limit`.
-fn sequence<S, K>(
-    ctx: &mut Ctx,
-    len: usize,
-    heap: Heap,
-    limit: usize,
-    mut step: S,
-    mut k: K,
-) -> Vec<(Outcome, Heap)>
-where
-    S: FnMut(&mut Ctx, usize, &Heap) -> Vec<(Outcome, Heap)>,
-    K: FnMut(&mut Ctx, Vec<Loc>, Heap) -> Vec<(Outcome, Heap)>,
-{
-    fn go<S, K>(
-        ctx: &mut Ctx,
-        len: usize,
-        done: Vec<Loc>,
-        heap: Heap,
-        limit: usize,
-        step: &mut S,
-        k: &mut K,
-    ) -> Vec<(Outcome, Heap)>
-    where
-        S: FnMut(&mut Ctx, usize, &Heap) -> Vec<(Outcome, Heap)>,
-        K: FnMut(&mut Ctx, Vec<Loc>, Heap) -> Vec<(Outcome, Heap)>,
-    {
-        if done.len() == len {
-            return k(ctx, done, heap);
-        }
-        let outcomes = step(ctx, done.len(), &heap);
-        then_upto(ctx, outcomes, limit, |ctx, loc, branch_heap| {
-            let mut done = done.clone();
-            done.push(loc);
-            go(ctx, len, done, branch_heap, limit, step, k)
-        })
-    }
-    go(ctx, len, Vec::new(), heap, limit, &mut step, &mut k)
-}
-
-/// Evaluates `expr` and continues with `k` on every normal outcome.
-fn bind<K>(
-    ctx: &mut Ctx,
-    env: &Env,
-    owner: &str,
-    expr: &Expr,
-    heap: &Heap,
-    k: K,
-) -> Vec<(Outcome, Heap)>
-where
-    K: FnMut(&mut Ctx, Loc, Heap) -> Vec<(Outcome, Heap)>,
-{
-    let outcomes = eval(ctx, env, owner, expr, heap);
-    let limit = ctx.options.max_branches;
-    then_upto(ctx, outcomes, limit, k)
-}
-
-/// Evaluates a list of expressions left to right and continues with the
-/// resulting locations.
-fn bind_list<K>(
-    ctx: &mut Ctx,
-    env: &Env,
-    owner: &str,
-    exprs: &[Expr],
-    heap: &Heap,
-    k: K,
-) -> Vec<(Outcome, Heap)>
-where
-    K: FnMut(&mut Ctx, Vec<Loc>, Heap) -> Vec<(Outcome, Heap)>,
-{
-    let limit = ctx.options.max_branches;
-    let step = |ctx: &mut Ctx, i: usize, heap: &Heap| eval(ctx, env, owner, &exprs[i], heap);
-    sequence(ctx, exprs.len(), heap.clone(), limit, step, k)
-}
-
-fn eval_and(
-    ctx: &mut Ctx,
-    env: &Env,
-    owner: &str,
-    parts: &[Expr],
-    heap: &Heap,
-) -> Vec<(Outcome, Heap)> {
-    match parts.split_first() {
-        None => alloc_value(heap, SVal::Bool(true)),
-        Some((first, [])) => eval(ctx, env, owner, first, heap),
-        Some((first, rest)) => bind(ctx, env, owner, first, heap, |ctx, loc, heap| {
-            truthiness(ctx, &heap, loc)
-                .into_iter()
-                .flat_map(|(is_true, branch_heap)| {
-                    if is_true {
-                        eval_and(ctx, env, owner, rest, &branch_heap)
-                    } else {
-                        alloc_value(&branch_heap, SVal::Bool(false))
-                    }
-                })
-                .collect()
-        }),
-    }
-}
-
-fn eval_or(
-    ctx: &mut Ctx,
-    env: &Env,
-    owner: &str,
-    parts: &[Expr],
-    heap: &Heap,
-) -> Vec<(Outcome, Heap)> {
-    match parts.split_first() {
-        None => alloc_value(heap, SVal::Bool(false)),
-        Some((first, [])) => eval(ctx, env, owner, first, heap),
-        Some((first, rest)) => bind(ctx, env, owner, first, heap, |ctx, loc, heap| {
-            truthiness(ctx, &heap, loc)
-                .into_iter()
-                .flat_map(|(is_true, branch_heap)| {
-                    if is_true {
-                        vec![(Outcome::Val(loc), branch_heap)]
-                    } else {
-                        eval_or(ctx, env, owner, rest, &branch_heap)
-                    }
-                })
-                .collect()
-        }),
-    }
-}
-
-fn eval_begin(
-    ctx: &mut Ctx,
-    env: &Env,
-    owner: &str,
-    parts: &[Expr],
-    heap: &Heap,
-) -> Vec<(Outcome, Heap)> {
-    match parts.split_first() {
-        None => alloc_value(heap, SVal::Nil),
-        Some((only, [])) => eval(ctx, env, owner, only, heap),
-        Some((first, rest)) => bind(ctx, env, owner, first, heap, |ctx, _loc, heap| {
-            eval_begin(ctx, env, owner, rest, &heap)
-        }),
-    }
-}
-
-fn eval_let(
-    ctx: &mut Ctx,
-    env: &Env,
-    owner: &str,
-    bindings: &[(String, Expr)],
-    recursive: bool,
-    body: &Expr,
-    heap: &Heap,
-) -> Vec<(Outcome, Heap)> {
-    if recursive {
-        // Pre-allocate placeholder locations so right-hand sides can refer to
-        // every binding, then overwrite the placeholders with the results.
-        let mut heap = heap.clone();
-        let placeholders: Vec<(String, Loc)> = bindings
-            .iter()
-            .map(|(name, _)| (name.clone(), heap.alloc(SVal::opaque())))
-            .collect();
-        let extended = extend_env(env, placeholders.clone());
-        let exprs: Vec<Expr> = bindings.iter().map(|(_, e)| e.clone()).collect();
-        bind_list(ctx, &extended, owner, &exprs, &heap, |ctx, locs, heap| {
-            let mut heap = heap;
-            for ((_, placeholder), value_loc) in placeholders.iter().zip(&locs) {
-                let value = heap.get(*value_loc).clone();
-                heap.set(*placeholder, value);
-            }
-            eval(ctx, &extended, owner, body, &heap)
-        })
-    } else {
-        let exprs: Vec<Expr> = bindings.iter().map(|(_, e)| e.clone()).collect();
-        let names: Vec<String> = bindings.iter().map(|(n, _)| n.clone()).collect();
-        bind_list(ctx, env, owner, &exprs, heap, |ctx, locs, heap| {
-            let extended = extend_env(env, names.iter().cloned().zip(locs.iter().copied()));
-            eval(ctx, &extended, owner, body, &heap)
-        })
-    }
 }

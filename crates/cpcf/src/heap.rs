@@ -45,7 +45,7 @@ use folic::CmpOp;
 use crate::pmap::PMap;
 
 use crate::numeric::Number;
-use crate::syntax::{Expr, Label};
+use crate::syntax::Label;
 
 /// A heap location.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -247,12 +247,12 @@ pub enum SVal {
     Closure {
         /// Parameter names.
         params: Vec<String>,
-        /// Body expression.
-        body: Expr,
+        /// Body code.
+        body: crate::eval::Code,
         /// Captured environment.
         env: Env,
         /// Owning party (module name or "context").
-        owner: String,
+        owner: Rc<str>,
     },
     /// A struct instance.
     StructVal {

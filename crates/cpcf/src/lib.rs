@@ -18,10 +18,10 @@
 //! The analysis ([`analyze`](fn@analyze)) plays the role of the paper's SCV tool: for
 //! each contracted export it synthesizes the most general unknown context
 //! allowed by the contract, executes the module symbolically against it,
-//! and, at every error blamed on the module, asks the first-order solver
-//! (the `folic` crate) for a model of the heap, reconstructs concrete —
-//! possibly higher-order — inputs, re-runs them concretely, and reports a
-//! validated [`Counterexample`].
+//! and, at each error blamed on the module as the search reaches it, asks
+//! the first-order solver (the `folic` crate) for a model of the heap,
+//! reconstructs concrete — possibly higher-order — inputs, re-runs them
+//! concretely, and stops at the first validated [`Counterexample`].
 //!
 //! ## Architecture
 //!
@@ -50,8 +50,11 @@
 //!   and [`prove::reference_heap_model`] answer the same queries the
 //!   original solver-per-query way and serve as the differential tests'
 //!   oracle.
-//! * [`eval`] — the symbolic evaluator, split by concern: `eval` (the
-//!   dispatcher and continuation plumbing), `eval::branch` (truthiness, tag
+//! * [`eval`] — the symbolic evaluator, a worklist machine whose states
+//!   carry an explicit continuation, searched fewest-steps-first under a
+//!   bound on queued states. Split by concern: `eval` (the entry point and the
+//!   expression step), `eval::machine` (states, frames and the queue),
+//!   `eval::code` (compiled expressions), `eval::branch` (truthiness, tag
 //!   predicates, structural refinement), `eval::apply` (application and the
 //!   demonic context), `eval::contracts` (monitoring and blame) and
 //!   `eval::prims` (primitives and symbolic arithmetic). The evaluation
@@ -124,7 +127,7 @@ pub mod syntax;
 
 pub use analyze::{
     analyze, analyze_module, analyze_source, analyze_source_with, default_workers, resolve_workers,
-    AnalyzeOptions, ExportAnalysis, ModuleReport, WORKER_STACK_BYTES,
+    AnalyzeOptions, ExportAnalysis, ModuleReport,
 };
 pub use cex::Counterexample;
 pub use eval::{Ctx, EvalOptions, Outcome};

@@ -131,9 +131,12 @@ folic::counters! {
         /// exactly the bytes the old `Vec`-journal representation memcpy'd at
         /// every branch split.
         journal_bytes_shared,
-        /// Evaluation steps whose outcomes exceeded `EvalOptions::max_branches`
-        /// and were cut to that many, silently dropping the rest.
+        /// States dropped at the `max_branches` queue bound
+        /// ([`crate::EvalOptions::max_branches`]): paths never explored.
         branch_truncations,
+        /// Exports whose search ended at a validated counterexample while
+        /// states were still queued: the work the early stop saved.
+        first_cex_stops,
         /// The first-order solver(s) this session drove.
         solver: SolverStats,
     }

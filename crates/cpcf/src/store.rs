@@ -858,15 +858,17 @@ impl EngineFingerprint {
         EngineFingerprint(fnv1a(&bytes))
     }
 
-    /// The fingerprint of an analysis configuration: the solver
-    /// configuration (core and theory settings), evaluator budgets, context
-    /// depth, validation, and the `CPCF_LEMMA_SHARING` gate. Worker counts
-    /// are deliberately excluded — verdicts are scheduling-independent by
-    /// construction.
+    /// The fingerprint of an analysis configuration: the evaluator's search
+    /// (the worklist machine, which stops at the first validated
+    /// counterexample), the solver configuration (core and theory
+    /// settings), evaluator budgets, context depth, validation, and the
+    /// `CPCF_LEMMA_SHARING` gate. Worker counts are deliberately excluded —
+    /// verdicts are scheduling-independent by construction.
     pub fn for_analyze(options: &crate::analyze::AnalyzeOptions) -> Self {
         let eval = &options.eval;
         EngineFingerprint::from_tokens([
             format!("schema={SCHEMA_VERSION}"),
+            "search=worklist".to_string(),
             format!("solver={:?}", eval.solver),
             format!("fuel={}", eval.fuel),
             format!("max_branches={}", eval.max_branches),
@@ -1821,6 +1823,38 @@ mod tests {
         let mut dec = Dec::new(&bytes);
         assert_eq!(decode_expr(&mut dec).expect("decodes"), deep);
         assert!(dec.finished());
+    }
+
+    #[test]
+    fn a_store_written_by_the_big_step_evaluator_opens_cold() {
+        // The token list before the worklist search: its stores hold
+        // verdicts of an evaluator that stopped at `budget` where the
+        // search now finds a counterexample, so they must not be served.
+        let options = crate::analyze::AnalyzeOptions::default();
+        let eval = &options.eval;
+        let big_step = EngineFingerprint::from_tokens([
+            format!("schema={SCHEMA_VERSION}"),
+            format!("solver={:?}", eval.solver),
+            format!("fuel={}", eval.fuel),
+            format!("max_branches={}", eval.max_branches),
+            format!("havoc_depth={}", eval.havoc_depth),
+            format!("validate={}", options.validate),
+            format!("context_depth={}", options.context_depth),
+            format!("lemma_sharing={}", folic::default_lemma_sharing()),
+        ]);
+        let worklist = EngineFingerprint::for_analyze(&options);
+        assert_ne!(big_step, worklist);
+        let dir = temp_store_dir("big-step");
+        {
+            let store = AnalysisStore::open(&dir, big_step).expect("open");
+            store.record_export("sumt", "main", 7, &ExportAnalysis::Exhausted);
+            store.record_verdict(&sample_key(0), Proof::Proved);
+            store.flush();
+        }
+        let store = AnalysisStore::open(&dir, worklist).expect("reopen");
+        assert_eq!(store.verdict_count(), 0, "no proof verdict carries over");
+        assert_eq!(store.lookup_export("sumt", "main", 7), None);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -57,10 +57,12 @@
 //! * **Cross-worker lemma sharing** ([`crate::lemmas`]): because atom ids
 //!   are process-global, a theory lemma is meaningful outside the core that
 //!   derived it. A core attached to a [`SharedLemmaPool`] publishes every
-//!   theory-refuted polarity set and imports siblings' lemmas at CDCL check
-//!   boundaries, so workers analysing related queries (the two variants of
-//!   one program, an export and its validation run) split the cost of the
-//!   theory conflicts they would otherwise each re-derive.
+//!   theory-refuted polarity set of at most 32 atoms (a longer one is a
+//!   whole path that only that path reuses) and imports siblings' lemmas
+//!   at CDCL check boundaries, so
+//!   workers analysing related queries (the two variants of one program,
+//!   an export and its validation run) split the cost of the theory
+//!   conflicts they would otherwise each re-derive.
 //!
 //! The core is deliberately conservative about its own incompleteness:
 //! whenever the sliced/persistent pipeline cannot decide a check
@@ -95,6 +97,13 @@ use crate::term::Var;
 use crate::theory::{
     check_conjunction_counted, collect_atoms, dispatch_check, AtomRef, SmtResult, TheoryConfig,
 };
+
+/// The most atoms a lemma offered to a [`SharedLemmaPool`] may have. A
+/// refutation the theory could not narrow is the whole conjunction, as long
+/// as the path it was asked on: only a check on that same path reuses it,
+/// while every pool import, store write and store warm start pays for its
+/// size.
+const MAX_SHARED_LEMMA_ATOMS: usize = 32;
 
 /// Bound on memoized formula analyses and component verdicts; the caches are
 /// cleared wholesale when they outgrow it (correctness never depends on a
@@ -691,7 +700,8 @@ impl TheoryCore {
     }
 
     /// Publishes one theory lemma — a conjunction of polarity-folded atom
-    /// ids the theory refuted — into the shared pool, when one is attached.
+    /// ids the theory refuted — into the shared pool, when one is attached
+    /// and the lemma is small enough to pay for its sharing.
     fn publish_lemma(&mut self, atoms: &[AtomId]) {
         let Some(pool) = &self.lemma_pool else {
             return;
@@ -699,7 +709,7 @@ impl TheoryCore {
         let mut sorted: Vec<AtomId> = atoms.to_vec();
         sorted.sort_unstable();
         sorted.dedup();
-        if sorted.is_empty() {
+        if sorted.is_empty() || sorted.len() > MAX_SHARED_LEMMA_ATOMS {
             return;
         }
         let lemma: SharedLemma = sorted.into();

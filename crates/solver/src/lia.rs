@@ -29,8 +29,8 @@
 //! equals extending the presolved `P` by `Δ` — and the persistent solver
 //! core exploits it: along one symbolic path each query's conjunction is
 //! the previous query's cone plus a few atoms, so the core keeps the
-//! presolved state of the last cone (`PrefixCache`) and each check only
-//! eliminates the new atoms' equalities. The state shares its definitions
+//! presolved states of the last few cones (`PrefixCache`) and each check
+//! only eliminates the atoms past the longest of them that leads it. The state shares its definitions
 //! and constraints through `Rc`, so resuming copies no expression. A
 //! conjunction without such a prefix (and [`check_problem`], the scratch
 //! engine's path) extends the empty state — one presolve either way.
@@ -1201,15 +1201,39 @@ pub fn check_problem(problem: &LiaProblem) -> LiaResult {
     })
 }
 
-/// The presolved active part of the last conjunction a persistent core sent
-/// to LIA, keyed by the atom ids it was built from. A reading depends on
-/// the atom alone and the prefix holds no product atom, so the state is a
-/// function of the ids: it never goes stale, and retractions need not
-/// touch it.
+/// How many cones a [`PrefixCache`] keeps. A search that alternates between
+/// sibling paths sends a cone of one path between two cones of the other,
+/// so a single entry would be replaced before its path asks again.
+const PREFIX_CACHE_ENTRIES: usize = 4;
+
+/// The presolved active parts of the last few conjunctions a persistent core
+/// sent to LIA, each keyed by the atom ids it was built from. A reading
+/// depends on the atom alone and a cached prefix holds no product atom, so
+/// each state is a function of its ids: it never goes stale, and
+/// retractions need not touch it.
 #[derive(Debug, Default)]
 pub(crate) struct PrefixCache {
-    ids: Vec<AtomId>,
-    state: Option<Presolved>,
+    /// Least recently used first.
+    entries: Vec<(Vec<AtomId>, Presolved)>,
+}
+
+impl PrefixCache {
+    /// The longest cached prefix of `ids`, and its state.
+    fn longest_prefix_of(&self, ids: &[AtomId]) -> Option<&(Vec<AtomId>, Presolved)> {
+        self.entries
+            .iter()
+            .filter(|(cached, _)| ids.starts_with(cached))
+            .max_by_key(|(cached, _)| cached.len())
+    }
+
+    /// Caches `state` under `ids` as the most recently used entry.
+    fn remember(&mut self, ids: &[AtomId], state: Presolved) {
+        self.entries.retain(|(cached, _)| cached != ids);
+        if self.entries.len() == PREFIX_CACHE_ENTRIES {
+            self.entries.remove(0);
+        }
+        self.entries.push((ids.to_vec(), state));
+    }
 }
 
 /// One conjunction's claim on a [`PrefixCache`]: its atom ids, of which the
@@ -1225,26 +1249,21 @@ pub(crate) struct Resume<'a> {
 }
 
 impl Resume<'_> {
-    /// Presolves `problem` (built from `ids`): extends the cached state when
-    /// its ids lead the active part, otherwise presolves the active part
-    /// from scratch; caches that as the new prefix; then extends it by the
-    /// assumptions. Equal to [`Presolved::new`] on the whole problem.
+    /// Presolves `problem` (built from `ids`): extends the longest cached
+    /// state whose ids lead the active part, otherwise presolves the active
+    /// part from scratch; caches that as a new prefix; then extends it by
+    /// the assumptions. Equal to [`Presolved::new`] on the whole problem.
     fn presolve(self, problem: &LiaProblem) -> Presolved {
         let Resume { cache, ids, active } = self;
         let linear = &problem.linear;
-        let resumed = match cache.state.take() {
-            Some(state) if ids[..active].starts_with(&cache.ids) => {
-                state.extend(&linear[cache.ids.len()..active], &[])
-            }
-            _ => None,
-        };
+        let resumed = cache
+            .longest_prefix_of(&ids[..active])
+            .and_then(|(cached, state)| state.clone().extend(&linear[cached.len()..active], &[]));
         if resumed.is_some() {
             crate::probes::bump(|p| p.lia_prefix_reuses += 1);
         }
         let prefix = resumed.unwrap_or_else(|| Presolved::new(&linear[..active], &[]));
-        cache.ids.clear();
-        cache.ids.extend_from_slice(&ids[..active]);
-        cache.state = Some(prefix.clone());
+        cache.remember(&ids[..active], prefix.clone());
         prefix
             .extend(&linear[active..], &problem.products)
             .unwrap_or_else(|| Presolved::new(linear, &problem.products))
@@ -1607,6 +1626,31 @@ mod tests {
         }
         let (_, reused) = resume_check(&mut arena, &mut cache, &[bound, unit, query], 2);
         assert!(reused, "the cached product-free prefix survived");
+    }
+
+    #[test]
+    fn alternating_sibling_cones_resume_from_their_own_prefixes() {
+        // A fair search alternates between two paths that share a prefix:
+        // each cone must resume from the last cone of its own path, not
+        // presolve from scratch because the other path asked in between.
+        let mut arena = crate::arena::Arena::new();
+        let mut cache = PrefixCache::default();
+        let shared = eq(x(1), Term::add(x(0), Term::int(1)));
+        let query = Atom::new(x(0), CmpOp::Ge, Term::int(0));
+        let (_, reused) = resume_check(&mut arena, &mut cache, &[shared.clone(), query.clone()], 1);
+        assert!(!reused);
+        let mut left = vec![shared.clone()];
+        let mut right = vec![shared];
+        for depth in 2..8 {
+            left.push(eq(x(depth), Term::add(x(depth - 1), Term::int(1))));
+            right.push(eq(x(depth + 20), Term::sub(x(depth - 1), Term::int(1))));
+            for path in [&left, &right] {
+                let mut atoms = path.clone();
+                atoms.push(query.clone());
+                let (_, reused) = resume_check(&mut arena, &mut cache, &atoms, path.len());
+                assert!(reused, "depth {depth}: {path:?}");
+            }
+        }
     }
 
     #[test]

@@ -341,3 +341,100 @@ fn a_search_cut_at_max_branches_is_exhausted_not_verified() {
         other => panic!("max_branches 64: expected a validated counterexample, got {other:?}"),
     }
 }
+
+/// The Table-1 program `name`, correct or faulty variant.
+fn corpus_source(name: &str, faulty: bool) -> &'static str {
+    let program = scv_bench::corpus::all_programs()
+        .into_iter()
+        .find(|p| p.name == name)
+        .unwrap_or_else(|| panic!("no corpus program {name}"));
+    if faulty {
+        program.faulty
+    } else {
+        program.correct
+    }
+}
+
+#[test]
+fn library_defaults_stop_at_the_shallow_error_of_a_deep_search() {
+    // Each faulty variant fails a few steps in, beside a recursion that
+    // unrolls as far as the fuel allows. At the library defaults (60,000
+    // fuel) the search must reach the error, validate it and stop, on
+    // libtest's 2 MiB thread.
+    for name in ["sum", "sum-acm", "hrec", "fold-div"] {
+        let started = std::time::Instant::now();
+        let report = analyze_source_with(corpus_source(name, true), &AnalyzeOptions::default())
+            .expect("parses");
+        let elapsed = started.elapsed();
+        match &report.exports[0].1 {
+            ExportAnalysis::Counterexample(cex) if cex.validated => {}
+            other => panic!("{name} faulty: expected a validated counterexample, got {other:?}"),
+        }
+        assert!(
+            elapsed < std::time::Duration::from_secs(10),
+            "{name} faulty took {elapsed:?}"
+        );
+        assert_eq!(
+            report.stats.first_cex_stops, 1,
+            "{name}: {:?}",
+            report.stats
+        );
+    }
+}
+
+#[test]
+fn a_deep_search_at_default_fuel_is_exhausted_without_overflowing() {
+    // sum-acm correct unrolls `(sum n acc)` for as long as the fuel lasts.
+    // With one state allowed, the recursion's branch is dropped at the
+    // first split, which must read `Exhausted`.
+    let options = AnalyzeOptions {
+        eval: EvalOptions {
+            max_branches: 1,
+            ..EvalOptions::default()
+        },
+        ..AnalyzeOptions::default()
+    };
+    let report = analyze_source_with(corpus_source("sum-acm", false), &options).expect("parses");
+    let verdict = &report.exports[0].1;
+    assert!(
+        matches!(verdict, ExportAnalysis::Exhausted),
+        "got {verdict:?}"
+    );
+    assert!(report.stats.branch_truncations > 0, "{:?}", report.stats);
+    // A concrete recursion that is not a tail call grows the continuation
+    // by a frame per level until the default fuel runs out: thousands of
+    // frames, kept on the heap rather than the 2 MiB native stack.
+    let verdict = first_verdict(
+        r#"(module deep
+             (provide [main (-> integer? integer?)])
+             (define (count n) (if (zero? n) 0 (+ 1 (count (- n 1)))))
+             (define (main x) (count 1000000)))"#,
+    );
+    assert!(
+        matches!(verdict, ExportAnalysis::Exhausted),
+        "got {verdict:?}"
+    );
+}
+
+#[test]
+fn a_fair_search_reaches_an_error_beside_a_deep_recursion() {
+    // The first branch recurses for as long as the fuel lasts; the second
+    // fails at once. A search that finishes one branch before starting the
+    // other spends the fuel on the recursion and reports `Exhausted`.
+    let source = r#"(module m
+         (provide [main (-> integer? integer?)])
+         (define (loop n) (if (> n 0) (loop (- n 1)) 0))
+         (define (main n) (if (> n 0) (loop n) (/ 1 0))))"#;
+    let options = AnalyzeOptions {
+        eval: EvalOptions {
+            fuel: 3000,
+            ..EvalOptions::default()
+        },
+        ..AnalyzeOptions::default()
+    };
+    let report = analyze_source_with(source, &options).expect("parses");
+    match &report.exports[0].1 {
+        ExportAnalysis::Counterexample(cex) if cex.validated => {}
+        other => panic!("expected a validated counterexample, got {other:?}"),
+    }
+}
