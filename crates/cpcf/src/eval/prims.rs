@@ -362,6 +362,17 @@ fn arithmetic(
             Err(message) => vec![(Outcome::Err(blame(message)), heap.clone())],
         };
     }
+    // A concrete non-number fails the operation whatever the other
+    // arguments are.
+    if args
+        .iter()
+        .any(|&arg| !matches!(heap.get(arg), SVal::Num(_) | SVal::Opaque { .. }))
+    {
+        return vec![(
+            Outcome::Err(blame(format!("{prim}: expected numbers"))),
+            heap.clone(),
+        )];
+    }
     // Symbolic path: every opaque argument is assumed to be an integer (a
     // branch blaming non-numbers is produced when the tag is refutable).
     let mut branch_heaps = vec![heap.clone()];
@@ -369,14 +380,6 @@ fn arithmetic(
         let mut next = Vec::new();
         for branch_heap in branch_heaps {
             match branch_heap.get(arg) {
-                SVal::Num(n) if n.is_real() => next.push(branch_heap),
-                SVal::Num(_) => {
-                    // Complex argument to integer-only symbolic arithmetic:
-                    // only +,-,* support it and those were handled in the
-                    // concrete path, so here the other operand is opaque;
-                    // treat the operation as erroneous only for / and modulo.
-                    next.push(branch_heap);
-                }
                 SVal::Opaque { .. } => {
                     match ctx.prover.prove_tag(&branch_heap, arg, &Tag::Number) {
                         Proof::Refuted => {}
@@ -389,7 +392,10 @@ fn arithmetic(
                         }
                     }
                 }
-                _ => {}
+                // A number. A complex one reaches here only beside an
+                // opaque argument: +, - and * on complex numbers were
+                // handled by the concrete path.
+                _ => next.push(branch_heap),
             }
         }
         branch_heaps = next;

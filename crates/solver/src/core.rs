@@ -32,12 +32,14 @@
 //!   contributes its negative-cycle *explanation* (the inconsistent
 //!   subset) as the blocking clause and the shared lemma instead of blaming
 //!   the whole candidate, so the learnt clause prunes strictly more.
-//! * **Resumed LIA presolve**: a query's cone is usually the previous
-//!   query's cone plus a few atoms. The fast path keeps the LIA presolve of
-//!   the last cone it sent to LIA, keyed by its atom ids
-//!   ([`crate::lia`]'s prefix cache), and a cone whose ids start with
-//!   those only eliminates the new atoms' equalities. Out-of-cone
-//!   component checks neither use nor replace that entry.
+//! * **Resumed LIA checks**: a query's cone is usually the previous
+//!   query's cone plus a few atoms. The fast path keeps, for the last few
+//!   cones it sent to LIA, the built problem and its presolved state,
+//!   keyed by the cone's atom ids ([`crate::lia`]'s prefix cache). A cone
+//!   whose ids start with those of an entry only builds and eliminates
+//!   the new atoms, and LIA's equality echelon runs on what presolve
+//!   leaves, so neither step re-walks the whole path. Out-of-cone
+//!   component checks neither use nor replace those entries.
 //! * **Per-query cone slicing, maintained with the assertion stack**: the
 //!   active formulas are partitioned into variable-connected components. A
 //!   query only searches the components its assumptions touch, so a query

@@ -9,36 +9,54 @@
 //!    becomes the concrete counterexample after it is plugged back into the
 //!    symbolic heap.
 //!
-//! The algorithm combines
+//! A check runs these steps in order:
 //!
-//! * fraction-free Gaussian elimination over the equality constraints (with a
-//!   GCD divisibility test) for fast refutation of inconsistent equality
-//!   chains — the common case for path conditions,
-//! * an equality-substitution **presolve** that eliminates every variable
-//!   an equality defines with a ±1 coefficient, substituting its
-//!   definition through the other constraints (and reversing the
-//!   eliminations when a model is found),
-//! * interval (bounds) propagation over the remaining constraints, and
-//! * a backtracking, small-values-first model search with forced-assignment
-//!   propagation, which handles disequalities and the product constraints
-//!   introduced by multiplication of two unknowns.
+//! 1. **build** the problem: each atom's linear constraint (its cached
+//!    reading, or flattened here when it multiplies two unknowns, which
+//!    adds a product constraint over a fresh variable), with the sets of
+//!    variables the constraints and the atoms mention;
+//! 2. **presolve**: eliminate every variable an equality defines with a
+//!    ±1 coefficient, substituting its definition through the other
+//!    constraints (and reversing the eliminations when a model is found);
+//!    a constraint that becomes a false constant refutes the conjunction;
+//! 3. **echelon**: fraction-free Gaussian elimination with a GCD
+//!    divisibility test over the equalities presolve leaves, which
+//!    refutes what no unit substitution exposes, such as
+//!    `2·x0 = 2·x1 + 1`;
+//! 4. interval (bounds) propagation over the remaining constraints, and a
+//!    backtracking, small-values-first model search with forced-assignment
+//!    propagation, which handles disequalities and the product
+//!    constraints;
+//! 5. the model gate: the reconstructed model must satisfy every built
+//!    constraint.
 //!
-//! Presolve is order-preserving: it always eliminates through the first
+//! Building and presolve are both extensions of an empty state, and
+//! presolve is order-preserving: it always eliminates through the first
 //! eligible equality in constraint order and removes it without reordering
-//! the rest. That makes it prefix-compositional — presolving `P ++ Δ`
-//! equals extending the presolved `P` by `Δ` — and the persistent solver
-//! core exploits it: along one symbolic path each query's conjunction is
-//! the previous query's cone plus a few atoms, so the core keeps the
-//! presolved states of the last few cones (`PrefixCache`) and each check
-//! only eliminates the atoms past the longest of them that leads it. The state shares its definitions
-//! and constraints through `Rc`, so resuming copies no expression. A
-//! conjunction without such a prefix (and [`check_problem`], the scratch
-//! engine's path) extends the empty state — one presolve either way.
+//! the rest. So both are prefix-compositional — building or presolving
+//! `P ++ Δ` equals extending the state of `P` by `Δ` — and the persistent
+//! solver core exploits it: along one symbolic path each query's
+//! conjunction is the previous query's cone plus a few atoms. The core
+//! keeps a `PrefixCache` of the last few product-free cones it sent here.
+//! An entry holds the cone's atom ids, its built problem (the constraints,
+//! shared through `Rc`, and the two variable sets) and that problem's
+//! presolved state (definitions and remaining constraints, also behind
+//! `Rc`). A check extends the longest entry that leads its cone by the
+//! atoms past it, caches the result, and extends that by the query's
+//! assumptions: resuming copies pointers and sets, never a [`LinExpr`],
+//! and re-reads no cached atom. A conjunction without such a prefix (and
+//! [`check_problem`], the scratch engine's path) extends the empty
+//! states through the same code. The echelon runs after presolve, on
+//! what it leaves — a few non-unit equalities where the whole path holds
+//! one equality per step — so no step re-walks the whole path's
+//! equalities; the residual variable list, the model reconstruction and
+//! the model gate still walk the whole conjunction.
 //!
 //! The search is complete up to its value bound (±256); when it gives up
 //! it reports [`LiaResult::Unknown`] rather than guessing, which is exactly
 //! the "relative" part of relative completeness.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
@@ -82,10 +100,14 @@ pub struct ProductConstraint {
 }
 
 /// A conjunction of linear and product constraints.
+///
+/// The linear constraints sit behind `Rc`, so copying a problem copies
+/// pointers, never a [`LinExpr`]: a persistent core keeps the problem of a
+/// cone it checked and extends a copy by the next cone's new atoms.
 #[derive(Debug, Clone, Default)]
 pub struct LiaProblem {
-    /// Linear constraints.
-    pub linear: Vec<LinearConstraint>,
+    /// Linear constraints, in atom order.
+    pub linear: Vec<Rc<LinearConstraint>>,
     /// Product constraints.
     pub products: Vec<ProductConstraint>,
     /// All variables mentioned (including fresh product variables).
@@ -140,46 +162,41 @@ impl LiaProblem {
     /// hash-consing solver core) whose atoms live in an arena and should not
     /// be cloned per check.
     pub fn from_atom_refs(atoms: &[&Atom]) -> Result<LiaProblem, BuildError> {
-        LiaProblem::build(atoms.iter().map(|&atom| (atom, None)))
+        LiaProblem::default().extend(atoms.iter().map(|&atom| (atom, None)))
     }
 
-    /// Builds the problem of a conjunction whose atoms may come with their
-    /// [`lia_reading`] already computed. An atom with a reading contributes
-    /// that constraint as is; an atom without one (a product atom, whose
-    /// fresh product variables are numbered across the conjunction) is
-    /// flattened here. Either way the problem equals what flattening every
-    /// atom in order would build.
-    fn build<'a, I>(atoms: I) -> Result<LiaProblem, BuildError>
+    /// This problem extended by a conjunction of atoms, each of which may
+    /// come with its [`lia_reading`] already computed. An atom with a
+    /// reading contributes that constraint as is (a pointer copy); an atom
+    /// without one (a product atom) is flattened here, its fresh product
+    /// variables numbered past every variable seen so far. When this
+    /// problem holds no product constraint, the result equals building
+    /// the whole conjunction from the empty problem, which numbers product
+    /// variables past the conjunction's largest variable.
+    fn extend<'a, I>(mut self, atoms: I) -> Result<LiaProblem, BuildError>
     where
-        I: Iterator<Item = (&'a Atom, Option<&'a Result<LinearConstraint, BuildError>>)> + Clone,
+        I: Iterator<Item = (&'a Atom, Option<&'a LiaReading>)> + Clone,
     {
-        let mut problem = LiaProblem::default();
-        let mut original_vars = BTreeSet::new();
         for (atom, _) in atoms.clone() {
-            atom.collect_vars(&mut original_vars);
+            atom.collect_vars(&mut self.original_vars);
         }
-        problem.original_vars = original_vars.clone();
-        let mut fresh = original_vars
-            .iter()
-            .next_back()
+        // Without products every variable is an original one; with them,
+        // fresh numbering must also pass the product variables.
+        let mut fresh = self
+            .original_vars
+            .last()
+            .max(self.vars.last())
             .map(|v| v.index() + 1)
             .unwrap_or(0);
-
         for (atom, reading) in atoms {
             let constraint = match reading {
-                Some(reading) => reading.clone()?,
-                None => atom_constraint(atom, &mut fresh, &mut problem)?,
+                Some(reading) => Rc::clone(reading.as_ref().map_err(Clone::clone)?),
+                None => Rc::new(atom_constraint(atom, &mut fresh, &mut self)?),
             };
-            problem.push_linear(constraint.expr, constraint.op);
+            self.vars.extend(constraint.expr.vars());
+            self.linear.push(constraint);
         }
-        Ok(problem)
-    }
-
-    fn push_linear(&mut self, expr: LinExpr, op: ConstraintOp) {
-        for v in expr.vars() {
-            self.vars.insert(v);
-        }
-        self.linear.push(LinearConstraint { expr, op });
+        Ok(self)
     }
 
     fn push_product(&mut self, result: Var, left: LinExpr, right: LinExpr) {
@@ -266,15 +283,19 @@ fn atom_constraint(
     Ok(LinearConstraint { expr, op })
 }
 
+/// An atom's built constraint, shared so that every problem it enters holds
+/// the same `Rc`, or the overflow that aborts building it.
+pub(crate) type LiaReading = Result<Rc<LinearConstraint>, BuildError>;
+
 /// The LIA reading of one atom: the constraint [`LiaProblem`] building
 /// pushes for it, or the overflow that aborts the build. `None` for an atom
 /// with a genuine product, whose flattening introduces product variables
 /// numbered across the whole conjunction — those atoms are flattened per
 /// conjunction. A reading depends on the atom alone, so the solver core
 /// computes it once per interned atom.
-pub(crate) fn lia_reading(atom: &Atom) -> Option<Result<LinearConstraint, BuildError>> {
+pub(crate) fn lia_reading(atom: &Atom) -> Option<LiaReading> {
     let mut scratch = LiaProblem::default();
-    let constraint = atom_constraint(atom, &mut 0, &mut scratch);
+    let constraint = atom_constraint(atom, &mut 0, &mut scratch).map(Rc::new);
     scratch.products.is_empty().then_some(constraint)
 }
 
@@ -370,21 +391,22 @@ fn constant_holds(op: ConstraintOp, value: i64) -> bool {
 impl Presolved {
     /// Presolves a whole conjunction: [`Presolved::extend`] from the empty
     /// state, which has no definitions to substitute and so cannot fail.
-    fn new(linear: &[LinearConstraint], products: &[ProductConstraint]) -> Presolved {
+    fn new(linear: &[Rc<LinearConstraint>], products: &[ProductConstraint]) -> Presolved {
         Presolved::default()
             .extend(linear, products)
             .expect("the empty state substitutes nothing")
     }
 
     /// This state extended by the constraints `linear` and `products`: each
-    /// is rewritten by the definitions in elimination order and appended,
+    /// is rewritten by the definitions in elimination order and appended
+    /// (a constraint no definition touches is appended as the same `Rc`),
     /// then elimination continues. The result equals presolving the whole
     /// conjunction from scratch. `None` when rewriting a new constraint by
     /// an existing definition overflows — presolving from scratch would
     /// have stopped before that definition, so the caller must start over.
     fn extend(
         mut self,
-        linear: &[LinearConstraint],
+        linear: &[Rc<LinearConstraint>],
         products: &[ProductConstraint],
     ) -> Option<Presolved> {
         if self.infeasible {
@@ -392,22 +414,25 @@ impl Presolved {
         }
         let start = self.linear.len();
         for constraint in linear {
-            let expr = self.rewrite(&constraint.expr)?;
-            match expr.as_constant() {
+            let constraint = match self.rewrite(&constraint.expr)? {
+                Cow::Borrowed(_) => Rc::clone(constraint),
+                Cow::Owned(expr) => Rc::new(LinearConstraint {
+                    expr,
+                    op: constraint.op,
+                }),
+            };
+            match constraint.expr.as_constant() {
                 Some(value) if constant_holds(constraint.op, value) => {}
                 Some(_) => {
                     self.infeasible = true;
                     return Some(self);
                 }
-                None => self.linear.push(Rc::new(LinearConstraint {
-                    expr,
-                    op: constraint.op,
-                })),
+                None => self.linear.push(constraint),
             }
         }
         for product in products {
-            let left = self.rewrite(&product.left)?;
-            let right = self.rewrite(&product.right)?;
+            let left = self.rewrite(&product.left)?.into_owned();
+            let right = self.rewrite(&product.right)?.into_owned();
             self.products.push(ProductConstraint {
                 result: product.result,
                 left,
@@ -420,12 +445,13 @@ impl Presolved {
         Some(self)
     }
 
-    /// `expr` with every definition substituted in elimination order.
-    fn rewrite(&self, expr: &LinExpr) -> Option<LinExpr> {
-        let mut expr = expr.clone();
+    /// `expr` with every definition substituted in elimination order;
+    /// borrowed when no definition applies.
+    fn rewrite<'e>(&self, expr: &'e LinExpr) -> Option<Cow<'e, LinExpr>> {
+        let mut expr = Cow::Borrowed(expr);
         for definition in &self.definitions {
             if expr.coeff(definition.var) != 0 {
-                expr = substitute_expr(&expr, definition.var, &definition.expr)?;
+                expr = Cow::Owned(substitute_expr(&expr, definition.var, &definition.expr)?);
             }
         }
         Some(expr)
@@ -643,18 +669,27 @@ impl EqRow {
     }
 }
 
-/// Returns `true` if the equality subsystem is provably infeasible (over the
-/// rationals or by integer divisibility).
+/// Returns `true` if the equalities among `linear` are provably infeasible
+/// (over the rationals or by integer divisibility).
+///
+/// [`decide`] runs it on a presolved state's remaining constraints, not on
+/// the whole conjunction. Presolve substitutes unit-coefficient
+/// definitions, which maps integer solutions to integer solutions both
+/// ways, so the remaining equalities are integer-solvable exactly when the
+/// conjunction's equalities are, and the refutations this finds — a GCD
+/// that does not divide the constant, as in `2·x0 = 2·x1 + 1`, or a
+/// rational contradiction — survive the move. What remains is usually a
+/// handful of non-unit equalities, where the whole conjunction holds one
+/// per path step.
 ///
 /// Maintains a sparse row-echelon basis keyed by leading variable and
 /// reduces each equality against it, normalising by the coefficient GCD
 /// after every step. This keeps the work proportional to the actual fill-in
 /// (path-condition equality chains are 2–3 terms wide) instead of the dense
-/// `O(vars² · rows)` of a full tableau, which dominated whole-corpus
-/// analysis time.
-fn equalities_infeasible(problem: &LiaProblem) -> bool {
+/// `O(vars² · rows)` of a full tableau.
+fn equalities_infeasible(linear: &[Rc<LinearConstraint>]) -> bool {
     let mut pending: Vec<EqRow> = Vec::new();
-    for c in &problem.linear {
+    for c in linear {
         if c.op != ConstraintOp::Eq {
             continue;
         }
@@ -1164,26 +1199,30 @@ pub fn check_atom_refs(atoms: &[&Atom]) -> LiaResult {
     check_built(LiaProblem::from_atom_refs(atoms))
 }
 
+/// The `(atom, reading)` pairs [`LiaProblem::extend`] takes.
+fn with_readings<'a>(
+    atoms: &'a [AtomRef<'a>],
+) -> impl Iterator<Item = (&'a Atom, Option<&'a LiaReading>)> + Clone {
+    atoms.iter().map(|atom| (atom.atom, atom.lia()))
+}
+
 /// [`check_atom_refs`] over atoms with their theory readings: the LIA half
 /// of the dispatcher. Cached readings skip re-flattening non-product atoms.
-/// With `resume`, presolve resumes from the core's [`PrefixCache`].
+/// With `resume`, building and presolve resume from the core's
+/// [`PrefixCache`].
 pub(crate) fn check_readings(atoms: &[AtomRef<'_>], resume: Option<Resume<'_>>) -> LiaResult {
-    let problem = match LiaProblem::build(atoms.iter().map(|atom| (atom.atom, atom.lia()))) {
-        Ok(problem) => problem,
-        Err(BuildError::Overflow) => return LiaResult::Unknown,
-    };
     match resume {
         // Flattening numbers product variables across the whole
-        // conjunction, so only a product-free prefix presolves the same
-        // inside every conjunction it leads.
+        // conjunction, so only a product-free prefix builds and presolves
+        // the same inside every conjunction it leads.
         Some(resume)
             if atoms[..resume.active]
                 .iter()
                 .all(|atom| atom.lia().is_some()) =>
         {
-            decide(&problem, || resume.presolve(&problem))
+            resume.check(atoms)
         }
-        _ => check_problem(&problem),
+        _ => check_built(LiaProblem::default().extend(with_readings(atoms))),
     }
 }
 
@@ -1206,33 +1245,42 @@ pub fn check_problem(problem: &LiaProblem) -> LiaResult {
 /// so a single entry would be replaced before its path asks again.
 const PREFIX_CACHE_ENTRIES: usize = 4;
 
-/// The presolved active parts of the last few conjunctions a persistent core
-/// sent to LIA, each keyed by the atom ids it was built from. A reading
-/// depends on the atom alone and a cached prefix holds no product atom, so
-/// each state is a function of its ids: it never goes stale, and
-/// retractions need not touch it.
+/// The active part of one conjunction a persistent core sent to LIA: its
+/// atom ids, its built problem and that problem's presolved state.
+#[derive(Debug)]
+struct PrefixEntry {
+    ids: Vec<AtomId>,
+    problem: LiaProblem,
+    presolved: Presolved,
+}
+
+/// The built and presolved active parts of the last few conjunctions a
+/// persistent core sent to LIA, each keyed by the atom ids it was built
+/// from. A reading depends on the atom alone and a cached prefix holds no
+/// product atom, so each entry is a function of its ids: it never goes
+/// stale, and retractions need not touch it.
 #[derive(Debug, Default)]
 pub(crate) struct PrefixCache {
     /// Least recently used first.
-    entries: Vec<(Vec<AtomId>, Presolved)>,
+    entries: Vec<PrefixEntry>,
 }
 
 impl PrefixCache {
-    /// The longest cached prefix of `ids`, and its state.
-    fn longest_prefix_of(&self, ids: &[AtomId]) -> Option<&(Vec<AtomId>, Presolved)> {
+    /// The longest cached prefix of `ids`.
+    fn longest_prefix_of(&self, ids: &[AtomId]) -> Option<&PrefixEntry> {
         self.entries
             .iter()
-            .filter(|(cached, _)| ids.starts_with(cached))
-            .max_by_key(|(cached, _)| cached.len())
+            .filter(|entry| ids.starts_with(&entry.ids))
+            .max_by_key(|entry| entry.ids.len())
     }
 
-    /// Caches `state` under `ids` as the most recently used entry.
-    fn remember(&mut self, ids: &[AtomId], state: Presolved) {
-        self.entries.retain(|(cached, _)| cached != ids);
+    /// Caches `entry` as the most recently used one.
+    fn remember(&mut self, entry: PrefixEntry) {
+        self.entries.retain(|cached| cached.ids != entry.ids);
         if self.entries.len() == PREFIX_CACHE_ENTRIES {
             self.entries.remove(0);
         }
-        self.entries.push((ids.to_vec(), state));
+        self.entries.push(entry);
     }
 }
 
@@ -1242,31 +1290,55 @@ impl PrefixCache {
 pub(crate) struct Resume<'a> {
     /// The cache to resume from and update.
     pub cache: &'a mut PrefixCache,
-    /// The conjunction's atom ids, in the order its problem was built.
+    /// The conjunction's atom ids, in the order its problem is built.
     pub ids: &'a [AtomId],
     /// How many leading ids are the cone's assertions.
     pub active: usize,
 }
 
 impl Resume<'_> {
-    /// Presolves `problem` (built from `ids`): extends the longest cached
-    /// state whose ids lead the active part, otherwise presolves the active
-    /// part from scratch; caches that as a new prefix; then extends it by
-    /// the assumptions. Equal to [`Presolved::new`] on the whole problem.
-    fn presolve(self, problem: &LiaProblem) -> Presolved {
+    /// Decides the conjunction of `atoms` (whose ids are `ids`, and whose
+    /// active part holds no product atom). The longest cached entry whose
+    /// ids lead the active part is extended by the remaining active atoms —
+    /// its problem by [`LiaProblem::extend`], its presolved state by
+    /// [`Presolved::extend`] — and cached as a new entry; without one, the
+    /// active part is built and presolved from the empty state. Both are
+    /// then extended by the assumptions. Each step equals its scratch
+    /// counterpart, so the verdict and model equal [`check_problem`] on the
+    /// whole conjunction's problem.
+    fn check(self, atoms: &[AtomRef<'_>]) -> LiaResult {
         let Resume { cache, ids, active } = self;
-        let linear = &problem.linear;
-        let resumed = cache
-            .longest_prefix_of(&ids[..active])
-            .and_then(|(cached, state)| state.clone().extend(&linear[cached.len()..active], &[]));
-        if resumed.is_some() {
-            crate::probes::bump(|p| p.lia_prefix_reuses += 1);
-        }
-        let prefix = resumed.unwrap_or_else(|| Presolved::new(&linear[..active], &[]));
-        cache.remember(&ids[..active], prefix.clone());
-        prefix
-            .extend(&linear[active..], &problem.products)
-            .unwrap_or_else(|| Presolved::new(linear, &problem.products))
+        let (start, problem, presolved) = match cache.longest_prefix_of(&ids[..active]) {
+            Some(entry) => (
+                entry.ids.len(),
+                entry.problem.clone(),
+                Some(entry.presolved.clone()),
+            ),
+            None => (0, LiaProblem::default(), None),
+        };
+        // Build everything before touching the cache: an overflowing
+        // reading leaves it as it was.
+        let Ok(prefix) = problem.extend(with_readings(&atoms[start..active])) else {
+            return LiaResult::Unknown;
+        };
+        let Ok(whole) = prefix.clone().extend(with_readings(&atoms[active..])) else {
+            return LiaResult::Unknown;
+        };
+        decide(&whole, || {
+            let resumed = presolved.and_then(|state| state.extend(&prefix.linear[start..], &[]));
+            if resumed.is_some() {
+                crate::probes::bump(|p| p.lia_prefix_reuses += 1);
+            }
+            let state = resumed.unwrap_or_else(|| Presolved::new(&prefix.linear, &[]));
+            cache.remember(PrefixEntry {
+                ids: ids[..active].to_vec(),
+                problem: prefix,
+                presolved: state.clone(),
+            });
+            state
+                .extend(&whole.linear[active..], &whole.products)
+                .unwrap_or_else(|| Presolved::new(&whole.linear, &whole.products))
+        })
     }
 }
 
@@ -1283,14 +1355,11 @@ fn decide(problem: &LiaProblem, presolve: impl FnOnce() -> Presolved) -> LiaResu
     if problem.linear.is_empty() && problem.products.is_empty() {
         return LiaResult::Sat(BTreeMap::new());
     }
-    if equalities_infeasible(problem) {
-        return LiaResult::Unsat;
-    }
     // Substitute away variables defined by unit-coefficient equalities. This
     // both detects contradictions like `x = y ∧ x ≠ y` and keeps the search
     // space small for the common equality-chain path conditions.
     let presolved = presolve();
-    if presolved.infeasible {
+    if presolved.infeasible || equalities_infeasible(&presolved.linear) {
         return LiaResult::Unsat;
     }
     let mut eliminated: Vec<Var> = presolved.definitions.iter().map(|d| d.var).collect();
@@ -1516,7 +1585,7 @@ mod tests {
         }
     }
 
-    fn linear(atoms: &[Atom]) -> Vec<LinearConstraint> {
+    fn linear(atoms: &[Atom]) -> Vec<Rc<LinearConstraint>> {
         LiaProblem::from_atoms(atoms).expect("builds").linear
     }
 
@@ -1651,6 +1720,156 @@ mod tests {
                 assert!(reused, "depth {depth}: {path:?}");
             }
         }
+    }
+
+    /// SplitMix64, so the property runs are seeded and repeatable.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        fn var(&mut self) -> Term {
+            x(self.below(8) as u32)
+        }
+
+        /// Two distinct variables.
+        fn vars(&mut self) -> (Term, Term) {
+            let a = self.below(8) as u32;
+            (x(a), x((a + 1 + self.below(7) as u32) % 8))
+        }
+
+        fn small(&mut self) -> i64 {
+            self.below(9) as i64 - 4
+        }
+    }
+
+    /// `2·a = 2·b + c` over distinct `a` and `b`: presolve finds no unit
+    /// coefficient in it, so with `c` odd only the echelon's GCD test
+    /// refutes it.
+    fn even_equality(rng: &mut Rng, c: i64) -> Atom {
+        let two = || Term::int(2);
+        let (a, b) = rng.vars();
+        eq(
+            Term::mul(two(), a),
+            Term::add(Term::mul(two(), b), Term::int(c)),
+        )
+    }
+
+    /// A product-free atom for a path: unit equalities, bounds,
+    /// disequalities, non-unit equalities and, now and then, a coefficient
+    /// near the point where substituting it overflows and stops presolve.
+    fn path_atom(rng: &mut Rng) -> Atom {
+        match rng.below(12) {
+            0..=2 => {
+                let (a, b) = rng.vars();
+                eq(a, Term::add(b, Term::int(rng.small())))
+            }
+            3 | 4 => {
+                let op = [CmpOp::Le, CmpOp::Ge, CmpOp::Lt, CmpOp::Gt][rng.below(4) as usize];
+                Atom::new(rng.var(), op, Term::int(rng.small()))
+            }
+            5 => {
+                let (a, b) = rng.vars();
+                Atom::new(a, CmpOp::Ne, b)
+            }
+            6 | 7 => Atom::new(Term::add(rng.var(), rng.var()), CmpOp::Le, rng.var()),
+            8 => {
+                let c = 2 * rng.small();
+                even_equality(rng, c)
+            }
+            9 => eq(
+                Term::mul(Term::int(3), rng.var()),
+                Term::add(rng.var(), Term::int(rng.small())),
+            ),
+            _ => {
+                let big = Term::int(i64::MAX / 2 - rng.below(3) as i64);
+                eq(rng.var(), Term::add(Term::mul(big, rng.var()), rng.var()))
+            }
+        }
+    }
+
+    /// A query's assumption: a path atom, a product of two unknowns, or an
+    /// odd [`even_equality`].
+    fn assumption(rng: &mut Rng) -> Atom {
+        match rng.below(4) {
+            0 => path_atom(rng),
+            1 => {
+                let c = 2 * rng.small() + 1;
+                even_equality(rng, c)
+            }
+            _ => {
+                let op = [CmpOp::Eq, CmpOp::Le, CmpOp::Ne][rng.below(3) as usize];
+                Atom::new(Term::mul(rng.var(), rng.var()), op, Term::int(rng.small()))
+            }
+        }
+    }
+
+    #[test]
+    fn resumed_checks_equal_scratch_checks_over_random_sibling_cones() {
+        // Two sibling paths grow from a shared prefix, alternating as a
+        // fair search asks, and now and then backtrack. Every query is a
+        // path's atoms (the cone) plus one or two assumptions, and
+        // `resume_check` asserts that the verdict and model equal
+        // `check_atoms` on the same atoms.
+        let (mut reused, mut verdicts) = (0, [0; 3]);
+        for seed in 0..10 {
+            let mut rng = Rng(seed);
+            let mut arena = crate::arena::Arena::new();
+            let mut cache = PrefixCache::default();
+            let shared: Vec<Atom> = (0..2).map(|_| path_atom(&mut rng)).collect();
+            let mut paths = [shared.clone(), shared];
+            for _ in 0..10 {
+                for path in &mut paths {
+                    if path.len() > 3 && rng.below(5) == 0 {
+                        let keep = 2 + rng.below(path.len() as u64 - 2) as usize;
+                        path.truncate(keep);
+                    }
+                    path.push(path_atom(&mut rng));
+                    let mut atoms = path.clone();
+                    atoms.extend((0..1 + rng.below(2)).map(|_| assumption(&mut rng)));
+                    let (result, resumed) =
+                        resume_check(&mut arena, &mut cache, &atoms, path.len());
+                    reused += usize::from(resumed);
+                    verdicts[match result {
+                        LiaResult::Sat(_) => 0,
+                        LiaResult::Unsat => 1,
+                        LiaResult::Unknown => 2,
+                    }] += 1;
+                }
+            }
+        }
+        assert!(reused > 100, "{reused} resumed checks");
+        assert!(
+            verdicts.iter().all(|&n| n > 0),
+            "sat/unsat/unknown: {verdicts:?}"
+        );
+    }
+
+    #[test]
+    fn the_residual_echelon_refutes_what_presolve_leaves() {
+        // x1 = x2 + 1 defines x1, leaving 2·x0 = 2·x2 + 3: no unit
+        // coefficient, no constant contradiction, refuted by the GCD test.
+        let atoms = vec![
+            eq(x(1), Term::add(x(2), Term::int(1))),
+            eq(
+                Term::mul(Term::int(2), x(0)),
+                Term::add(Term::mul(Term::int(2), x(1)), Term::int(1)),
+            ),
+        ];
+        let presolved = Presolved::new(&linear(&atoms), &[]);
+        assert!(!presolved.infeasible && presolved.definitions.len() == 1);
+        assert!(equalities_infeasible(&presolved.linear));
+        assert_eq!(check(&atoms), LiaResult::Unsat);
     }
 
     #[test]

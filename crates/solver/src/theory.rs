@@ -17,7 +17,7 @@ use std::collections::BTreeMap;
 use crate::cnf::{assert_formula, AtomMap};
 use crate::dl::{classify, DlConstraint, DlSolver};
 use crate::formula::{Atom, Formula};
-use crate::lia::{check_readings, lia_reading, BuildError, LiaResult, LinearConstraint, Resume};
+use crate::lia::{check_readings, lia_reading, LiaReading, LiaResult, Resume};
 use crate::model::Model;
 use crate::probes;
 use crate::sat::{Lit, SatResult as PropResult, SatSolver};
@@ -43,7 +43,7 @@ pub(crate) enum TheoryVerdict {
 #[derive(Debug, Default)]
 pub(crate) struct AtomReadings {
     dl: OnceCell<Option<Vec<DlConstraint>>>,
-    lia: OnceCell<Option<Result<LinearConstraint, BuildError>>>,
+    lia: OnceCell<Option<LiaReading>>,
 }
 
 /// An atom paired with its readings: the dispatcher's input.
@@ -65,7 +65,7 @@ impl<'a> AtomRef<'a> {
     }
 
     /// The LIA reading; `None` for an atom with a genuine product.
-    pub fn lia(&self) -> Option<&'a Result<LinearConstraint, BuildError>> {
+    pub fn lia(&self) -> Option<&'a LiaReading> {
         self.readings
             .lia
             .get_or_init(|| lia_reading(self.atom))

@@ -306,6 +306,17 @@ fn assert_blames_only_false() {
 }
 
 #[test]
+fn arithmetic_on_a_concrete_non_number_blames_the_module() {
+    for body in ["(+ #t n)", "(+ n #t)", "(+ #t 1)"] {
+        let source =
+            format!("(module m (provide [f (-> integer? integer?)]) (define (f n) {body}))");
+        let cex = validated_cex(&source);
+        assert_eq!(cex.blame.party, "m", "{body}: {cex}");
+        assert_eq!(cex.blame.message, "+: expected numbers", "{body}: {cex}");
+    }
+}
+
+#[test]
 fn a_search_cut_at_max_branches_is_exhausted_not_verified() {
     // The divisor is 0 only when all six arguments are non-positive: one
     // path among 2⁶. Cutting outcome lists at 8 or 32 branches drops it,
